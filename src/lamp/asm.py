@@ -22,8 +22,15 @@ fixes the vector width and must precede any LOADM literal.
 Binary format (all integers big-endian): magic ``LAMP1``, u16 width
 (0 = unspecified), sixteen u32 per-cell instruction counts in row-major
 order, then each cell's instructions as 8-byte records
-``kind f1 f2 f3 f4 f5 arg16``; a LOADM record is followed by its
-literal packed MSB-first into ceil(width/8) bytes with zero padding.
+``kind f1 f2 f3 f4 f5 arg16``. ``kind`` is the instruction's position in
+``sim.ISA``; its enum operands fill f1.. in field order, with each
+member's enum value as its code, and a jump target or row index fills
+arg16. A LOADM record is followed by its literal packed MSB-first into
+ceil(width/8) bytes with zero padding.
+
+The parser, the disassembler and both directions of the codec are one
+loop over an instruction class's OPERANDS, so an instruction's shape is
+written only on its class in ``sim``.
 """
 
 from __future__ import annotations
@@ -39,35 +46,21 @@ from .errors import (
     UnresolvedLabel,
     WidthMismatch,
 )
-from .sim import (
-    GRID_SIZE,
-    BinOp,
-    Dir,
-    Halt,
-    IncRow,
-    Instruction,
-    Jump,
-    JumpIfFlag,
-    JumpIfNotFlag,
-    JumpIfRowLt,
-    LoadImm,
-    Logic,
-    M_REGS,
-    Orf,
-    Program,
-    Recv,
-    Reg,
-    Send,
-    SetRow,
-    UnOp,
-)
+from .sim import GRID_SIZE, ISA, JUMPS, M_REGS, BinOp, Dir, LoadImm, Program, Reg, UnOp
 
 _TOKEN_RE = re.compile(r"\.?\w+|[:,]")
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
-MNEMONICS = {
-    "LOGIC", "ORF", "JMP", "JF", "JNF", "SETROW", "INCROW", "JRLT",
-    "SEND", "RECV", "LOADM", "HALT",
+MNEMONICS = {cls.MNEMONIC: cls for cls in ISA}
+
+# enum operand kind -> (its members, indexed by their binary code; what
+# error messages call it)
+_ENUM_KINDS = {
+    "binop": (tuple(BinOp), "binary op"),
+    "src": (tuple(Reg), "source operand"),
+    "unop": (tuple(UnOp), "unary op"),
+    "mreg": (M_REGS, "m-register"),
+    "dir": (tuple(Dir), "direction"),
 }
 
 
@@ -110,15 +103,13 @@ class _Cursor:
             tok, col = self.tokens[self.i]
             raise AsmSyntaxError(f"unexpected {tok!r}", self.lineno, col)
 
-    def enum_member(self, enum_cls, allowed, what):
+    def member(self, allowed, what):
         tok, col = self.next(what)
         name = tok.upper()
-        members = {m.name: m for m in allowed}
-        if name not in members:
-            raise AsmSyntaxError(
-                f"expected {what}, got {tok!r}", self.lineno, col
-            )
-        return members[name]
+        for m in allowed:
+            if m.name == name:
+                return m
+        raise AsmSyntaxError(f"expected {what}, got {tok!r}", self.lineno, col)
 
     def integer(self, what="integer"):
         tok, col = self.next(what)
@@ -141,66 +132,44 @@ class _Cursor:
         return BitVector.parse(tok), col
 
 
-_SRCS = tuple(Reg)
-_LABEL_REF = object()  # marks an unresolved target inside a parsed instruction
-
-
-def _parse_instr(cur: _Cursor, width):
-    """Parse one instruction; jump targets come back as label references."""
+def _parse_instr(cur: _Cursor, width, labels, stream):
+    """Parse one instruction of ``stream``; ``labels`` maps each label to
+    its (stream, address)."""
     tok, col = cur.next("mnemonic")
-    mnem = tok.upper()
-    if mnem not in MNEMONICS:
+    cls = MNEMONICS.get(tok.upper())
+    if cls is None:
         raise UnknownMnemonic(f"unknown mnemonic {tok!r}", cur.lineno, col)
-    if mnem == "LOGIC":
-        binop = cur.enum_member(BinOp, tuple(BinOp), "binary op")
-        src_a = cur.enum_member(Reg, _SRCS, "source operand")
-        cur.comma()
-        src_b = cur.enum_member(Reg, _SRCS, "source operand")
-        cur.comma()
-        unop = cur.enum_member(UnOp, tuple(UnOp), "unary op")
-        cur.comma()
-        dst = cur.enum_member(Reg, M_REGS, "m-register")
-        cur.end()
-        return Logic(binop, src_a, src_b, unop, dst)
-    if mnem == "ORF":
-        src = cur.enum_member(Reg, _SRCS, "source operand")
-        cur.end()
-        return Orf(src)
-    if mnem in ("JMP", "JF", "JNF", "JRLT"):
-        label, col = cur.ident()
-        cur.end()
-        kind = {"JMP": Jump, "JF": JumpIfFlag, "JNF": JumpIfNotFlag,
-                "JRLT": JumpIfRowLt}[mnem]
-        return (_LABEL_REF, kind, label, col)
-    if mnem == "SETROW":
-        idx = cur.integer("row index")
-        cur.end()
-        return SetRow(idx)
-    if mnem == "INCROW":
-        cur.end()
-        return IncRow()
-    if mnem in ("SEND", "RECV"):
-        direction = cur.enum_member(Dir, tuple(Dir), "direction")
-        cur.comma()
-        reg = cur.enum_member(Reg, M_REGS, "m-register")
-        cur.end()
-        return (Send if mnem == "SEND" else Recv)(direction, reg)
-    if mnem == "LOADM":
-        reg = cur.enum_member(Reg, M_REGS, "m-register")
-        cur.comma()
-        literal, col = cur.bits()
-        cur.end()
-        if width is None:
-            raise AsmSyntaxError(
-                "LOADM requires a .width directive", cur.lineno, col
-            )
-        if literal.n != width:
-            raise WidthMismatch(
-                f"line {cur.lineno}: literal width {literal.n} != .width {width}"
-            )
-        return LoadImm(reg, literal)
+    args = []
+    for i, kind in enumerate(cls.OPERANDS):
+        if i and cls.OPERANDS[i - 1] != "binop":
+            cur.comma()
+        if kind in _ENUM_KINDS:
+            args.append(cur.member(*_ENUM_KINDS[kind]))
+        elif kind == "index":
+            args.append(cur.integer("row index"))
+        else:  # a label or literal is checked once the whole line has parsed
+            args.append(cur.ident() if kind == "target" else cur.bits())
     cur.end()
-    return Halt()
+    for i, kind in enumerate(cls.OPERANDS):
+        if kind == "target":
+            label, col = args[i]
+            if label not in labels or labels[label][0] != stream:
+                raise UnresolvedLabel(
+                    f"label {label!r} not defined in this cell", cur.lineno, col
+                )
+            args[i] = labels[label][1]
+        elif kind == "literal":
+            literal, col = args[i]
+            if width is None:
+                raise AsmSyntaxError(
+                    "LOADM requires a .width directive", cur.lineno, col
+                )
+            if literal.n != width:
+                raise WidthMismatch(
+                    f"line {cur.lineno}: literal width {literal.n} != .width {width}"
+                )
+            args[i] = literal
+    return cls(*args)
 
 
 def assemble(source: str) -> Program:
@@ -275,15 +244,7 @@ def assemble(source: str) -> Program:
         pending.append((stream, addr, cur))
 
     for stream, addr, cur in pending:
-        inst = _parse_instr(cur, width)
-        if isinstance(inst, tuple) and inst[0] is _LABEL_REF:
-            _, kind, label, col = inst
-            if label not in labels or labels[label][0] != stream:
-                raise UnresolvedLabel(
-                    f"label {label!r} not defined in this cell", cur.lineno, col
-                )
-            inst = kind(labels[label][1])
-        streams[stream][addr] = inst
+        streams[stream][addr] = _parse_instr(cur, width, labels, stream)
 
     program = Program(width=width)
     if "broadcast" in streams:
@@ -308,7 +269,7 @@ def disassemble(program: Program) -> str:
                 continue
             targets = set()
             for inst in code:
-                if isinstance(inst, (Jump, JumpIfFlag, JumpIfNotFlag, JumpIfRowLt)):
+                if isinstance(inst, JUMPS):
                     if not 0 <= inst.target < len(code):
                         raise MalformedBinary(
                             f"cell ({r},{c}): jump target {inst.target} "
@@ -326,17 +287,7 @@ def disassemble(program: Program) -> str:
             out.append(f".cell {r},{c}")
             for addr, inst in enumerate(code):
                 head = f"{label[addr]}: " if addr in label else "    "
-                if isinstance(inst, Jump):
-                    body = f"JMP {label[inst.target]}"
-                elif isinstance(inst, JumpIfFlag):
-                    body = f"JF {label[inst.target]}"
-                elif isinstance(inst, JumpIfNotFlag):
-                    body = f"JNF {label[inst.target]}"
-                elif isinstance(inst, JumpIfRowLt):
-                    body = f"JRLT {label[inst.target]}"
-                else:
-                    body = inst.text()
-                out.append(head + body)
+                out.append(head + inst.text(label.__getitem__))
     return "\n".join(out) + "\n"
 
 
@@ -345,46 +296,26 @@ def disassemble(program: Program) -> str:
 
 MAGIC = b"LAMP1"
 
-_KIND_CODE = {
-    Logic: 0, Orf: 1, Jump: 2, JumpIfFlag: 3, JumpIfNotFlag: 4,
-    SetRow: 5, IncRow: 6, JumpIfRowLt: 7, LoadImm: 8, Send: 9,
-    Recv: 10, Halt: 11,
-}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
-
-def _encode_instr(inst: Instruction, width) -> bytes:
-    kind = _KIND_CODE[type(inst)]
-    f = [0, 0, 0, 0, 0]
-    arg = 0
-    tail = b""
-    match inst:
-        case Logic(binop=b, src_a=sa, src_b=sb, unop=u, dst=d):
-            f = [b.value, sa.value, sb.value, u.value, d.value]
-        case Orf(src=s):
-            f[0] = s.value
-        case Jump(target=t) | JumpIfFlag(target=t) | JumpIfNotFlag(target=t) \
-                | JumpIfRowLt(target=t):
-            arg = t
-        case SetRow(index=i):
-            arg = i
-        case LoadImm(reg=r, literal=lit):
+def _encode_instr(inst, width) -> bytes:
+    fields, arg, tail = [ISA.index(type(inst))], 0, b""
+    for kind, value in zip(inst.OPERANDS, inst.operands()):
+        if kind in _ENUM_KINDS:
+            fields.append(value.value)
+        elif kind == "literal":
             if width is None:
                 raise MalformedBinary("cannot encode LOADM without a width")
-            if lit.n != width:
+            if value.n != width:
                 raise MalformedBinary(
-                    f"literal width {lit.n} != program width {width}"
+                    f"literal width {value.n} != program width {width}"
                 )
-            f[0] = r.value
             nbytes = (width + 7) // 8
-            tail = (lit.value << (8 * nbytes - width)).to_bytes(nbytes, "big")
-        case Send(direction=d, reg=r) | Recv(direction=d, reg=r):
-            f = [d.value, r.value, 0, 0, 0]
-        case IncRow() | Halt():
-            pass
+            tail = (value.value << (8 * nbytes - width)).to_bytes(nbytes, "big")
+        else:
+            arg = value
     if not 0 <= arg <= 0xFFFF:
         raise MalformedBinary(f"field {arg} does not fit in 16 bits")
-    return bytes([kind] + f) + arg.to_bytes(2, "big") + tail
+    return bytes(fields).ljust(6, b"\0") + arg.to_bytes(2, "big") + tail
 
 
 def program_to_bytes(program: Program) -> bytes:
@@ -416,13 +347,6 @@ class _Reader:
         return chunk
 
 
-def _enum_of(enum_cls, value, what):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise MalformedBinary(f"invalid {what} code {value}") from None
-
-
 def program_from_bytes(data: bytes) -> Program:
     rd = _Reader(data)
     if rd.take(len(MAGIC)) != MAGIC:
@@ -435,28 +359,18 @@ def program_from_bytes(data: bytes) -> Program:
         code = []
         for _ in range(count):
             rec = rd.take(8)
-            kind = _CODE_KIND.get(rec[0])
-            if kind is None:
+            if rec[0] >= len(ISA):
                 raise MalformedBinary(f"invalid instruction kind {rec[0]}")
-            arg = int.from_bytes(rec[6:8], "big")
-            try:
-                if kind is Logic:
-                    inst = Logic(
-                        _enum_of(BinOp, rec[1], "binop"),
-                        _enum_of(Reg, rec[2], "operand"),
-                        _enum_of(Reg, rec[3], "operand"),
-                        _enum_of(UnOp, rec[4], "unop"),
-                        _enum_of(Reg, rec[5], "operand"),
-                    )
-                elif kind is Orf:
-                    inst = Orf(_enum_of(Reg, rec[1], "operand"))
-                elif kind in (Jump, JumpIfFlag, JumpIfNotFlag, JumpIfRowLt):
-                    inst = kind(arg)
-                elif kind is SetRow:
-                    inst = SetRow(arg)
-                elif kind is IncRow:
-                    inst = IncRow()
-                elif kind is LoadImm:
+            cls = ISA[rec[0]]
+            args, fields = [], iter(rec[1:6])
+            for kind in cls.OPERANDS:
+                if kind in _ENUM_KINDS:
+                    members, what = _ENUM_KINDS[kind]
+                    value = next(fields)
+                    if value >= len(members):
+                        raise MalformedBinary(f"invalid {what} code {value}")
+                    args.append(members[value])
+                elif kind == "literal":
                     if width is None:
                         raise MalformedBinary("LOADM literal without a width")
                     nbytes = (width + 7) // 8
@@ -464,19 +378,10 @@ def program_from_bytes(data: bytes) -> Program:
                     pad = 8 * nbytes - width
                     if raw & ((1 << pad) - 1):
                         raise MalformedBinary("nonzero padding in LOADM literal")
-                    inst = LoadImm(
-                        _enum_of(Reg, rec[1], "operand"), BitVector(width, raw >> pad)
-                    )
-                elif kind in (Send, Recv):
-                    inst = kind(
-                        _enum_of(Dir, rec[1], "direction"),
-                        _enum_of(Reg, rec[2], "operand"),
-                    )
+                    args.append(BitVector(width, raw >> pad))
                 else:
-                    inst = Halt()
-            except ValueError as exc:
-                raise MalformedBinary(str(exc)) from None
-            code.append(inst)
+                    args.append(int.from_bytes(rec[6:8], "big"))
+            code.append(cls(*args))
         program.cells[r][c] = code
     if rd.pos != len(data):
         raise MalformedBinary(f"{len(data) - rd.pos} trailing bytes")

@@ -125,6 +125,7 @@ def load_table(source, name="table") -> AssocTable:
         lines = source
     rows: list[TernaryVector] = []
     labels: list[Optional[str]] = []
+    seen: set[str] = set()
     width = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,8 +149,10 @@ def load_table(source, name="table") -> AssocTable:
             raise WidthMismatch(
                 f"line {lineno}: row width {row.n} differs from {width}"
             )
-        if label is not None and label in [l for l in labels if l is not None]:
-            raise ParseError(f"duplicate row label {label!r}", line=lineno)
+        if label is not None:
+            if label in seen:
+                raise ParseError(f"duplicate row label {label!r}", line=lineno)
+            seen.add(label)
         rows.append(row)
         labels.append(label)
     if not rows:

@@ -272,7 +272,14 @@ def _load_freight(args):
         if blob.startswith(asm_mod.MAGIC):
             program = asm_mod.program_from_bytes(blob)
         else:
-            program = asm_mod.assemble(blob.decode("utf-8"))
+            try:
+                source = blob.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LampError(
+                    f"{args.program}: neither a LAMP1 binary nor UTF-8 assembly "
+                    f"(byte {exc.start})"
+                ) from None
+            program = asm_mod.assemble(source)
 
     width = program.width or args.width
     for _, vec in loads:
@@ -436,6 +443,17 @@ def cmd_bench(args) -> int:
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_format(p):
     p.add_argument(
         "--format", choices=("text", "tsv", "json"), default="text",
@@ -465,14 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="find the best rows of a table")
     p.add_argument("table", help="table file ({0,1,x} rows, optional label<TAB>)")
     p.add_argument("--m", required=True, help="query vector")
-    p.add_argument("--top", type=int, help="also list the best K rows")
+    p.add_argument("--top", type=_positive_int, help="also list the best K rows")
     _add_format(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("diag", help="look up a response in a fault dictionary")
     p.add_argument("table", help="fault dictionary file (binary signatures)")
     p.add_argument("--response", required=True, help="observed response vector")
-    p.add_argument("--top", type=int, help="also list the best K candidates")
+    p.add_argument("--top", type=_positive_int, help="also list the best K candidates")
     _add_format(p)
     p.set_defaults(func=cmd_diag)
 
@@ -499,21 +517,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="preload an m-register in every cell (repeatable)",
     )
     p.add_argument(
-        "--width", type=int,
+        "--width", type=_positive_int,
         help="vector width when neither .width, --table, nor --load sets it",
     )
-    p.add_argument("--max-cycles", type=int, default=100_000)
+    p.add_argument("--max-cycles", type=_positive_int, default=100_000)
     p.add_argument("--trace", action="store_true", help="print a cycle trace")
     _add_format(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="measure criterion throughput")
-    p.add_argument("--n", type=int, default=256, help="vector width")
-    p.add_argument("--rows", type=int, default=10_000, help="table rows")
-    p.add_argument("--iters", type=int, default=3, help="vector-path passes")
+    p.add_argument("--n", type=_positive_int, default=256, help="vector width")
+    p.add_argument("--rows", type=_positive_int, default=10_000, help="table rows")
+    p.add_argument("--iters", type=_positive_int, default=3, help="vector-path passes")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
-        "--baseline-rows", type=int, default=200,
+        "--baseline-rows", type=_positive_int, default=200,
         help="rows sampled for the per-coordinate baseline (default 200)",
     )
     p.add_argument(

@@ -53,6 +53,9 @@ class BinOp(enum.Enum):
     PASS = 3  # first operand through, second ignored
 
 
+_BINOPS = {BinOp.AND: vand, BinOp.OR: vor, BinOp.XOR: vxor}
+
+
 class UnOp(enum.Enum):
     NOT = 0
     SLC = 1  # shift-left crowding, the sls primitive
@@ -106,8 +109,48 @@ def neighbor(r: int, c: int, d: Dir) -> tuple[int, int]:
 # Instruction set
 
 
+class Instruction:
+    """Base of the instruction classes.
+
+    Each class declares its assembly MNEMONIC and, in OPERANDS, the kind
+    of each of its fields in field order. The kinds are the enum operands
+    ``binop``, ``src`` (any Reg), ``unop``, ``mreg`` (an m-register) and
+    ``dir``, plus ``target`` (a jump address), ``index`` (a row number)
+    and ``literal`` (a BitVector). The assembler, disassembler and binary
+    codec are all driven by these declarations.
+    """
+
+    MNEMONIC = ""
+    OPERANDS: tuple[str, ...] = ()
+
+    def operands(self) -> tuple:
+        """Field values in the order of OPERANDS, which is the order the
+        dataclass declares its fields."""
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def text(self, label=str) -> str:
+        """Assembly text; ``label`` renders jump targets."""
+        out, sep = self.MNEMONIC, " "
+        for kind, value in zip(self.OPERANDS, self.operands()):
+            if kind == "target":
+                value = label(value)
+            elif kind == "index":
+                value = str(value)
+            elif kind == "literal":
+                value = value.to01()
+            else:
+                value = value.name
+            out += sep + value
+            # LOGIC's binary op is set off by a space, every other operand by a comma
+            sep = " " if kind == "binop" else ", "
+        return out
+
+
 @dataclass(frozen=True)
-class Logic:
+class Logic(Instruction):
+    MNEMONIC = "LOGIC"
+    OPERANDS = ("binop", "src", "src", "unop", "mreg")
+
     binop: BinOp
     src_a: Reg
     src_b: Reg
@@ -121,75 +164,71 @@ class Logic:
             # PASS has one operand; normalize so equal programs compare equal
             object.__setattr__(self, "src_b", self.src_a)
 
-    def text(self) -> str:
-        return (
-            f"LOGIC {self.binop.name} {self.src_a.name}, "
-            f"{self.src_b.name}, {self.unop.name}, {self.dst.name}"
-        )
-
 
 @dataclass(frozen=True)
-class Orf:
+class Orf(Instruction):
+    MNEMONIC = "ORF"
+    OPERANDS = ("src",)
+
     src: Reg
 
-    def text(self) -> str:
-        return f"ORF {self.src.name}"
-
 
 @dataclass(frozen=True)
-class Jump:
+class Jump(Instruction):
+    MNEMONIC = "JMP"
+    OPERANDS = ("target",)
+
     target: int
 
-    def text(self) -> str:
-        return f"JMP {self.target}"
-
 
 @dataclass(frozen=True)
-class JumpIfFlag:
+class JumpIfFlag(Instruction):
+    MNEMONIC = "JF"
+    OPERANDS = ("target",)
+
     target: int
 
-    def text(self) -> str:
-        return f"JF {self.target}"
-
 
 @dataclass(frozen=True)
-class JumpIfNotFlag:
+class JumpIfNotFlag(Instruction):
+    MNEMONIC = "JNF"
+    OPERANDS = ("target",)
+
     target: int
 
-    def text(self) -> str:
-        return f"JNF {self.target}"
-
 
 @dataclass(frozen=True)
-class SetRow:
+class SetRow(Instruction):
+    MNEMONIC = "SETROW"
+    OPERANDS = ("index",)
+
     index: int
 
     def __post_init__(self):
         if self.index < 0:
             raise ValueError(f"row index must be nonnegative, got {self.index}")
 
-    def text(self) -> str:
-        return f"SETROW {self.index}"
+
+@dataclass(frozen=True)
+class IncRow(Instruction):
+    MNEMONIC = "INCROW"
 
 
 @dataclass(frozen=True)
-class IncRow:
-    def text(self) -> str:
-        return "INCROW"
-
-
-@dataclass(frozen=True)
-class JumpIfRowLt:
+class JumpIfRowLt(Instruction):
     """Jump while the row counter is below the loaded row count."""
+
+    MNEMONIC = "JRLT"
+    OPERANDS = ("target",)
 
     target: int
 
-    def text(self) -> str:
-        return f"JRLT {self.target}"
-
 
 @dataclass(frozen=True)
-class LoadImm:
+class LoadImm(Instruction):
+    MNEMONIC = "LOADM"
+    OPERANDS = ("mreg", "literal")
+
     reg: Reg
     literal: BitVector
 
@@ -197,12 +236,12 @@ class LoadImm:
         if self.reg not in M_REGS:
             raise ValueError(f"LOADM target must be an m-register, got {self.reg}")
 
-    def text(self) -> str:
-        return f"LOADM {self.reg.name}, {self.literal.to01()}"
-
 
 @dataclass(frozen=True)
-class Send:
+class Send(Instruction):
+    MNEMONIC = "SEND"
+    OPERANDS = ("dir", "mreg")
+
     direction: Dir
     reg: Reg
 
@@ -210,12 +249,12 @@ class Send:
         if self.reg not in M_REGS:
             raise ValueError(f"SEND source must be an m-register, got {self.reg}")
 
-    def text(self) -> str:
-        return f"SEND {self.direction.name}, {self.reg.name}"
-
 
 @dataclass(frozen=True)
-class Recv:
+class Recv(Instruction):
+    MNEMONIC = "RECV"
+    OPERANDS = ("dir", "mreg")
+
     direction: Dir
     reg: Reg
 
@@ -223,29 +262,16 @@ class Recv:
         if self.reg not in M_REGS:
             raise ValueError(f"RECV target must be an m-register, got {self.reg}")
 
-    def text(self) -> str:
-        return f"RECV {self.direction.name}, {self.reg.name}"
-
 
 @dataclass(frozen=True)
-class Halt:
-    def text(self) -> str:
-        return "HALT"
+class Halt(Instruction):
+    MNEMONIC = "HALT"
 
 
-Instruction = (
-    Logic
-    | Orf
-    | Jump
-    | JumpIfFlag
-    | JumpIfNotFlag
-    | SetRow
-    | IncRow
-    | JumpIfRowLt
-    | LoadImm
-    | Send
-    | Recv
-    | Halt
+# The position of a class here is its kind code in the binary format.
+ISA = (
+    Logic, Orf, Jump, JumpIfFlag, JumpIfNotFlag, SetRow, IncRow,
+    JumpIfRowLt, LoadImm, Send, Recv, Halt,
 )
 
 JUMPS = (Jump, JumpIfFlag, JumpIfNotFlag, JumpIfRowLt)
@@ -365,7 +391,7 @@ class Sequencer:
                     r = a
                 else:
                     b = self._read(sb)
-                    r = {BinOp.AND: vand, BinOp.OR: vor, BinOp.XOR: vxor}[binop](a, b)
+                    r = _BINOPS[binop](a, b)
                 if unop is UnOp.NOT:
                     r = vnot(r)
                 elif unop is UnOp.SLC:
@@ -462,7 +488,10 @@ class Grid:
                             f"cell ({r},{c}): literal width {inst.literal.n} "
                             f"!= grid width {self.width}"
                         )
+                # a loaded program starts from a fresh control state
                 seq.pc = 0
+                seq.row_idx = 0
+                seq.flag = 0
                 seq.halted = not seq.program
 
     def set_table(self, rows, at=None) -> None:
@@ -590,59 +619,46 @@ class Grid:
 
 
 def builtin_query_program(rows: int) -> list[Instruction]:
-    """Emit the canonical best-row search over ``rows`` matrix rows.
+    """Emit the canonical best-row search over ``rows`` >= 1 matrix rows.
 
-    Expects the query vector in MA and the associators loaded as the
-    cell's matrix. Two sweeps: the first builds each row's quality
-    vector from its difference and the two membership masks, compacts
-    it with SLC, and folds it into MD through the and/xor/or-fold
-    decision (earlier row kept on ties). The second sweep finds the
-    first row whose compacted quality equals MD and parks that
-    associator's pattern in MC as the winner's identification.
+    The program is the same loop of 18 instructions for every row count.
+    It expects the query vector in MA, the associators loaded as the
+    cell's matrix and the row counter at 0, as ``Grid.load_program``
+    leaves it. Two sweeps over the rows. The first folds each row's
+    compacted quality SLC(MA XOR ROW) into MD (the binary criterion is
+    popcount(m XOR a), acceptance criterion 4) through the paper's
+    decision orf((MD AND MC) XOR MD), which is 0 when MD is at least as
+    good, so the earlier row is kept on ties. The second finds the first
+    row whose compacted quality equals MD and parks that associator's
+    pattern in MC as the winner's identification.
 
     MD starts as all ones -- the worst possible compacted quality --
-    synthesized width-free as NOT(MA XOR MA).
+    synthesized width-free as NOT(MA XOR MA). The fold costs 7 or 8
+    cycles per row, the search 6 per row up to the winner.
     """
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
-
-    def q_into_mc(i):
-        return [
-            SetRow(i),
-            Logic(BinOp.AND, Reg.MA, Reg.ROW, UnOp.NOT, Reg.MB),  # ~(m & A_i)
-            Logic(BinOp.AND, Reg.ROW, Reg.MB, UnOp.NOPU, Reg.MC),  # A_i outside overlap
-            Logic(BinOp.AND, Reg.MA, Reg.MB, UnOp.NOPU, Reg.MB),  # m outside overlap
-            Logic(BinOp.OR, Reg.MB, Reg.MC, UnOp.NOPU, Reg.MC),
-            Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.NOPU, Reg.MB),  # difference
-            Logic(BinOp.OR, Reg.MB, Reg.MC, UnOp.NOPU, Reg.MC),  # quality vector
-            Logic(BinOp.PASS, Reg.MC, Reg.MC, UnOp.SLC, Reg.MC),  # compacted
-        ]
-
-    prog: list[Instruction] = [Logic(BinOp.XOR, Reg.MA, Reg.MA, UnOp.NOT, Reg.MD)]
-    block1 = 13  # 8 above + 4 fold + 1 update
-    block2 = 13  # 8 above + 4 compare + 1 exit jump
-    phase2_base = 1 + block1 * rows
-    done = phase2_base + block2 * rows
-
-    for i in range(rows):
-        base = 1 + block1 * i
-        prog += q_into_mc(i)
-        prog += [
-            Logic(BinOp.AND, Reg.MD, Reg.MC, UnOp.NOPU, Reg.MB),
-            Logic(BinOp.XOR, Reg.MB, Reg.MD, UnOp.NOPU, Reg.MB),
-            Orf(Reg.MB),  # 0 iff the current best is at least as good
-            JumpIfNotFlag(base + block1),
-            Logic(BinOp.PASS, Reg.MC, Reg.MC, UnOp.NOPU, Reg.MD),
-        ]
-    for i in range(rows):
-        base = phase2_base + block2 * i
-        prog += q_into_mc(i)
-        prog += [
-            Logic(BinOp.XOR, Reg.MC, Reg.MD, UnOp.NOPU, Reg.MB),
-            Orf(Reg.MB),  # 0 iff this row attains the winning quality
-            JumpIfFlag(base + block2),
-            Logic(BinOp.PASS, Reg.ROW, Reg.ROW, UnOp.NOPU, Reg.MC),
-            Jump(done),
-        ]
-    prog.append(Halt())
-    return prog
+    quality_into_mc = Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MC)
+    fold, next_row, find, found = 1, 7, 10, 16  # jump targets
+    return [
+        Logic(BinOp.XOR, Reg.MA, Reg.MA, UnOp.NOT, Reg.MD),
+        # fold: MD := the better of MD and this row's quality
+        quality_into_mc,
+        Logic(BinOp.AND, Reg.MD, Reg.MC, UnOp.NOPU, Reg.MB),
+        Logic(BinOp.XOR, Reg.MB, Reg.MD, UnOp.NOPU, Reg.MB),
+        Orf(Reg.MB),
+        JumpIfNotFlag(next_row),
+        Logic(BinOp.PASS, Reg.MC, Reg.MC, UnOp.NOPU, Reg.MD),
+        IncRow(),
+        JumpIfRowLt(fold),
+        SetRow(0),
+        # find: stop at the first row whose quality equals MD
+        quality_into_mc,
+        Logic(BinOp.XOR, Reg.MC, Reg.MD, UnOp.NOPU, Reg.MB),
+        Orf(Reg.MB),
+        JumpIfNotFlag(found),
+        IncRow(),
+        JumpIfRowLt(find),
+        Logic(BinOp.PASS, Reg.ROW, Reg.ROW, UnOp.NOPU, Reg.MC),
+        Halt(),
+    ]

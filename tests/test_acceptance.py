@@ -190,6 +190,23 @@ def test_criterion_6_simulator_vs_library_oracle():
                 g2 = _run_builtin_once(rows, m, n)
                 assert _grid_digest(g) == _grid_digest(g2)
 
+        # tie tables: a few narrow rows, repeated, so several rows often
+        # share the best quality and the earliest of them must win
+        tied = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            pool = [BitVector(n, rng.getrandbits(n)) for _ in range(3)]
+            rows = [rng.choice(pool) for _ in range(rng.randint(2, 16))]
+            m = BitVector(n, rng.getrandbits(n))
+
+            seq = _run_builtin_once(rows, m, n).cell(0, 0)
+            lib = query(AssocTable.from_rows(rows), m)
+            tied += len({rows[i - 1] for i, _ in lib.best_rows}) > 1
+            win = lib.best_rows[0][0] - 1
+            assert seq.regs[Reg.MC] == rows[win]
+            assert seq.regs[Reg.MD].ones_count() == lib.best_index.k
+        assert tied >= 20
+
         # straight-line programs cost exactly one cycle per instruction
         for _ in range(50):
             n = rng.randint(1, 32)

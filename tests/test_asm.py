@@ -163,6 +163,32 @@ def test_round_trip_every_mnemonic():
     assert assemble(disassemble(p)) == p
 
 
+EVERY_MNEMONIC_TEXT = """\
+.width 5
+.cell 3,1
+L31_0: LOGIC AND MA, ROW, NOT, MB
+    LOGIC OR MB, MC, NOPU, MC
+    LOGIC XOR MC, MD, SLC, MD
+    LOGIC PASS MD, MD, NOPU, MA
+    ORF MD
+    JF L31_7
+    JNF L31_8
+L31_7: SETROW 2
+L31_8: INCROW
+    JRLT L31_0
+    LOADM MB, 10110
+    SEND NE, MA
+    RECV SW, MB
+    JMP L31_14
+L31_14: HALT
+"""
+
+
+def test_disassemble_every_mnemonic_golden():
+    p = Program.single_cell(EVERY_MNEMONIC, width=5, at=(3, 1))
+    assert disassemble(p) == EVERY_MNEMONIC_TEXT
+
+
 def test_round_trip_builtin_query_program():
     p = Program.single_cell(builtin_query_program(2), width=12)
     text = disassemble(p)
@@ -196,6 +222,37 @@ def test_bytes_round_trip_every_mnemonic():
     assert program_from_bytes(program_to_bytes(p)) == p
 
 
+# records are ``kind f1 f2 f3 f4 f5 arg16``; LOADM's literal follows its record
+EVERY_MNEMONIC_RECORDS = [
+    "00 00 00 04 00 01 0000",  # LOGIC AND MA, ROW, NOT, MB
+    "00 01 01 02 02 02 0000",  # LOGIC OR MB, MC, NOPU, MC
+    "00 02 02 03 01 03 0000",  # LOGIC XOR MC, MD, SLC, MD
+    "00 03 03 03 02 00 0000",  # LOGIC PASS MD, MD, NOPU, MA
+    "01 03 00 00 00 00 0000",  # ORF MD
+    "03 00 00 00 00 00 0007",  # JF 7
+    "04 00 00 00 00 00 0008",  # JNF 8
+    "05 00 00 00 00 00 0002",  # SETROW 2
+    "06 00 00 00 00 00 0000",  # INCROW
+    "07 00 00 00 00 00 0000",  # JRLT 0
+    "08 01 00 00 00 00 0000 b0",  # LOADM MB, 10110 (padded to one byte)
+    "09 01 00 00 00 00 0000",  # SEND NE, MA
+    "0a 05 01 00 00 00 0000",  # RECV SW, MB
+    "02 00 00 00 00 00 000e",  # JMP 14
+    "0b 00 00 00 00 00 0000",  # HALT
+]
+
+
+def test_bytes_every_mnemonic_golden():
+    counts = [0] * GRID_SIZE**2
+    counts[3 * GRID_SIZE + 1] = len(EVERY_MNEMONIC)
+    expect = b"LAMP1" + (5).to_bytes(2, "big")
+    expect += b"".join(n.to_bytes(4, "big") for n in counts)
+    expect += bytes.fromhex("".join(EVERY_MNEMONIC_RECORDS))
+    p = Program.single_cell(EVERY_MNEMONIC, width=5, at=(3, 1))
+    assert program_to_bytes(p) == expect
+    assert program_from_bytes(expect) == p
+
+
 def test_bytes_round_trip_width_unset():
     p = Program.broadcast([Orf(Reg.MA), Halt()])
     assert program_from_bytes(program_to_bytes(p)) == p
@@ -212,6 +269,23 @@ def test_bad_magic_rejected():
     blob = program_to_bytes(Program.broadcast([Halt()]))
     with pytest.raises(MalformedBinary):
         program_from_bytes(b"NOPE!" + blob[5:])
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "0c 00 00 00 00 00 0000",  # kind past HALT
+        "00 04 00 00 00 00 0000",  # binary op past PASS
+        "00 00 05 00 00 00 0000",  # source past ROW
+        "00 00 00 00 03 00 0000",  # unary op past NOPU
+        "00 00 00 00 00 04 0000",  # ROW as LOGIC destination
+        "09 08 00 00 00 00 0000",  # direction past NW
+    ],
+)
+def test_invalid_field_code_rejected(record):
+    header = program_to_bytes(Program.single_cell([Halt()]))[:-8]
+    with pytest.raises(MalformedBinary):
+        program_from_bytes(header + bytes.fromhex(record))
 
 
 def test_trailing_garbage_rejected():

@@ -67,6 +67,10 @@ def test_load_duplicate_label_rejected():
     with pytest.raises(ParseError) as err:
         load_table("F1\t10\nF1\t01")
     assert err.value.line == 2
+    # unlabeled rows, comments and blank lines do not hide a later duplicate
+    with pytest.raises(ParseError) as err:
+        load_table("# faults\nF1\t10\n11\n\nF2\t00\nF1\t01\n")
+    assert err.value.line == 6
 
 
 def test_load_bad_symbol_carries_line_number():

@@ -247,6 +247,40 @@ def test_run_without_program_or_builtin_fails(capsys):
     assert "builtin-query" in err
 
 
+def test_run_undecodable_program_file_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "junk.bin"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "{table}", "--m", "1100", "--top", "-1"],
+        ["query", "{table}", "--m", "1100", "--top", "0"],
+        ["diag", "{table}", "--response", "1100", "--top", "0"],
+        ["run", "--builtin-query", "--table", "{table}", "--max-cycles", "0"],
+        ["run", "{table}", "--width", "0"],
+        ["bench", "--n", "0"],
+        ["bench", "--rows", "0"],
+        ["bench", "--iters", "0"],
+        ["bench", "--baseline-rows", "0"],
+        ["bench", "--rows", "many"],
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(capsys, fault_dict, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.format(table=fault_dict) for a in argv])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 # --- bench ------------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from lamp.assoc import AssocTable, query
@@ -6,6 +8,7 @@ from lamp.errors import DeadlockDetected, InvalidRowIndex, PcOutOfRange
 from lamp.quality import criterion_vector
 from lamp.sim import (
     GRID_SIZE,
+    ISA,
     BinOp,
     Dir,
     Grid,
@@ -134,6 +137,13 @@ def test_pc_past_end_raises():
     seq.step()
     with pytest.raises(PcOutOfRange):
         seq.step()
+
+
+def test_operands_declare_every_field_in_order():
+    for cls in ISA:
+        assert len(cls.OPERANDS) == len(fields(cls)), cls.__name__
+    inst = Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MD)
+    assert inst.operands() == (BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MD)
 
 
 def test_every_instruction_costs_one_cycle():
@@ -312,6 +322,27 @@ def test_builtin_matches_library_query_on_worked_rows():
     win = lib.best_rows[0][0] - 1
     assert seq.regs[Reg.MC] == rows[win]
     assert seq.regs[Reg.MD] == sls(criterion_vector(M12, rows[win]).q_vec)
+
+
+def test_builtin_program_size_does_not_grow_with_rows():
+    assert builtin_query_program(1) == builtin_query_program(2)
+    assert builtin_query_program(2) == builtin_query_program(64)
+
+
+def test_builtin_reruns_on_a_reused_grid():
+    # each query's winner is the row the previous one stopped at or before,
+    # so a row counter left over from the last run would skip it
+    rows = [A12, M12, bv("111111111111")]
+    table = AssocTable.from_rows(rows)
+    program = Program.single_cell(builtin_query_program(len(rows)))
+    g = Grid(12)
+    g.set_table(rows, at=(0, 0))
+    for m in (rows[2], rows[1], rows[0]):
+        g.load_program(program)
+        g.set_register(Reg.MA, m, at=(0, 0))
+        assert g.run(100_000).outcome is RunOutcome.ALL_HALTED
+        win = query(table, m).best_rows[0][0] - 1
+        assert g.cell(0, 0).regs[Reg.MC] == rows[win] == m
 
 
 def test_builtin_rejects_zero_rows():
