@@ -36,7 +36,7 @@ from .quality import (
     choose_best,
     criterion_vector,
     quality_arith,
-    quality_index,
+    quality_index,  # still importable from lamp.assoc
 )
 from .ternary import TernaryVector
 
@@ -78,14 +78,10 @@ class AssocTable:
     @classmethod
     def from_rows(cls, rows, labels=None, name="table") -> "AssocTable":
         """Build from TernaryVector/BitVector rows or vector strings."""
-        parsed = []
-        for row in rows:
-            if isinstance(row, TernaryVector):
-                parsed.append(row)
-            elif isinstance(row, BitVector):
-                parsed.append(TernaryVector.from_bitvector(row))
-            else:
-                parsed.append(TernaryVector.parse(row))
+        parsed = [
+            TernaryVector.parse(row) if isinstance(row, str) else _as_ternary(row)
+            for row in rows
+        ]
         if not parsed:
             raise EmptyTable(f"table {name!r} has no rows")
         return cls(name, parsed[0].n, parsed, list(labels) if labels else [])
@@ -189,14 +185,14 @@ def query(table: AssocTable, m) -> QueryResult:
     mt = _check_query(table, m)
     if table.is_binary:
         mb = mt.to_bitvector()
-        scores = [quality_index(mb, row) for row in table.row_bits()]
-        best_vec = None
+        scores, best_vec = [], None
         for row in table.row_bits():
-            cand = criterion_vector(mb, row).q_compacted
+            qv = criterion_vector(mb, row)
+            scores.append(QualityIndex(qv.q_vec.ones_count(), table.cols))
             if best_vec is None:
-                best_vec = cand
+                best_vec = qv.q_compacted
             else:
-                best_vec, _flag = choose_best(best_vec, cand)
+                best_vec, _flag = choose_best(best_vec, qv.q_compacted)
         best_k = best_vec.ones_count()
         winners = [
             (i + 1, table.labels[i])
@@ -218,14 +214,11 @@ def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     result = query(table, m)
-    if result.mode is Mode.BINARY:
-        order = sorted(
-            enumerate(result.per_row, start=1), key=lambda p: (p[1].k, p[0])
-        )
-    else:
-        order = sorted(
-            enumerate(result.per_row, start=1), key=lambda p: (-p[1].value, p[0])
-        )
+    binary = result.mode is Mode.BINARY
+    order = sorted(
+        enumerate(result.per_row, start=1),
+        key=lambda p: (p[1].k if binary else -p[1].value, p[0]),
+    )
     return order[:k]
 
 

@@ -9,12 +9,12 @@ Set LAMP_COLOR=0 to disable text decoration.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import asm as asm_mod
 from .assoc import diagnose, load_table, query, rank
@@ -50,8 +50,24 @@ def _emit(report: dict, text_lines: list[str], tsv_lines: list[list], fmt: str):
             print(line)
 
 
-def _frac(f: Fraction) -> str:
-    return str(f)
+def _read_text(path: str, blob: bytes | None = None, expected: str = "UTF-8 text") -> str:
+    """The text of ``path``, or of ``blob`` when it was already read from it.
+
+    A byte that is not UTF-8 is a LampError naming the file and the offset.
+    """
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LampError(f"{path}: not {expected} (byte {exc.start})") from None
+
+
+def _read_table(path: str):
+    # newline=None splits lines as a file opened in text mode does
+    lines = io.StringIO(_read_text(path), newline=None)
+    return load_table(lines, name=os.path.basename(path))
 
 
 # --------------------------------------------------------------------------
@@ -59,90 +75,66 @@ def _frac(f: Fraction) -> str:
 
 
 def cmd_metric(args) -> int:
-    fmt = args.format
-    if args.mode == "arith":
-        m = TernaryVector.parse(args.m)
-        a = TernaryVector.parse(args.a)
-        s = quality_arith(m, a)
-        text = [
-            _head(f"interaction quality ({m.symbols()} vs {a.symbols()})"),
-            f"d          = {_frac(s.d)}",
-            f"mu(m in A) = {_frac(s.mu_m_in_a)}",
-            f"mu(A in m) = {_frac(s.mu_a_in_m)}",
-            f"Q = {_frac(s.value)}",
-        ]
-        tsv = [
-            ["d", s.d], ["mu_m_in_a", s.mu_m_in_a],
-            ["mu_a_in_m", s.mu_a_in_m], ["q", s.value],
-        ]
-        report = {
-            "command": "metric", "mode": "arith",
-            "inputs": {"m": m.symbols(), "a": a.symbols()},
-            "d": s.d, "mu_m_in_a": s.mu_m_in_a, "mu_a_in_m": s.mu_a_in_m,
-            "q": s.value,
-        }
-    elif args.mode == "int":
-        m = BitVector.parse(args.m)
-        a = BitVector.parse(args.a)
-        s = criterion_arith(m, a)
-        text = [
-            _head(f"integer criterion ({m.to01()} vs {a.to01()})"),
-            f"d_card              = {s.d_card}",
-            f"nonmembership(m, A) = {s.nonmembership_m_in_a}",
-            f"nonmembership(A, m) = {s.nonmembership_a_in_m}",
-            f"Q = {s.value}",
-        ]
-        tsv = [
-            ["d_card", s.d_card],
-            ["nonmembership_m_in_a", s.nonmembership_m_in_a],
-            ["nonmembership_a_in_m", s.nonmembership_a_in_m],
-            ["q", s.value],
-        ]
-        report = {
-            "command": "metric", "mode": "int",
-            "inputs": {"m": m.to01(), "a": a.to01()},
-            "d_card": s.d_card,
-            "nonmembership_m_in_a": s.nonmembership_m_in_a,
-            "nonmembership_a_in_m": s.nonmembership_a_in_m,
-            "q": s.value,
-        }
-    else:
+    if args.mode == "vector":
         m = BitVector.parse(args.m)
         a = BitVector.parse(args.a)
         qv = criterion_vector(m, a)
         shared = m & a
         idx = quality_index(m, a)
-        rows = [
-            ("m", m.to01()),
-            ("A", a.to01()),
-            ("m AND A", shared.to01()),
-            ("NOT(m AND A)", (~shared).to01()),
-            ("d = m XOR A", qv.d_vec.to01()),
-            ("mu(A in m)", qv.mu_a_in_m_vec.to01()),
-            ("mu(m in A)", qv.mu_m_in_a_vec.to01()),
-            ("Q (OR of three)", qv.q_vec.to01()),
-            ("Q compacted", qv.q_compacted.to01()),
+        rows = [  # (text name, JSON key, vector); m and A are echoed as inputs
+            ("m", None, m),
+            ("A", None, a),
+            ("m AND A", "m_and_a", shared),
+            ("NOT(m AND A)", "not_m_and_a", ~shared),
+            ("d = m XOR A", "d_vec", qv.d_vec),
+            ("mu(A in m)", "mu_a_in_m_vec", qv.mu_a_in_m_vec),
+            ("mu(m in A)", "mu_m_in_a_vec", qv.mu_m_in_a_vec),
+            ("Q (OR of three)", "q_vec", qv.q_vec),
+            ("Q compacted", "q_compacted", qv.q_compacted),
         ]
         text = [_head("vector criterion")]
-        text += [f"{name:<16} {vec}" for name, vec in rows]
+        text += [f"{name:<16} {vec.to01()}" for name, _, vec in rows]
         text.append(f"Q = {idx.k}/{idx.n}")
-        tsv = [[name.replace(" ", "_"), vec] for name, vec in rows]
+        tsv = [[name.replace(" ", "_"), vec.to01()] for name, _, vec in rows]
         tsv.append(["q_index", f"{idx.k}/{idx.n}"])
         report = {
             "command": "metric", "mode": "vector",
             "inputs": {"m": m.to01(), "a": a.to01()},
-            **{name: vec for name, vec in (
-                ("m_and_a", shared.to01()),
-                ("not_m_and_a", (~shared).to01()),
-                ("d_vec", qv.d_vec.to01()),
-                ("mu_a_in_m_vec", qv.mu_a_in_m_vec.to01()),
-                ("mu_m_in_a_vec", qv.mu_m_in_a_vec.to01()),
-                ("q_vec", qv.q_vec.to01()),
-                ("q_compacted", qv.q_compacted.to01()),
-            )},
+            **{key: vec.to01() for _, key, vec in rows if key},
             "k": idx.k, "n": idx.n,
         }
-    _emit(report, text, tsv, fmt)
+        _emit(report, text, tsv, args.format)
+        return 0
+    if args.mode == "arith":
+        m = TernaryVector.parse(args.m)
+        a = TernaryVector.parse(args.a)
+        s = quality_arith(m, a)
+        title, inputs = "interaction quality", {"m": m.symbols(), "a": a.symbols()}
+        fields = [  # (text name, TSV and JSON key, value)
+            ("d", "d", s.d),
+            ("mu(m in A)", "mu_m_in_a", s.mu_m_in_a),
+            ("mu(A in m)", "mu_a_in_m", s.mu_a_in_m),
+        ]
+    else:
+        m = BitVector.parse(args.m)
+        a = BitVector.parse(args.a)
+        s = criterion_arith(m, a)
+        title, inputs = "integer criterion", {"m": m.to01(), "a": a.to01()}
+        fields = [
+            ("d_card", "d_card", s.d_card),
+            ("nonmembership(m, A)", "nonmembership_m_in_a", s.nonmembership_m_in_a),
+            ("nonmembership(A, m)", "nonmembership_a_in_m", s.nonmembership_a_in_m),
+        ]
+    width = max(len(name) for name, _, _ in fields)
+    text = [_head(f"{title} ({inputs['m']} vs {inputs['a']})")]
+    text += [f"{name:<{width}} = {value}" for name, _, value in fields]
+    text.append(f"Q = {s.value}")
+    tsv = [[key, value] for _, key, value in fields] + [["q", s.value]]
+    report = {
+        "command": "metric", "mode": args.mode, "inputs": inputs,
+        **{key: value for _, key, value in fields}, "q": s.value,
+    }
+    _emit(report, text, tsv, args.format)
     return 0
 
 
@@ -153,15 +145,14 @@ def cmd_metric(args) -> int:
 def _score_cells(score) -> tuple[str, dict]:
     if isinstance(score, QualityIndex):
         return f"k={score.k}/{score.n}", {"k": score.k, "n": score.n}
-    return f"Q={_frac(score.value)}", {
+    return f"Q={score.value}", {
         "q": score.value, "d": score.d,
         "mu_m_in_a": score.mu_m_in_a, "mu_a_in_m": score.mu_a_in_m,
     }
 
 
 def _run_table_query(args, response_mode: bool) -> int:
-    with open(args.table, encoding="utf-8") as fh:
-        table = load_table(fh, name=os.path.basename(args.table))
+    table = _read_table(args.table)
     vec_text = args.response if response_mode else args.m
     if response_mode:
         probe = BitVector.parse(vec_text)
@@ -221,8 +212,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_asm_build(args) -> int:
-    with open(args.source, encoding="utf-8") as fh:
-        program = asm_mod.assemble(fh.read())
+    program = asm_mod.assemble(_read_text(args.source))
     out = args.output or os.path.splitext(args.source)[0] + ".lprog"
     asm_mod.save_program(out, program)
     used = sum(
@@ -248,8 +238,7 @@ def _load_freight(args):
     """Resolve the program, table rows, register loads, and the width."""
     table_rows = None
     if args.table:
-        with open(args.table, encoding="utf-8") as fh:
-            table = load_table(fh, name=os.path.basename(args.table))
+        table = _read_table(args.table)
         if not table.is_binary:
             raise ModeMismatch("simulator tables must be binary")
         table_rows = table.row_bits()
@@ -272,13 +261,7 @@ def _load_freight(args):
         if blob.startswith(asm_mod.MAGIC):
             program = asm_mod.program_from_bytes(blob)
         else:
-            try:
-                source = blob.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise LampError(
-                    f"{args.program}: neither a LAMP1 binary nor UTF-8 assembly "
-                    f"(byte {exc.start})"
-                ) from None
+            source = _read_text(args.program, blob, "a LAMP1 binary or UTF-8 assembly")
             program = asm_mod.assemble(source)
 
     width = program.width or args.width
@@ -337,6 +320,15 @@ def cmd_run(args) -> int:
         "deadlocked": [f"{r},{c}" for r, c in result.deadlocked],
         "cells": cells_json,
     }
+    if args.trace:
+        # a trace line is cycle, cell, pc, instruction and, for a stall, "(stall)"
+        events = [line.split("\t") for line in grid.trace]
+        tsv += [["trace", *event] for event in events]
+        report["trace"] = [
+            {"cycle": int(cycle), "cell": cell, "pc": int(pc),
+             "instruction": instruction, "stall": bool(stall)}
+            for cycle, cell, pc, instruction, *stall in events
+        ]
     _emit(report, text, tsv, args.format)
     if args.trace and args.format == "text":
         print(_head("trace (cycle cell pc mnemonic)"))

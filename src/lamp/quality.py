@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .bitvec import BitVector, orf, sls, vand, vnot, vor, vxor
 from .errors import LengthMismatch, NotCompacted
-from .ternary import TernaryVector, card_x, intersect
+from .ternary import TernaryVector, card_x, empty_coord_count, intersect
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,13 @@ def quality_arith(m: TernaryVector, a: TernaryVector) -> QualityScoreNorm:
     """
     if m.n != a.n:
         raise LengthMismatch(f"widths differ: {m.n} vs {a.n}")
-    r = intersect(m, a)
-    d = Fraction(m.n - len(r.empty_coords()), m.n)
-    if r.is_empty:
+    empty = empty_coord_count(m, a)
+    d = Fraction(m.n - empty, m.n)
+    if empty:
         mu_m_in_a = Fraction(0)
         mu_a_in_m = Fraction(0)
     else:
-        cx = card_x(r.to_ternary())
+        cx = card_x(intersect(m, a).to_ternary())
         mu_m_in_a = Fraction(1, 2 ** (card_x(a) - cx))
         mu_a_in_m = Fraction(1, 2 ** (card_x(m) - cx))
     q = (d + mu_m_in_a + mu_a_in_m) / 3

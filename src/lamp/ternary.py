@@ -5,6 +5,11 @@ by expanding every ``x`` both ways. Each symbol is encoded in two bits
 (0 -> 10, 1 -> 01, x -> 11) inside a doubled-width :class:`BitVector`,
 so cube intersection is a single coordinatewise AND and an empty
 coordinate shows up as the pair 00.
+
+Checks, conversions and counts are mask expressions over the 2-bit
+code, built on the low-bit mask ``0101...01``: a pair is ``x`` where
+both of its bits are set and empty where neither is. The ``{0,1,x}``
+string is rendered for display only.
 """
 
 from __future__ import annotations
@@ -15,8 +20,27 @@ import itertools
 from .bitvec import BitVector, vand
 from .errors import LengthMismatch, ParseError, ZeroLength
 
-_ENC = {"0": 0b10, "1": 0b01, "x": 0b11}
 _DEC = {0b10: "0", 0b01: "1", 0b11: "x", 0b00: "e"}  # 'e' = empty
+_CODE_DIGITS = str.maketrans({"0": "10", "1": "01", "x": "11"})
+_DROP_SYMBOLS = str.maketrans("", "", "01x")
+
+
+def _low_bits(n: int) -> int:
+    """0101...01 over 2n bits: the low bit of every pair."""
+    return ((1 << 2 * n) - 1) // 3
+
+
+def _empty_pairs(enc: BitVector) -> int:
+    """The low bit of every 00 pair, all other bits clear."""
+    return ~(enc.value | (enc.value >> 1)) & _low_bits(enc.n // 2)
+
+
+def _pair(enc: BitVector, i: int) -> int:
+    return (enc.value >> (enc.n - 2 * i)) & 0b11
+
+
+def _render(enc: BitVector) -> str:
+    return "".join(_DEC[_pair(enc, i)] for i in range(1, enc.n // 2 + 1))
 
 
 class TernaryVector:
@@ -29,9 +53,10 @@ class TernaryVector:
             raise ValueError("encoded width must be even")
         object.__setattr__(self, "n", enc.n // 2)
         object.__setattr__(self, "enc", enc)
-        for i in range(1, self.n + 1):
-            if self._pair(i) == 0b00:
-                raise ParseError(f"empty symbol at coordinate {i} not allowed")
+        empty = _empty_pairs(enc)
+        if empty:
+            i = self.n - (empty.bit_length() - 1) // 2  # the leftmost 00 pair
+            raise ParseError(f"empty symbol at coordinate {i} not allowed")
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"TernaryVector is immutable, cannot set {name!r}")
@@ -42,40 +67,35 @@ class TernaryVector:
         s = text.replace("_", "").lower()
         if not s:
             raise ZeroLength("empty vector literal")
-        value = 0
-        for c in s:
-            if c not in _ENC:
-                raise ParseError(f"invalid symbol {c!r} in vector literal {text!r}")
-            value = (value << 2) | _ENC[c]
-        return cls(BitVector(2 * len(s), value))
+        bad = s.translate(_DROP_SYMBOLS)
+        if bad:
+            raise ParseError(f"invalid symbol {bad[0]!r} in vector literal {text!r}")
+        return cls(BitVector(2 * len(s), int(s.translate(_CODE_DIGITS), 2)))
 
     @classmethod
     def from_bitvector(cls, v: BitVector) -> "TernaryVector":
-        value = 0
-        for b in v.bits():
-            value = (value << 2) | (_ENC["1"] if b else _ENC["0"])
-        return cls(BitVector(2 * v.n, value))
-
-    def _pair(self, i: int) -> int:
-        return (self.enc.value >> (2 * (self.n - i))) & 0b11
+        # binary digits read in base 4 land on the low bit of each pair
+        ones = int(format(v.value, "b"), 4)
+        return cls(BitVector(2 * v.n, ones | (_low_bits(v.n) ^ ones) << 1))
 
     def symbol(self, i: int) -> str:
         """Symbol at coordinate i, 1-based from the left."""
         if not 1 <= i <= self.n:
             raise IndexError(f"coordinate {i} outside 1..{self.n}")
-        return _DEC[self._pair(i)]
+        return _DEC[_pair(self.enc, i)]
 
     def symbols(self) -> str:
-        return "".join(self.symbol(i) for i in range(1, self.n + 1))
+        return _render(self.enc)
 
     @property
     def is_binary(self) -> bool:
-        return "x" not in self.symbols()
+        return card_x(self) == 0
 
     def to_bitvector(self) -> BitVector:
         if not self.is_binary:
             raise ValueError("vector contains x, not a binary vector")
-        return BitVector.from_bits(1 if s == "1" else 0 for s in self.symbols())
+        # the low bit of each pair is every second binary digit of the code
+        return BitVector(self.n, int(format(self.enc.value, f"0{self.enc.n}b")[1::2], 2))
 
     def points(self):
         """Yield every binary point covered by this cube.
@@ -83,13 +103,9 @@ class TernaryVector:
         Expands each ``x`` both ways: 2^card_x points, so use on small
         vectors only.
         """
-        spots = [i for i, s in enumerate(self.symbols()) if s == "x"]
-        base = [1 if s == "1" else 0 for s in self.symbols()]
-        for combo in itertools.product((0, 1), repeat=len(spots)):
-            pt = list(base)
-            for pos, b in zip(spots, combo):
-                pt[pos] = b
-            yield BitVector.from_bits(pt)
+        choices = [(0, 1) if s == "x" else (int(s),) for s in self.symbols()]
+        for bits in itertools.product(*choices):
+            yield BitVector.from_bits(bits)
 
     def __len__(self) -> int:
         return self.n
@@ -113,18 +129,15 @@ class IntersectionResult:
         self.n = enc.n // 2
         self.enc = enc
 
-    def _pair(self, i: int) -> int:
-        return (self.enc.value >> (2 * (self.n - i))) & 0b11
-
     @property
     def is_empty(self) -> bool:
-        return any(self._pair(i) == 0b00 for i in range(1, self.n + 1))
+        return bool(_empty_pairs(self.enc))
 
     def empty_coords(self) -> list[int]:
-        return [i for i in range(1, self.n + 1) if self._pair(i) == 0b00]
+        return [i for i in range(1, self.n + 1) if _pair(self.enc, i) == 0b00]
 
     def symbols(self) -> str:
-        return "".join(_DEC[self._pair(i)] for i in range(1, self.n + 1))
+        return _render(self.enc)
 
     def to_ternary(self) -> TernaryVector:
         if self.is_empty:
@@ -157,12 +170,13 @@ def intersect(m: TernaryVector, a: TernaryVector) -> IntersectionResult:
 
 def card_x(v: TernaryVector) -> int:
     """Number of x symbols; the cube covers 2^card_x points."""
-    return v.symbols().count("x")
+    code = v.enc.value
+    return (code & (code >> 1) & _low_bits(v.n)).bit_count()
 
 
 def empty_coord_count(m: TernaryVector, a: TernaryVector) -> int:
     """Number of coordinates whose intersection is empty."""
-    return len(intersect(m, a).empty_coords())
+    return _empty_pairs(intersect(m, a).enc).bit_count()
 
 
 def classify_interaction(m: TernaryVector, a: TernaryVector) -> InteractionClass:

@@ -241,6 +241,34 @@ def test_run_trace_output(capsys, tmp_path):
     assert "1\t1,1\t0\tORF MA" in out
 
 
+TRACE_SRC = ".cell 0,0\nSEND E, MA\nHALT\n.cell 0,1\nORF MA\nRECV W, MB\nHALT\n"
+
+
+def test_run_trace_in_tsv_and_json_matches_text(capsys, tmp_path):
+    src = tmp_path / "t.lasm"
+    src.write_text(TRACE_SRC)
+    argv = ["run", str(src), "--load", "MA=01", "--trace", "--format"]
+    _, text, _ = run_cli(capsys, *argv, "text")
+    lines = text.splitlines()
+    trace = lines[lines.index("trace (cycle cell pc mnemonic)") + 1:]
+    assert trace[0] == "1\t0,0\t0\tSEND E, MA\t(stall)"
+
+    code, tsv, _ = run_cli(capsys, *argv, "tsv")
+    assert code == 0
+    assert [l for l in tsv.splitlines() if l.startswith("trace\t")] == [
+        "trace\t" + line for line in trace
+    ]
+
+    code, out, _ = run_cli(capsys, *argv, "json")
+    assert code == 0
+    events = json.loads(out)["trace"]
+    assert len(events) == len(trace) == 6
+    assert events[0] == {"cycle": 1, "cell": "0,0", "pc": 0,
+                         "instruction": "SEND E, MA", "stall": True}
+    assert events[3] == {"cycle": 2, "cell": "0,1", "pc": 1,
+                         "instruction": "RECV W, MB", "stall": False}
+
+
 def test_run_without_program_or_builtin_fails(capsys):
     code, _, err = run_cli(capsys, "run")
     assert code == 1
@@ -255,6 +283,25 @@ def test_run_undecodable_program_file_is_one_line_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "{path}", "--m", "1100"],
+        ["diag", "{path}", "--response", "1100"],
+        ["run", "--builtin-query", "--table", "{path}", "--load", "MA=1100"],
+        ["asm", "build", "{path}"],
+    ],
+)
+def test_non_utf8_file_is_one_line_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1100\n00\xff1\n")
+    code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: not UTF-8 text (byte 7)\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from lamp.bitvec import BitVector
 from lamp.errors import LengthMismatch, ParseError, ZeroLength
 from lamp.ternary import (
     InteractionClass,
+    IntersectionResult,
     TernaryVector,
     card_x,
     classify_interaction,
@@ -163,3 +164,97 @@ def test_classify_mirror_and_commutativity(s1, s2):
     m, a = tv(s1), tv(s2)
     assert classify_interaction(a, m) is _MIRROR[classify_interaction(m, a)]
     assert intersect(m, a).enc == intersect(a, m).enc
+
+
+# --- the 2-bit code against a per-symbol definition ------------------------------
+# Widths run past 64 symbols so every mask crosses a machine word.
+
+long_ternary = st.text(alphabet="01x", min_size=1, max_size=70)
+long_binary = st.text(alphabet="01", min_size=1, max_size=70)
+PAIR_SYMBOL = {0b10: "0", 0b01: "1", 0b11: "x", 0b00: "e"}
+
+
+def pair_symbols(value, n):
+    """Decode a 2n-bit int one pair at a time, coordinate 1 first."""
+    return "".join(PAIR_SYMBOL[(value >> (2 * (n - i))) & 0b11] for i in range(1, n + 1))
+
+
+@st.composite
+def pair_codes(draw):
+    """(n, value): a 2n-bit int whose pairs favour 00 so empty pairs occur."""
+    pairs = draw(st.lists(st.sampled_from([0b00, 0b01, 0b10, 0b11, 0b00]),
+                          min_size=1, max_size=70))
+    value = 0
+    for p in pairs:
+        value = (value << 2) | p
+    return len(pairs), value
+
+
+@given(long_ternary)
+def test_mask_predicates_match_symbols(text):
+    v = tv(text)
+    assert v.symbols() == text
+    assert [v.symbol(i) for i in range(1, v.n + 1)] == list(text)
+    assert v.is_binary == ("x" not in text)
+    assert card_x(v) == text.count("x")
+    if "x" in text:
+        with pytest.raises(ValueError):
+            v.to_bitvector()
+    else:
+        assert v.to_bitvector().to01() == text
+
+
+@given(long_binary)
+def test_from_bitvector_round_trip(bits):
+    b = BitVector.parse(bits)
+    v = TernaryVector.from_bitvector(b)
+    assert v.symbols() == bits
+    assert v.is_binary
+    assert v.to_bitvector() == b
+    assert v == tv(bits)
+
+
+@given(pair_codes())
+def test_intersection_result_masks_match_pairs(code):
+    n, value = code
+    r = IntersectionResult(BitVector(2 * n, value))
+    text = pair_symbols(value, n)
+    empties = [i for i, s in enumerate(text, start=1) if s == "e"]
+    assert r.symbols() == text
+    assert r.empty_coords() == empties
+    assert r.is_empty == bool(empties)
+
+
+@given(pair_codes())
+def test_empty_symbol_error_names_leftmost_coordinate(code):
+    n, value = code
+    text = pair_symbols(value, n)
+    if "e" not in text:
+        assert TernaryVector(BitVector(2 * n, value)).symbols() == text
+        return
+    with pytest.raises(ParseError) as err:
+        TernaryVector(BitVector(2 * n, value))
+    assert f"empty symbol at coordinate {text.index('e') + 1} " in str(err.value)
+
+
+@given(long_ternary, long_ternary)
+def test_empty_coord_count_matches_symbols(s1, s2):
+    s2 = (s2 * len(s1))[: len(s1)]
+    clashes = sum(1 for p, q in zip(s1, s2) if {p, q} == {"0", "1"})
+    assert empty_coord_count(tv(s1), tv(s2)) == clashes
+    assert intersect(tv(s1), tv(s2)).is_empty == bool(clashes)
+
+
+@given(st.text(min_size=1, max_size=70))
+def test_parse_names_first_bad_symbol(text):
+    s = text.replace("_", "").lower()
+    bad = [c for c in s if c not in "01x"]
+    if not s:
+        with pytest.raises(ZeroLength):
+            tv(text)
+    elif bad:
+        with pytest.raises(ParseError) as err:
+            tv(text)
+        assert str(err.value) == f"invalid symbol {bad[0]!r} in vector literal {text!r}"
+    else:
+        assert tv(text).symbols() == s
