@@ -1,9 +1,9 @@
 """Associative tables and the search / recognition / decision procedures.
 
 A table is an ordered list of associator rows, optionally labeled.
-Binary tables (no ``x`` anywhere) are scored with the vector criterion,
-where the winner minimizes the quality index k and the selection itself
-is the nonarithmetic and/xor/or-fold of compacted quality vectors.
+Binary tables (no ``x`` anywhere) are scored with the quality index
+k = popcount(m XOR a), where the winner minimizes k and the selection
+itself is the nonarithmetic and/xor/or-fold of compacted quality vectors.
 Ternary tables are scored with the normalized rational metric, where
 the winner maximizes Q. All optimal rows are reported, in ascending row
 order; row indices in results are 1-based.
@@ -33,10 +33,11 @@ from .errors import (
 from .quality import (
     QualityIndex,
     QualityScoreNorm,
-    choose_best,
-    criterion_vector,
+    choose_best,  # unused here; bench/tracer.py hooks lamp.assoc.choose_best
+    criterion_vector,  # unused here; bench/tracer.py hooks lamp.assoc.criterion_vector
+    decide,
     quality_arith,
-    quality_index,  # still importable from lamp.assoc
+    quality_index,
 )
 from .ternary import TernaryVector
 
@@ -50,18 +51,26 @@ class Mode(enum.Enum):
 
 @dataclass
 class AssocTable:
-    """Matrix of associators with optional per-row labels."""
+    """Matrix of associators with optional per-row labels.
+
+    The mode is decided once, at construction; the rows must not change
+    afterwards.
+    """
 
     name: str
     cols: int
     rows: list[TernaryVector]
     labels: list[Optional[str]] = field(default_factory=list)
+    mode: Mode = field(init=False)
+    _bits: Optional[list[BitVector]] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows:
             raise EmptyTable(f"table {self.name!r} has no rows")
         if not self.labels:
             self.labels = [None] * len(self.rows)
+        if len(self.labels) != len(self.rows):
+            raise ParseError(f"{len(self.labels)} labels for {len(self.rows)} rows")
         for row in self.rows:
             if row.n != self.cols:
                 raise WidthMismatch(
@@ -74,6 +83,8 @@ class AssocTable:
             if label in seen:
                 raise ParseError(f"duplicate row label {label!r}")
             seen.add(label)
+        binary = all(row.is_binary for row in self.rows)
+        self.mode = Mode.BINARY if binary else Mode.TERNARY
 
     @classmethod
     def from_rows(cls, rows, labels=None, name="table") -> "AssocTable":
@@ -88,10 +99,13 @@ class AssocTable:
 
     @property
     def is_binary(self) -> bool:
-        return all(row.is_binary for row in self.rows)
+        return self.mode is Mode.BINARY
 
     def row_bits(self) -> list[BitVector]:
-        return [row.to_bitvector() for row in self.rows]
+        """The rows as BitVectors, converted on first use and kept."""
+        if self._bits is None:
+            self._bits = [row.to_bitvector() for row in self.rows]
+        return self._bits
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -178,28 +192,29 @@ def _check_query(table: AssocTable, m) -> TernaryVector:
 def query(table: AssocTable, m) -> QueryResult:
     """Find the best-interacting row(s) for query vector ``m``.
 
-    Binary mode selects by folding compacted quality vectors through
-    :func:`lamp.quality.choose_best`, which keeps the earlier row on
-    ties; all rows attaining the winning score are then reported.
+    Binary mode scores each row with :func:`lamp.quality.quality_index`
+    and selects by folding the compacted quality vectors 1^k 0^(n-k)
+    through :func:`lamp.quality.decide`, starting from the worst, 1^n;
+    all rows attaining the winning score are then reported.
     """
     mt = _check_query(table, m)
     if table.is_binary:
         mb = mt.to_bitvector()
-        scores, best_vec = [], None
+        n = table.cols
+        scores, best = [], (1 << n) - 1
         for row in table.row_bits():
-            qv = criterion_vector(mb, row)
-            scores.append(QualityIndex(qv.q_vec.ones_count(), table.cols))
-            if best_vec is None:
-                best_vec = qv.q_compacted
-            else:
-                best_vec, _flag = choose_best(best_vec, qv.q_compacted)
-        best_k = best_vec.ones_count()
+            score = quality_index(mb, row)
+            scores.append(score)
+            q = ((1 << score.k) - 1) << (n - score.k)
+            if decide(best, q):
+                best = q
+        best_k = best.bit_count()
         winners = [
             (i + 1, table.labels[i])
             for i, s in enumerate(scores)
             if s.k == best_k
         ]
-        return QueryResult(Mode.BINARY, winners, QualityIndex(best_k, table.cols), scores)
+        return QueryResult(Mode.BINARY, winners, QualityIndex(best_k, n), scores)
     scores = [quality_arith(mt, row) for row in table.rows]
     best_q = max(s.value for s in scores)
     winners = [

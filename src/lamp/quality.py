@@ -8,12 +8,16 @@ Three equivalent views of the same idea, each cheaper than the last:
 * :func:`criterion_arith` -- integer sum of a Hamming term and two
   non-membership counts on binary vectors (lower is better, 0 means
   equal).
-* :func:`criterion_vector` -- no numbers at all: three logic vectors
-  whose OR marks every coordinate of degraded interaction; compacting
-  the OR with ``sls`` turns its ones count into a comparable index.
+* :func:`quality_index` -- the quality index k = popcount(m XOR a), one
+  XOR and one population count. :func:`criterion_vector` is its
+  explained form: three logic vectors whose OR marks every coordinate of
+  degraded interaction, compacted with ``sls`` into a comparable index.
+  On binary vectors that OR is exactly m XOR a (acceptance criterion 4).
 
-:func:`choose_best` picks the better of two compacted quality vectors
-with an and/xor/or-fold sequence only, no comparison arithmetic.
+:func:`decide` is the paper's selection between two compacted quality
+vectors, an and/xor/or-fold with no comparison arithmetic; the table
+query folds its rows through it and :func:`choose_best` wraps it for
+:class:`BitVector` inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitvec import BitVector, orf, sls, vand, vnot, vor, vxor
+from .bitvec import BitVector, sls, vand, vnot, vor, vxor
 from .errors import LengthMismatch, NotCompacted
 from .ternary import TernaryVector, card_x, empty_coord_count, intersect
 
@@ -118,22 +122,33 @@ def criterion_vector(m: BitVector, a: BitVector) -> QualityVector:
 
 
 def quality_index(m: BitVector, a: BitVector) -> QualityIndex:
-    """(ones of the quality vector, n); smaller k is better."""
-    qv = criterion_vector(m, a)
-    return QualityIndex(qv.q_vec.ones_count(), m.n)
+    """k = popcount(m XOR a) over width n; smaller k is better.
+
+    The ones of :func:`criterion_vector`'s quality vector are exactly the
+    ones of m XOR a (acceptance criterion 4), so k is counted directly.
+    """
+    return QualityIndex(vxor(m, a).ones_count(), m.n)
+
+
+def decide(q1: int, q2: int) -> int:
+    """orf((q1 AND q2) XOR q1) on compacted quality vectors held as ints.
+
+    Zero exactly when q1's ones are a subset of q2's, i.e. q1 is at
+    least as good; one when q2 is strictly better.
+    """
+    return 1 if (q1 & q2) ^ q1 else 0
 
 
 def choose_best(q1: BitVector, q2: BitVector) -> tuple[BitVector, int]:
     """Pick the better of two compacted quality vectors.
 
-    flag = orf((q1 AND q2) XOR q1): zero exactly when q1's ones are a
-    subset of q2's, i.e. q1 is at least as good. Returns (winner, flag);
-    equal inputs keep q1. Inputs must already be prefix vectors.
+    Returns (winner, flag) with flag = :func:`decide`; equal inputs keep
+    q1. Inputs must already be prefix vectors.
     """
     if q1.n != q2.n:
         raise LengthMismatch(f"widths differ: {q1.n} vs {q2.n}")
     for name, q in (("q1", q1), ("q2", q2)):
         if not q.is_prefix():
             raise NotCompacted(f"{name} = {q.to01()} is not a compacted vector")
-    flag = orf(vxor(vand(q1, q2), q1))
+    flag = decide(q1.value, q2.value)
     return (q1 if flag == 0 else q2), flag

@@ -84,20 +84,10 @@ _DIR_OFFSET = {
     Dir.NW: (-1, -1),
 }
 
-_OPPOSITE = {
-    Dir.N: Dir.S,
-    Dir.NE: Dir.SW,
-    Dir.E: Dir.W,
-    Dir.SE: Dir.NW,
-    Dir.S: Dir.N,
-    Dir.SW: Dir.NE,
-    Dir.W: Dir.E,
-    Dir.NW: Dir.SE,
-}
-
 
 def opposite(d: Dir) -> Dir:
-    return _OPPOSITE[d]
+    # directions run clockwise from N, so the opposite is half a turn on
+    return Dir((d.value + 4) % 8)
 
 
 def neighbor(r: int, c: int, d: Dir) -> tuple[int, int]:

@@ -103,6 +103,7 @@ def test_criterion_4_binary_collapse_exhaustive():
                     assert vand(qv.mu_m_in_a_vec, qv.mu_a_in_m_vec).ones_count() == 0
                     assert vor(qv.mu_m_in_a_vec, qv.mu_a_in_m_vec) == qv.d_vec
                     assert criterion_arith(m, a).value == 2 * qv.d_vec.ones_count()
+                    assert quality_index(m, a).k == qv.q_vec.ones_count()
 
 
 def test_criterion_5_ternary_point_set_oracle():

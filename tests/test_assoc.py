@@ -63,6 +63,12 @@ def test_load_comments_blanks_and_labels():
     assert t.rows[0] == tv("1100")
 
 
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+def test_label_count_must_match_rows(labels):
+    with pytest.raises(ParseError, match=f"{len(labels)} labels for 2 rows"):
+        AssocTable.from_rows(["10", "01"], labels=labels)
+
+
 def test_load_duplicate_label_rejected():
     with pytest.raises(ParseError) as err:
         load_table("F1\t10\nF1\t01")
@@ -260,6 +266,43 @@ def test_fold_keeps_first_minimal_row():
     res = query(t, bv("1100"))
     assert res.best_rows[0] == (1, None)
     assert [i for i, _ in res.best_rows] == [1, 3]
+
+
+def test_binary_rows_converted_and_checked_once(monkeypatch):
+    import lamp.assoc
+    import lamp.quality
+
+    values = range(0, 63, 7)
+    n = len(values)
+    table = AssocTable.from_rows([BitVector(6, v) for v in values])
+    calls = {"to_bitvector": 0, "is_binary": 0}
+    to_bitvector = TernaryVector.to_bitvector
+    is_binary = TernaryVector.is_binary.fget
+
+    def counted_to_bitvector(self):
+        calls["to_bitvector"] += 1
+        return to_bitvector(self)
+
+    def counted_is_binary(self):
+        calls["is_binary"] += 1
+        return is_binary(self)
+
+    def forbidden(*args):
+        raise AssertionError("criterion_vector called on the query path")
+
+    monkeypatch.setattr(TernaryVector, "to_bitvector", counted_to_bitvector)
+    monkeypatch.setattr(TernaryVector, "is_binary", property(counted_is_binary))
+    monkeypatch.setattr(lamp.quality, "criterion_vector", forbidden)
+    monkeypatch.setattr(lamp.assoc, "criterion_vector", forbidden)
+    probes = [bv("000111"), bv("101010")]
+    for m in probes:
+        assert query(table, m).best_index.k == min(
+            (m.value ^ v).bit_count() for v in values
+        )
+    # n row conversions on the first query and one per probe; each
+    # conversion reads is_binary, and _check_query reads it once per probe
+    assert calls["to_bitvector"] <= n + len(probes)
+    assert calls["is_binary"] <= n + 2 * len(probes)
 
 
 @settings(max_examples=40, deadline=None)

@@ -220,6 +220,7 @@ def test_binary_collapse_randomized_large():
         assert qv.q_vec == vxor(m, a)
         assert qv.mu_m_in_a_vec == vand(a, ~m)
         assert qv.mu_a_in_m_vec == vand(m, ~a)
+        assert quality_index(m, a).k == qv.q_vec.ones_count()
 
 
 @given(st.integers(1, 64), st.randoms(use_true_random=False))
