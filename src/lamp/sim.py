@@ -15,6 +15,13 @@ the facing RECV complete together in the first cycle both are pending;
 an unmatched partner stalls. Cells are scanned in fixed row-major order
 and transfers copy the sender's start-of-cycle value, so simulation is
 bit-for-bit deterministic.
+
+A program is predecoded when it is loaded: each instruction becomes a
+tuple of plain ints (opcode, register indexes, the literal's value, the
+jump target), and one interpreter runs that code for ``Grid.run``,
+``Grid.step`` and ``Sequencer.step``. Registers are ``BitVector``s at
+the API edge, in ``Sequencer.regs``; inside a run they are ints, read
+when the run starts and written back when it returns or raises.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .bitvec import BitVector, orf, sls, vand, vnot, vor, vxor
+from .bitvec import BitVector
 from .errors import (
     DeadlockDetected,
     InvalidRowIndex,
+    LampError,
     PcOutOfRange,
     WidthMismatch,
 )
@@ -51,9 +59,6 @@ class BinOp(enum.Enum):
     OR = 1
     XOR = 2
     PASS = 3  # first operand through, second ignored
-
-
-_BINOPS = {BinOp.AND: vand, BinOp.OR: vor, BinOp.XOR: vxor}
 
 
 class UnOp(enum.Enum):
@@ -305,26 +310,320 @@ class Program:
 
 
 # --------------------------------------------------------------------------
+# Predecoded code
+#
+# A cell's program is decoded once, when it is loaded, into one tuple of
+# plain ints per instruction, and runs execute the tuples on int
+# registers. The last field of a tuple is the stop code of the pc it
+# falls through to: _LOOK when that pc holds an exchange or lies past the
+# end of the program, which the next cycle must inspect before any cell
+# executes, and _GO otherwise. A jump carries a second stop code for its
+# target, _BAD when the target lies outside the program.
+
+_LOGIC, _ORF, _JUMP, _SETROW, _INCROW, _LOADM, _SEND, _RECV, _HALT, _BADWIDTH = range(10)
+_GO, _LOOK, _BAD = range(3)
+_ALWAYS, _IF_FLAG, _IF_NOT_FLAG, _IF_ROW = range(4)  # jump conditions
+_CONDITION = {Jump: _ALWAYS, JumpIfFlag: _IF_FLAG, JumpIfNotFlag: _IF_NOT_FLAG,
+              JumpIfRowLt: _IF_ROW}
+_AND, _OR, _XOR = BinOp.AND.value, BinOp.OR.value, BinOp.XOR.value
+_NOT, _SLC = UnOp.NOT.value, UnOp.SLC.value
+_ROW = Reg.ROW.value  # the row port is register slot 4 of a running cell
+
+_CELLS = [(r, c) for r in range(GRID_SIZE) for c in range(GRID_SIZE)]  # scan order
+_WHERE = [f"cell ({r},{c}): " for r, c in _CELLS]  # error prefix
+_POSITION = [f"{r},{c}" for r, c in _CELLS]  # trace field
+_PARTNER = [  # _PARTNER[cell][direction] is the neighbouring cell's index
+    [GRID_SIZE * rr + cc for rr, cc in (neighbor(r, c, d) for d in Dir)] for r, c in _CELLS
+]
+_FACING = [opposite(d).value for d in Dir]  # the direction a partner must name
+
+
+def _decode(program: list, width: int) -> list[tuple]:
+    """The int code of one cell's instructions, for vectors of ``width``."""
+    size = len(program)
+    stops = [_LOOK if type(inst) in (Send, Recv) else _GO for inst in program]
+    stops.append(_LOOK)
+    code = []
+    for pc, inst in enumerate(program):
+        cls, stop = type(inst), stops[pc + 1]
+        if cls is Logic:
+            a, b = inst.src_a._value_, inst.src_b._value_
+            code.append((_LOGIC, inst.binop._value_, a, b, inst.unop._value_,
+                         inst.dst._value_, _ROW in (a, b), stop))
+        elif cls is Orf:
+            src = inst.src._value_
+            code.append((_ORF, src, src == _ROW, stop))
+        elif cls in _CONDITION:
+            target = inst.target
+            taken = stops[target] if 0 <= target < size else _BAD
+            code.append((_JUMP, _CONDITION[cls], target, taken, stop))
+        elif cls is SetRow:
+            code.append((_SETROW, inst.index, stop))
+        elif cls is IncRow:
+            code.append((_INCROW, stop))
+        elif cls is LoadImm:
+            lit = inst.literal
+            if lit.n != width:
+                code.append((_BADWIDTH, f"literal width {lit.n} != machine width {width}"))
+            else:
+                code.append((_LOADM, inst.reg._value_, lit.value, stop))
+        elif cls is Send or cls is Recv:
+            code.append((_SEND if cls is Send else _RECV, inst.direction._value_,
+                         inst.reg._value_, stop))
+        elif cls is Halt:
+            code.append((_HALT,))
+        else:
+            raise TypeError(f"cannot execute {inst!r}")
+    return code
+
+
+def _row_error(row: int, matrix: list) -> InvalidRowIndex:
+    return InvalidRowIndex(f"row {row} outside matrix of {len(matrix)} rows")
+
+
+def _rendezvous(active, code, pcs, regs, where, paired):
+    """Check the cells before a cycle and match its exchanges.
+
+    Raises PcOutOfRange for an active cell whose pc is outside its
+    program and, in a grid, DeadlockDetected when every active cell waits
+    on an exchange and none completes. Returns ``(matched, stalled)``:
+    ``matched`` maps each cell whose exchange completes this cycle to the
+    value it receives (None for a sender), ``stalled`` holds the cells
+    left waiting. Unless ``paired``, as for a standalone sequencer, no
+    exchange has a partner and all of them stall.
+    """
+    waiting = {}
+    for i in active:
+        pc, cell_code = pcs[i], code[i]
+        if not 0 <= pc < len(cell_code):
+            raise PcOutOfRange(f"{where[i]}pc {pc} outside program of {len(cell_code)}")
+        inst = cell_code[pc]
+        if inst[0] == _SEND or inst[0] == _RECV:
+            waiting[i] = inst
+    matched = {}
+    if paired:
+        for i, (op, d, reg, _stop) in waiting.items():
+            if op == _SEND:
+                partner = _PARTNER[i][d]
+                other = waiting.get(partner)
+                # a RECV faces one neighbour only, so it has at most one sender
+                if other is not None and other[0] == _RECV and other[1] == _FACING[d]:
+                    matched[i] = None
+                    # the sender's register is unchanged this cycle: SEND writes none
+                    matched[partner] = regs[i][reg]
+        if waiting and len(waiting) == len(active) and not matched:
+            cells = [_CELLS[i] for i in waiting]
+            raise DeadlockDetected(
+                "all active cells stalled on unmatched exchanges: "
+                + ", ".join(f"({r},{c})" for r, c in cells),
+                cells=cells,
+            )
+    return matched, waiting.keys() - matched.keys()
+
+
+def _lockstep(seqs: list, width: int, budget: int, grid=None) -> None:
+    """Run cells in lockstep, one instruction per active cell per cycle.
+
+    ``seqs`` are a grid's sixteen cells in row-major order, or with
+    ``grid`` None one standalone sequencer. This is the one interpreter:
+    ``Grid.run``, ``Grid.step`` and ``Sequencer.step`` all call it. It
+    runs at most ``budget`` cycles and stops early when every cell has
+    halted. Registers, counters and matrix rows are read into ints on
+    entry; the state reached is written back on return or raise, with a
+    new BitVector only for each register whose value changed.
+    """
+    mask = (1 << width) - 1
+    cycle = first = grid.global_cycle if grid is not None else 0
+    last = first + budget
+    trace = grid.trace if grid is not None and grid.tracing else None
+    where = _WHERE if grid is not None else [""]
+    count = len(seqs)
+    code, regs, rows, texts = [None] * count, [None] * count, [None] * count, [None] * count
+    pcs, row_idx, flags, ended = [0] * count, [0] * count, [0] * count, [None] * count
+    active = [i for i, seq in enumerate(seqs) if not seq.halted]
+    for i in active:
+        seq = seqs[i]
+        values = []
+        for reg in M_REGS:
+            value = seq.regs[reg]
+            if value.n != width:
+                raise WidthMismatch(
+                    f"{where[i]}register {reg.name} width {value.n} != machine width {width}"
+                )
+            values.append(value.value)
+        matrix = rows[i] = [row.value for row in seq.a_matrix]
+        row = row_idx[i] = seq.row_idx
+        values.append(matrix[row] if 0 <= row < len(matrix) else None)  # the ROW port
+        regs[i] = values
+        code[i], pcs[i], flags[i] = seq._code, seq.pc, seq.flag
+        if trace is not None:
+            texts[i] = seq._trace_text()
+    loaded = active
+    look = True  # the first cycle checks every pc and exchange
+    matched, stalled = {}, set()
+    i = None
+    completed = False
+    try:
+        while active and cycle < last:
+            if look:
+                i = None
+                matched, stalled = _rendezvous(active, code, pcs, regs, where, grid is not None)
+                look = False
+            cycle += 1
+            halted = False
+            for i in active:
+                ports = regs[i]
+                pc = pcs[i]
+                inst = code[i][pc]
+                op = inst[0]
+                if trace is not None:
+                    line = f"{cycle}\t{_POSITION[i]}\t{pc}\t{texts[i][pc]}"
+                    trace.append(line + "\t(stall)" if i in stalled else line)
+                # each branch leaves the cell's next pc in pc and its stop code in stop
+                if op == _LOGIC:
+                    _, bop, a, b, uop, dst, reads_row, stop = inst
+                    if reads_row and ports[_ROW] is None:
+                        raise _row_error(row_idx[i], rows[i])
+                    v = ports[a]
+                    if bop == _XOR:
+                        v ^= ports[b]
+                    elif bop == _AND:
+                        v &= ports[b]
+                    elif bop == _OR:
+                        v |= ports[b]
+                    if uop == _SLC:
+                        k = v.bit_count()
+                        v = ((1 << k) - 1) << (width - k)
+                    elif uop == _NOT:
+                        v ^= mask
+                    ports[dst] = v
+                    pc += 1
+                elif op == _JUMP:
+                    _, cond, target, taken, stop = inst
+                    if cond == _IF_NOT_FLAG:
+                        go = not flags[i]
+                    elif cond == _IF_ROW:
+                        go = ports[_ROW] is not None
+                    elif cond == _IF_FLAG:
+                        go = flags[i]
+                    else:
+                        go = True
+                    if not go:
+                        pc += 1
+                    elif taken == _BAD:
+                        raise PcOutOfRange(f"jump target {target} outside program")
+                    else:
+                        pc, stop = target, taken
+                elif op == _ORF:
+                    _, src, reads_row, stop = inst
+                    if reads_row and ports[_ROW] is None:
+                        raise _row_error(row_idx[i], rows[i])
+                    flags[i] = 1 if ports[src] else 0
+                    pc += 1
+                elif op == _INCROW:
+                    _, stop = inst
+                    matrix = rows[i]
+                    row, size = row_idx[i] + 1, len(matrix)
+                    if row > size:
+                        raise InvalidRowIndex(f"INCROW past matrix of {size} rows")
+                    row_idx[i] = row
+                    ports[_ROW] = matrix[row] if row < size else None
+                    pc += 1
+                elif op == _SEND or op == _RECV:
+                    _, _d, reg, stop = inst
+                    if i not in matched:
+                        stop = _LOOK  # still waiting next cycle
+                    else:
+                        if op == _RECV:
+                            ports[reg] = matched[i]
+                        pc += 1
+                elif op == _SETROW:
+                    _, row, stop = inst
+                    matrix = rows[i]
+                    size = len(matrix)
+                    if row > size:
+                        raise InvalidRowIndex(f"SETROW {row} outside matrix of {size} rows")
+                    row_idx[i] = row
+                    ports[_ROW] = matrix[row] if row < size else None
+                    pc += 1
+                elif op == _LOADM:
+                    _, dst, value, stop = inst
+                    ports[dst] = value
+                    pc += 1
+                elif op == _HALT:
+                    ended[i] = cycle
+                    halted = True
+                    stop = _GO
+                else:  # _BADWIDTH
+                    raise WidthMismatch(inst[1])
+                pcs[i] = pc
+                if stop:
+                    look = True
+            if halted:
+                active = [i for i in active if ended[i] is None]
+        completed = True
+    except (InvalidRowIndex, PcOutOfRange, WidthMismatch) as exc:
+        if i is not None:  # raised by cell i's instruction, not before the cycle
+            exc.args = (f"{where[i]}{exc.args[0]}",)
+        raise
+    finally:
+        # a cell's instruction raised mid-cycle: the cells scanned up to it
+        # spent that cycle, the later ones did not, and the cycle never ended
+        failed = None if completed else i
+        if grid is not None:
+            grid.global_cycle = cycle if failed is None else cycle - 1
+        for j in loaded:
+            seq = seqs[j]
+            end = ended[j]
+            if end is None:
+                end = cycle if failed is None or j <= failed else cycle - 1
+            seq.cycles += end - first
+            seq.halted = ended[j] is not None
+            seq.pc, seq.row_idx, seq.flag = pcs[j], row_idx[j], flags[j]
+            for reg, value in zip(M_REGS, regs[j]):
+                if value != seq.regs[reg].value:
+                    seq.regs[reg] = BitVector(width, value)
+
+
+# --------------------------------------------------------------------------
 # Machine state
 
 
 class Sequencer:
-    """State of one grid cell: registers, matrix, command memory."""
+    """State of one grid cell: registers, matrix, command memory.
+
+    Registers are BitVectors here, at the API edge: set them before a
+    step or a run and read them after. Assigning ``program`` decodes it
+    once into the int code that runs execute.
+    """
 
     def __init__(self, width: int, program=None, a_matrix=None):
         self.width = width
         self.regs = {r: BitVector.zeros(width) for r in M_REGS}
-        self.a_matrix: list[BitVector] = list(a_matrix) if a_matrix else []
-        for row in self.a_matrix:
-            if row.n != width:
-                raise WidthMismatch(f"matrix row width {row.n} != {width}")
-        self.program: list[Instruction] = list(program) if program else []
+        self.set_matrix(a_matrix or [])
+        self.program = program or []
         self.row_idx = 0
         self.flag = 0
         self.pc = 0
         self.cycles = 0
         # a cell without code has no cycle to execute, so it starts halted
         self.halted = not self.program
+
+    @property
+    def program(self) -> list[Instruction]:
+        return self._program
+
+    @program.setter
+    def program(self, instructions) -> None:
+        self._program = list(instructions)
+        self._code = _decode(self._program, self.width)
+        self._texts = None
+
+    def _trace_text(self) -> list[str]:
+        """Each instruction's trace text, rendered once per loaded program."""
+        if self._texts is None:
+            self._texts = [inst.text() for inst in self._program]
+        return self._texts
 
     @property
     def row_count(self) -> int:
@@ -337,25 +636,6 @@ class Sequencer:
                 raise WidthMismatch(f"matrix row width {row.n} != {self.width}")
         self.a_matrix = rows
 
-    def current(self) -> Instruction:
-        if not 0 <= self.pc < len(self.program):
-            raise PcOutOfRange(f"pc {self.pc} outside program of {len(self.program)}")
-        return self.program[self.pc]
-
-    def _read(self, src: Reg) -> BitVector:
-        if src is Reg.ROW:
-            if self.row_idx >= self.row_count:
-                raise InvalidRowIndex(
-                    f"row {self.row_idx} outside matrix of {self.row_count} rows"
-                )
-            return self.a_matrix[self.row_idx]
-        return self.regs[src]
-
-    def _jump(self, target: int) -> None:
-        if not 0 <= target < len(self.program):
-            raise PcOutOfRange(f"jump target {target} outside program")
-        self.pc = target
-
     def step(self) -> "Sequencer":
         """Execute one instruction in one cycle.
 
@@ -364,75 +644,8 @@ class Sequencer:
         """
         if self.halted:
             raise RuntimeError("step on a halted sequencer")
-        inst = self.current()
-        if isinstance(inst, (Send, Recv)):
-            self.cycles += 1
-            return self
-        self.execute(inst)
+        _lockstep([self], self.width, 1)
         return self
-
-    def execute(self, inst: Instruction) -> None:
-        """Run one non-exchange instruction and charge its cycle."""
-        self.cycles += 1
-        match inst:
-            case Logic(binop=binop, src_a=sa, src_b=sb, unop=unop, dst=dst):
-                a = self._read(sa)
-                if binop is BinOp.PASS:
-                    r = a
-                else:
-                    b = self._read(sb)
-                    r = _BINOPS[binop](a, b)
-                if unop is UnOp.NOT:
-                    r = vnot(r)
-                elif unop is UnOp.SLC:
-                    r = sls(r)
-                self.regs[dst] = r
-                self.pc += 1
-            case Orf(src=src):
-                self.flag = orf(self._read(src))
-                self.pc += 1
-            case Jump(target=t):
-                self._jump(t)
-            case JumpIfFlag(target=t):
-                if self.flag:
-                    self._jump(t)
-                else:
-                    self.pc += 1
-            case JumpIfNotFlag(target=t):
-                if not self.flag:
-                    self._jump(t)
-                else:
-                    self.pc += 1
-            case SetRow(index=i):
-                if i > self.row_count:
-                    raise InvalidRowIndex(
-                        f"SETROW {i} outside matrix of {self.row_count} rows"
-                    )
-                self.row_idx = i
-                self.pc += 1
-            case IncRow():
-                if self.row_idx + 1 > self.row_count:
-                    raise InvalidRowIndex(
-                        f"INCROW past matrix of {self.row_count} rows"
-                    )
-                self.row_idx += 1
-                self.pc += 1
-            case JumpIfRowLt(target=t):
-                if self.row_idx < self.row_count:
-                    self._jump(t)
-                else:
-                    self.pc += 1
-            case LoadImm(reg=reg, literal=lit):
-                if lit.n != self.width:
-                    raise WidthMismatch(
-                        f"literal width {lit.n} != machine width {self.width}"
-                    )
-                self.regs[reg] = lit
-                self.pc += 1
-            case Halt():
-                self.halted = True
-            case _:
-                raise TypeError(f"cannot execute {inst!r} directly")
 
 
 class RunOutcome(enum.Enum):
@@ -471,51 +684,49 @@ class Grid:
         for r in range(GRID_SIZE):
             for c in range(GRID_SIZE):
                 seq = self.cells[r][c]
-                seq.program = list(program.cells[r][c])
+                seq.program = program.cells[r][c]
                 for inst in seq.program:
                     if isinstance(inst, LoadImm) and inst.literal.n != self.width:
                         raise WidthMismatch(
                             f"cell ({r},{c}): literal width {inst.literal.n} "
                             f"!= grid width {self.width}"
                         )
+                if self.tracing:
+                    seq._trace_text()
                 # a loaded program starts from a fresh control state
                 seq.pc = 0
                 seq.row_idx = 0
                 seq.flag = 0
                 seq.halted = not seq.program
 
+    def _targets(self, at) -> list[Sequencer]:
+        """The cell at ``at``, or every cell when ``at`` is None."""
+        if not at:
+            return [seq for row in self.cells for seq in row]
+        r, c = at
+        if not (0 <= r < GRID_SIZE and 0 <= c < GRID_SIZE):
+            raise LampError(f"cell ({r},{c}) is outside the {GRID_SIZE}x{GRID_SIZE} grid")
+        return [self.cells[r][c]]
+
     def set_table(self, rows, at=None) -> None:
         """Load associator rows into one cell, or into all when at=None."""
-        targets = [at] if at else [
-            (r, c) for r in range(GRID_SIZE) for c in range(GRID_SIZE)
-        ]
-        for r, c in targets:
-            self.cells[r][c].set_matrix(rows)
+        for seq in self._targets(at):
+            seq.set_matrix(rows)
 
     def set_register(self, reg: Reg, value: BitVector, at=None) -> None:
+        if reg not in M_REGS:
+            raise LampError(f"cannot set {reg.name}: only MA, MB, MC and MD hold values")
         if value.n != self.width:
             raise WidthMismatch(f"value width {value.n} != grid width {self.width}")
-        targets = [at] if at else [
-            (r, c) for r in range(GRID_SIZE) for c in range(GRID_SIZE)
-        ]
-        for r, c in targets:
-            self.cells[r][c].regs[reg] = value
+        for seq in self._targets(at):
+            seq.regs[reg] = value
 
     @property
     def all_halted(self) -> bool:
         return all(seq.halted for row in self.cells for seq in row)
 
-    def _active(self):
-        return [
-            (r, c, self.cells[r][c])
-            for r in range(GRID_SIZE)
-            for c in range(GRID_SIZE)
-            if not self.cells[r][c].halted
-        ]
-
-    def _trace(self, cycle, r, c, seq, note=""):
-        if self.tracing:
-            self.trace.append(f"{cycle}\t{r},{c}\t{seq.pc}\t{seq.current().text()}{note}")
+    def _lockstep(self, budget: int) -> None:
+        _lockstep([seq for row in self.cells for seq in row], self.width, budget, self)
 
     def step(self) -> "Grid":
         """Advance every non-halted cell by one cycle, row-major order.
@@ -525,83 +736,20 @@ class Grid:
         the receiver taking the sender's start-of-cycle register value.
         Unmatched exchange partners stall for the cycle.
         """
-        active = self._active()
-        if not active:
-            return self
-
-        comm = {}
-        for r, c, seq in active:
-            try:
-                inst = seq.current()
-            except PcOutOfRange as exc:
-                exc.args = (f"cell ({r},{c}): {exc.args[0]}",)
-                raise
-            if isinstance(inst, (Send, Recv)):
-                comm[(r, c)] = inst
-
-        matched = {}  # position -> value to write (receivers) or None (senders)
-        for (r, c), inst in comm.items():
-            if not isinstance(inst, Send):
-                continue
-            partner = neighbor(r, c, inst.direction)
-            other = comm.get(partner)
-            if (
-                isinstance(other, Recv)
-                and other.direction is opposite(inst.direction)
-                and partner not in matched
-            ):
-                matched[(r, c)] = None
-                # snapshot now: the transfer must not see same-cycle writes
-                matched[partner] = self.cells[r][c].regs[inst.reg]
-
-        if comm and len(comm) == len(active) and not matched:
-            cells = sorted(comm)
-            raise DeadlockDetected(
-                "all active cells stalled on unmatched exchanges: "
-                + ", ".join(f"({r},{c})" for r, c in cells),
-                cells=cells,
-            )
-
-        cycle = self.global_cycle + 1
-        for r, c, seq in active:
-            pos = (r, c)
-            if pos in matched:
-                self._trace(cycle, r, c, seq)
-                inst = comm[pos]
-                if isinstance(inst, Recv):
-                    seq.regs[inst.reg] = matched[pos]
-                seq.pc += 1
-                seq.cycles += 1
-            elif pos in comm:
-                self._trace(cycle, r, c, seq, "\t(stall)")
-                seq.cycles += 1  # stall still burns the cycle
-            else:
-                self._trace(cycle, r, c, seq)
-                try:
-                    seq.execute(seq.current())
-                except (InvalidRowIndex, PcOutOfRange, WidthMismatch) as exc:
-                    exc.args = (f"cell ({r},{c}): {exc.args[0]}",)
-                    raise
-        self.global_cycle = cycle
+        self._lockstep(1)
         return self
 
     def run(self, max_cycles: int) -> RunResult:
         """Step until everything halts, the budget runs out, or deadlock."""
         if max_cycles < 1:
             raise ValueError(f"max_cycles must be positive, got {max_cycles}")
-        while True:
-            if self.all_halted:
-                return RunResult(RunOutcome.ALL_HALTED, self.global_cycle)
-            if self.global_cycle >= max_cycles:
-                return RunResult(
-                    RunOutcome.CYCLE_BUDGET_EXHAUSTED, self.global_cycle
-                )
-            try:
-                self.step()
-            except DeadlockDetected as exc:
-                return RunResult(
-                    RunOutcome.DEADLOCK, self.global_cycle, tuple(exc.cells)
-                )
+        try:
+            self._lockstep(max_cycles - self.global_cycle)
+        except DeadlockDetected as exc:
+            return RunResult(RunOutcome.DEADLOCK, self.global_cycle, exc.cells)
+        if self.all_halted:
+            return RunResult(RunOutcome.ALL_HALTED, self.global_cycle)
+        return RunResult(RunOutcome.CYCLE_BUDGET_EXHAUSTED, self.global_cycle)
 
 
 # --------------------------------------------------------------------------

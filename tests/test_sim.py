@@ -4,7 +4,7 @@ import pytest
 
 from lamp.assoc import AssocTable, query
 from lamp.bitvec import BitVector, sls, vxor
-from lamp.errors import DeadlockDetected, InvalidRowIndex, PcOutOfRange
+from lamp.errors import DeadlockDetected, InvalidRowIndex, LampError, PcOutOfRange
 from lamp.quality import criterion_vector
 from lamp.sim import (
     GRID_SIZE,
@@ -14,6 +14,7 @@ from lamp.sim import (
     Grid,
     Halt,
     IncRow,
+    Instruction,
     Jump,
     JumpIfRowLt,
     LoadImm,
@@ -383,3 +384,57 @@ def test_straight_line_grid_cycles_equal_instruction_count():
     res = g.run(100)
     assert res.cycles == len(body)
     assert g.cell(0, 0).cycles == len(body)
+
+
+# --- API edge: loading, registers, tracing -------------------------------------
+
+
+def test_set_register_rejects_the_row_port():
+    g = Grid(4)
+    with pytest.raises(LampError, match="ROW"):
+        g.set_register(Reg.ROW, bv("1010"))
+    assert all(Reg.ROW not in seq.regs for row in g.cells for seq in row)
+
+
+@pytest.mark.parametrize("at", [(-1, 0), (0, -2), (4, 0), (0, 4)])
+def test_cell_outside_the_grid_is_rejected(at):
+    g = Grid(4)
+    with pytest.raises(LampError, match=rf"cell \({at[0]},{at[1]}\)"):
+        g.set_register(Reg.MA, bv("1010"), at=at)
+    with pytest.raises(LampError, match=rf"cell \({at[0]},{at[1]}\)"):
+        g.set_table([bv("1010")], at=at)
+    assert all(seq.regs[Reg.MA] == bv("0000") for row in g.cells for seq in row)
+    assert all(seq.a_matrix == [] for row in g.cells for seq in row)
+
+
+def test_run_writes_back_only_changed_registers():
+    g = one_cell_grid([Logic(BinOp.XOR, Reg.MA, Reg.MA, UnOp.NOT, Reg.MB), Halt()], 4,
+                      ma=bv("0110"))
+    seq = g.cell(0, 0)
+    ma, mc = seq.regs[Reg.MA], seq.regs[Reg.MC]
+    g.run(10)
+    assert seq.regs[Reg.MB] == bv("1111")
+    assert seq.regs[Reg.MA] is ma and seq.regs[Reg.MC] is mc
+
+
+def test_trace_text_rendered_once_per_loaded_instruction(monkeypatch):
+    calls = []
+    original = Instruction.text
+
+    def counted(self, label=str):
+        calls.append(self)
+        return original(self, label)
+
+    monkeypatch.setattr(Instruction, "text", counted)
+    loop = [IncRow(), JumpIfRowLt(0), Halt()]
+    table = [bv("0000")] * 5
+    quiet = one_cell_grid(loop, 4, table=table)
+    quiet.run(100)
+    assert calls == []  # untraced runs render nothing
+    g = Grid(4, tracing=True)
+    g.load_program(Program.single_cell(loop))
+    g.set_table(table)
+    assert len(calls) == len(loop)
+    g.run(100)
+    assert len(g.trace) == 11 and len(calls) == len(loop)
+    assert g.trace[:3] == ["1\t0,0\t0\tINCROW", "2\t0,0\t1\tJRLT 0", "3\t0,0\t0\tINCROW"]
