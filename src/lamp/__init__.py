@@ -5,14 +5,19 @@ assembler."""
 from .bitvec import BitVector, orf, sls, vand, vnot, vor, vxor
 from .errors import (
     AsmSyntaxError,
+    CoordinateOutOfRange,
     DeadlockDetected,
     DuplicateLabel,
+    EmptyIntersection,
     EmptyTable,
+    InvalidArgument,
     InvalidRowIndex,
     LampError,
     LengthMismatch,
     MalformedBinary,
     ModeMismatch,
+    NotAVector,
+    NotBinary,
     NotCompacted,
     ParseError,
     PcOutOfRange,
@@ -35,6 +40,7 @@ from .quality import (
     QualityScoreInt,
     QualityScoreNorm,
     QualityVector,
+    arith_keys,
     choose_best,
     criterion_arith,
     criterion_vector,

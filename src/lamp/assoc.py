@@ -5,7 +5,9 @@ Binary tables (no ``x`` anywhere) are scored with the quality index
 k = popcount(m XOR a), where the winner minimizes k and the selection
 itself is the nonarithmetic and/xor/or-fold of compacted quality vectors.
 Ternary tables are scored with the normalized rational metric, where
-the winner maximizes Q. All optimal rows are reported, in ascending row
+the winner maximizes Q; rows are ordered by its exact int keys
+(:func:`lamp.quality.arith_keys`), and a Fraction score is built only for
+a score that is read. All optimal rows are reported, in ascending row
 order; row indices in results are 1-based.
 
 Table file format (UTF-8 text):
@@ -19,13 +21,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .bitvec import BitVector
 from .errors import (
     EmptyTable,
+    InvalidArgument,
     LengthMismatch,
     ModeMismatch,
+    NotAVector,
     ParseError,
     WidthMismatch,
     ZeroLength,
@@ -33,6 +37,7 @@ from .errors import (
 from .quality import (
     QualityIndex,
     QualityScoreNorm,
+    arith_keys,
     choose_best,  # unused here; bench/tracer.py hooks lamp.assoc.choose_best
     criterion_vector,  # unused here; bench/tracer.py hooks lamp.assoc.criterion_vector
     decide,
@@ -111,12 +116,39 @@ class AssocTable:
         return len(self.rows)
 
 
+class _Deferred:
+    """Per-row scores not computed yet: ``score()`` computes them."""
+
+    __slots__ = ("score",)
+
+    def __init__(self, score: Callable[[], list[RowScore]]):
+        self.score = score
+
+
+class _PerRow:
+    """The ``per_row`` field: a list, or a :class:`_Deferred` that is
+    computed on first read and replaced by its list."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("per_row")  # so @dataclass gives the field no default
+        rows = obj.__dict__["_per_row"]
+        if isinstance(rows, _Deferred):
+            rows = obj.__dict__["_per_row"] = rows.score()
+        return rows
+
+    def __set__(self, obj, rows) -> None:
+        obj.__dict__["_per_row"] = rows
+
+
 @dataclass
 class QueryResult:
     """Outcome of a table query.
 
     ``per_row`` holds one score per row: a :class:`QualityIndex` in
-    binary mode, a :class:`QualityScoreNorm` in ternary mode.
+    binary mode, a :class:`QualityScoreNorm` in ternary mode. A ternary
+    :func:`query` scores the rows on the first read of ``per_row`` and
+    then keeps the list.
     ``best_index`` is the winning score in the same convention and
     ``best_rows`` lists every optimal (1-based row, label) pair.
     """
@@ -124,7 +156,7 @@ class QueryResult:
     mode: Mode
     best_rows: list[tuple[int, Optional[str]]]
     best_index: RowScore
-    per_row: list[RowScore]
+    per_row: list[RowScore] = _PerRow()
 
 
 def load_table(source, name="table") -> AssocTable:
@@ -175,7 +207,7 @@ def _as_ternary(m) -> TernaryVector:
         return m
     if isinstance(m, BitVector):
         return TernaryVector.from_bitvector(m)
-    raise TypeError(f"expected a vector, got {type(m).__name__}")
+    raise NotAVector(f"expected a vector, got {type(m).__name__}")
 
 
 def _check_query(table: AssocTable, m) -> TernaryVector:
@@ -195,7 +227,9 @@ def query(table: AssocTable, m) -> QueryResult:
     Binary mode scores each row with :func:`lamp.quality.quality_index`
     and selects by folding the compacted quality vectors 1^k 0^(n-k)
     through :func:`lamp.quality.decide`, starting from the worst, 1^n;
-    all rows attaining the winning score are then reported.
+    all rows attaining the winning score are then reported. Ternary mode
+    takes the winners from the rows' :func:`lamp.quality.arith_keys` and
+    scores only the first of them with :func:`lamp.quality.quality_arith`.
     """
     mt = _check_query(table, m)
     if table.is_binary:
@@ -215,26 +249,29 @@ def query(table: AssocTable, m) -> QueryResult:
             if s.k == best_k
         ]
         return QueryResult(Mode.BINARY, winners, QualityIndex(best_k, n), scores)
-    scores = [quality_arith(mt, row) for row in table.rows]
-    best_q = max(s.value for s in scores)
-    winners = [
-        (i + 1, table.labels[i]) for i, s in enumerate(scores) if s.value == best_q
-    ]
-    best = scores[winners[0][0] - 1]
-    return QueryResult(Mode.TERNARY, winners, best, scores)
+    keys = arith_keys(mt, table.rows)
+    best_key = max(keys)
+    winners = [(i + 1, table.labels[i]) for i, key in enumerate(keys) if key == best_key]
+    best = quality_arith(mt, table.rows[winners[0][0] - 1])
+    per_row = _Deferred(lambda: [quality_arith(mt, row) for row in table.rows])
+    return QueryResult(Mode.TERNARY, winners, best, per_row)
 
 
 def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:
-    """First k rows best-first; ties broken by ascending row index."""
+    """First k rows best-first; ties broken by ascending row index.
+
+    Ternary rows are ordered by their :func:`lamp.quality.arith_keys`, and
+    only the k rows returned are scored with Fractions.
+    """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    result = query(table, m)
-    binary = result.mode is Mode.BINARY
-    order = sorted(
-        enumerate(result.per_row, start=1),
-        key=lambda p: (p[1].k if binary else -p[1].value, p[0]),
-    )
-    return order[:k]
+        raise InvalidArgument(f"k must be >= 1, got {k}")
+    # sorted() is stable, so tied rows stay in ascending order
+    if table.is_binary:
+        return sorted(enumerate(query(table, m).per_row, start=1), key=lambda p: p[1].k)[:k]
+    mt = _check_query(table, m)
+    keys = arith_keys(mt, table.rows)
+    order = sorted(range(len(keys)), key=lambda i: -keys[i])[:k]
+    return [(i + 1, quality_arith(mt, table.rows[i])) for i in order]
 
 
 def diagnose(dictionary: AssocTable, response: BitVector) -> QueryResult:

@@ -13,7 +13,7 @@ every operation so padding can never leak into a result.
 
 from __future__ import annotations
 
-from .errors import LengthMismatch, ParseError, ZeroLength
+from .errors import CoordinateOutOfRange, LengthMismatch, ParseError, ZeroLength
 
 
 class BitVector:
@@ -61,7 +61,7 @@ class BitVector:
     def bit(self, i: int) -> int:
         """Coordinate i, 1-based from the left."""
         if not 1 <= i <= self.n:
-            raise IndexError(f"coordinate {i} outside 1..{self.n}")
+            raise CoordinateOutOfRange(f"coordinate {i} outside 1..{self.n}")
         return (self.value >> (self.n - i)) & 1
 
     def bits(self) -> list[int]:

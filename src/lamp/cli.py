@@ -188,11 +188,12 @@ def _run_table_query(args, response_mode: bool) -> int:
             {"row": idx, "label": label} for idx, label in result.best_rows
         ],
         "best": best_json,
-        "per_row": [
+    }
+    if args.format == "json":  # only JSON prints per-row scores
+        report["per_row"] = [
             {"row": i + 1, "label": table.labels[i], **_score_cells(s)[1]}
             for i, s in enumerate(result.per_row)
-        ],
-    }
+        ]
     if args.top:
         report["ranked"] = rows_json
     _emit(report, text, tsv, args.format)

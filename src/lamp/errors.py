@@ -75,3 +75,27 @@ class UnresolvedLabel(AsmSyntaxError):
 
 class MalformedBinary(LampError):
     """A program binary is truncated or violates the format."""
+
+
+# Each class below also derives from the built-in exception it replaced,
+# so callers that catch that built-in keep working.
+
+
+class InvalidArgument(LampError, ValueError):
+    """An argument is outside the values the function accepts."""
+
+
+class NotAVector(LampError, TypeError):
+    """An argument that must be a vector is of another type."""
+
+
+class NotBinary(LampError, ValueError):
+    """A vector holding x was used where a binary vector is required."""
+
+
+class EmptyIntersection(LampError, ValueError):
+    """An intersection with an empty coordinate has no ternary form."""
+
+
+class CoordinateOutOfRange(LampError, IndexError):
+    """A 1-based coordinate lies outside 1..n."""

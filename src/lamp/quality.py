@@ -4,7 +4,11 @@ Three equivalent views of the same idea, each cheaper than the last:
 
 * :func:`quality_arith`  -- normalized rational score in [0,1] on ternary
   vectors: mean of a coordinate-match ratio and two membership ratios
-  (higher is better, 1 means equal).
+  (higher is better, 1 means equal). :func:`arith_keys` orders rows by
+  it with one exact int per row, so a table is ranked without Fractions:
+  n - e for a row with e >= 1 empty coordinates, else
+  n + 2^(n-xa+cx) + 2^(n-xm+cx) from the x counts of A, m and their
+  meet (derived in its docstring).
 * :func:`criterion_arith` -- integer sum of a Hamming term and two
   non-membership counts on binary vectors (lower is better, 0 means
   equal).
@@ -27,7 +31,7 @@ from fractions import Fraction
 
 from .bitvec import BitVector, sls, vand, vnot, vor, vxor
 from .errors import LengthMismatch, NotCompacted
-from .ternary import TernaryVector, card_x, empty_coord_count, intersect
+from .ternary import TernaryVector, card_x, empty_coord_count, intersect, pair_counts
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,38 @@ def quality_arith(m: TernaryVector, a: TernaryVector) -> QualityScoreNorm:
         mu_a_in_m = Fraction(1, 2 ** (card_x(m) - cx))
     q = (d + mu_m_in_a + mu_a_in_m) / 3
     return QualityScoreNorm(q, d, mu_m_in_a, mu_a_in_m)
+
+
+def arith_keys(m: TernaryVector, rows) -> list[int]:
+    """One int per row, ordered and tied exactly as ``quality_arith(m, a).value``.
+
+    With e the row's empty coordinates, Q = (d + mu_m_in_a + mu_a_in_m)/3:
+
+    * e >= 1: both memberships are 0 and Q = (n - e)/3n < 1/3, so the
+      key is n - e, in 0..n-1;
+    * e = 0: with cx, xa and xm the x counts of m AND a, of a and of m,
+      Q = (1 + 2^-(xa-cx) + 2^-(xm-cx))/3 > 1/3. The key is
+      n + 2^(n-xa+cx) + 2^(n-xm+cx), that is n plus the two memberships
+      scaled by 2^n: at least n + 2, so it beats every row with e >= 1.
+
+    Every count is read off the 2n-bit codes by
+    :func:`lamp.ternary.pair_counts`, the meet's as ``m & a``.
+    """
+    n = m.n
+    mv = m.enc.value
+    xm = card_x(m)
+    keys = []
+    for a in rows:
+        if a.n != n:
+            raise LengthMismatch(f"widths differ: {n} vs {a.n}")
+        av = a.enc.value
+        e, cx = pair_counts(mv & av, n)
+        if e:
+            keys.append(n - e)
+        else:
+            xa = pair_counts(av, n)[1]
+            keys.append(n + (1 << n - xa + cx) + (1 << n - xm + cx))
+    return keys
 
 
 def criterion_arith(m: BitVector, a: BitVector) -> QualityScoreInt:

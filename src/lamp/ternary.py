@@ -15,16 +15,25 @@ string is rendered for display only.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 
 from .bitvec import BitVector, vand
-from .errors import LengthMismatch, ParseError, ZeroLength
+from .errors import (
+    CoordinateOutOfRange,
+    EmptyIntersection,
+    InvalidArgument,
+    LengthMismatch,
+    NotBinary,
+    ParseError,
+    ZeroLength,
+)
 
 _DEC = {0b10: "0", 0b01: "1", 0b11: "x", 0b00: "e"}  # 'e' = empty
-_CODE_DIGITS = str.maketrans({"0": "10", "1": "01", "x": "11"})
 _DROP_SYMBOLS = str.maketrans("", "", "01x")
 
 
+@functools.cache
 def _low_bits(n: int) -> int:
     """0101...01 over 2n bits: the low bit of every pair."""
     return ((1 << 2 * n) - 1) // 3
@@ -33,6 +42,17 @@ def _low_bits(n: int) -> int:
 def _empty_pairs(enc: BitVector) -> int:
     """The low bit of every 00 pair, all other bits clear."""
     return ~(enc.value | (enc.value >> 1)) & _low_bits(enc.n // 2)
+
+
+def pair_counts(code: int, n: int) -> tuple[int, int]:
+    """(empty, x) coordinate counts of a 2n-bit code: its 00 and 11 pairs.
+
+    ``code`` may be the AND of two vectors' codes, their meet, which
+    need not be a vector: this counts its empty coordinates without
+    building an :class:`IntersectionResult`.
+    """
+    low = _low_bits(n)
+    return (~(code | code >> 1) & low).bit_count(), (code & code >> 1 & low).bit_count()
 
 
 def _pair(enc: BitVector, i: int) -> int:
@@ -50,7 +70,7 @@ class TernaryVector:
 
     def __init__(self, enc: BitVector):
         if enc.n % 2 != 0:
-            raise ValueError("encoded width must be even")
+            raise InvalidArgument("encoded width must be even")
         object.__setattr__(self, "n", enc.n // 2)
         object.__setattr__(self, "enc", enc)
         empty = _empty_pairs(enc)
@@ -70,7 +90,11 @@ class TernaryVector:
         bad = s.translate(_DROP_SYMBOLS)
         if bad:
             raise ParseError(f"invalid symbol {bad[0]!r} in vector literal {text!r}")
-        return cls(BitVector(2 * len(s), int(s.translate(_CODE_DIGITS), 2)))
+        # a symbol read as a base-4 digit lands on the low bit of its pair;
+        # the low bit is set for 1 and x, the high bit for every symbol but 1
+        one_or_x = int(s.replace("x", "1"), 4)
+        one = int(s.replace("x", "0"), 4)
+        return cls(BitVector(2 * len(s), one_or_x | (_low_bits(len(s)) ^ one) << 1))
 
     @classmethod
     def from_bitvector(cls, v: BitVector) -> "TernaryVector":
@@ -81,7 +105,7 @@ class TernaryVector:
     def symbol(self, i: int) -> str:
         """Symbol at coordinate i, 1-based from the left."""
         if not 1 <= i <= self.n:
-            raise IndexError(f"coordinate {i} outside 1..{self.n}")
+            raise CoordinateOutOfRange(f"coordinate {i} outside 1..{self.n}")
         return _DEC[_pair(self.enc, i)]
 
     def symbols(self) -> str:
@@ -93,7 +117,7 @@ class TernaryVector:
 
     def to_bitvector(self) -> BitVector:
         if not self.is_binary:
-            raise ValueError("vector contains x, not a binary vector")
+            raise NotBinary("vector contains x, not a binary vector")
         # the low bit of each pair is every second binary digit of the code
         return BitVector(self.n, int(format(self.enc.value, f"0{self.enc.n}b")[1::2], 2))
 
@@ -141,7 +165,7 @@ class IntersectionResult:
 
     def to_ternary(self) -> TernaryVector:
         if self.is_empty:
-            raise ValueError("empty intersection has no ternary form")
+            raise EmptyIntersection("empty intersection has no ternary form")
         return TernaryVector(self.enc)
 
     def __eq__(self, other) -> bool:
@@ -170,8 +194,7 @@ def intersect(m: TernaryVector, a: TernaryVector) -> IntersectionResult:
 
 def card_x(v: TernaryVector) -> int:
     """Number of x symbols; the cube covers 2^card_x points."""
-    code = v.enc.value
-    return (code & (code >> 1) & _low_bits(v.n)).bit_count()
+    return pair_counts(v.enc.value, v.n)[1]
 
 
 def empty_coord_count(m: TernaryVector, a: TernaryVector) -> int:

@@ -15,6 +15,7 @@ from lamp.errors import (
     ParseError,
     WidthMismatch,
 )
+from lamp.quality import quality_arith
 from lamp.ternary import TernaryVector
 
 bv = BitVector.parse
@@ -258,6 +259,124 @@ def test_query_matches_brute_force_argmin(data):
     expect = [i + 1 for i, s in enumerate(scores) if s == best]
     res = query(table, m)
     assert [i for i, _ in res.best_rows] == expect
+
+
+def oracle_q(m_text, a_text):
+    """Q from the symbols alone: meet each coordinate, then count points."""
+    meet = []
+    for p, q in zip(m_text, a_text):
+        meet.append(q if p == "x" else p if q in ("x", p) else None)
+    n, e = len(meet), meet.count(None)
+    d = Fraction(n - e, n)
+    if e:
+        return d / 3
+    cx = meet.count("x")
+    return (d + Fraction(2**cx, 2 ** a_text.count("x"))
+            + Fraction(2**cx, 2 ** m_text.count("x"))) / 3
+
+
+def _ternary_table(rng):
+    """A random table and query; about half the tables are built to tie."""
+    n = rng.choice([1, 2, 3, 5, 8, 16, 40, 70])
+    share = rng.choice([0.0, 0.25, 0.5, 1.0])  # x share: all-binary .. all-x
+
+    def vec():
+        return "".join("x" if rng.random() < share else rng.choice("01") for _ in range(n))
+
+    m = vec()
+    rows = [vec() for _ in range(rng.randint(1, 12))]
+    if rng.random() < 0.5:
+        # copies of one row, and rows that hold m's binary symbols with the
+        # same number of x in other places, tie with each other
+        rows += [rng.choice(rows) for _ in range(3)]
+        xs = [i for i, s in enumerate(m) if s != "x"]
+        k = rng.randint(0, len(xs))
+        for _ in range(3):
+            picked = set(rng.sample(xs, k))
+            rows.append("".join("x" if i in picked else s for i, s in enumerate(m)))
+        rng.shuffle(rows)
+    return m, rows
+
+
+def test_ternary_query_matches_fraction_oracle():
+    rng = random.Random(6)
+    checked = ties = 0
+    for _ in range(400):
+        m, rows = _ternary_table(rng)
+        labels = [f"r{i}" if i % 2 else None for i in range(len(rows))]
+        table = AssocTable.from_rows(rows, labels=labels)
+        if table.is_binary:
+            continue
+        qs = [oracle_q(m, r) for r in rows]
+        best = max(qs)
+        expect = [(i + 1, labels[i]) for i, q in enumerate(qs) if q == best]
+        res = query(table, tv(m))
+        assert res.best_rows == expect
+        assert res.best_index == quality_arith(tv(m), tv(rows[expect[0][0] - 1]))
+        assert res.best_index.value == best
+        assert [s.value for s in res.per_row] == qs
+        checked += 1
+        ties += len(expect) > 1
+    # at this seed: 332 ternary tables, 274 of them with tied winners
+    assert checked >= 300 and 200 <= ties < checked
+
+
+def count_arith_calls(monkeypatch) -> list:
+    """Record the row of every quality_arith call made by lamp.assoc."""
+    import lamp.assoc
+
+    calls = []
+
+    def counted(m, a):
+        calls.append(a)
+        return quality_arith(m, a)
+
+    monkeypatch.setattr(lamp.assoc, "quality_arith", counted)
+    return calls
+
+
+def test_ternary_query_scores_only_the_first_winner(monkeypatch):
+    calls = count_arith_calls(monkeypatch)
+    rows = ["x0", "10", "x0", "0x", "11"]
+    t = AssocTable.from_rows(rows)
+    res = query(t, tv("x0"))
+    assert res.best_rows == [(1, None), (3, None)]
+    assert calls == [t.rows[0]]
+    assert [s.value for s in res.per_row] == [oracle_q("x0", r) for r in rows]
+    assert len(calls) == 1 + len(rows)
+    assert len(res.per_row) == len(rows)
+    assert len(calls) == 1 + len(rows)  # computed on first read, then kept
+
+
+def test_query_result_keeps_its_dataclass_interface():
+    import dataclasses
+
+    from lamp.assoc import QueryResult
+
+    t = AssocTable.from_rows(["x0", "10", "x0", "0x"])
+    lazy = query(t, tv("x0"))
+    built = QueryResult(lazy.mode, lazy.best_rows, lazy.best_index,
+                        [quality_arith(tv("x0"), row) for row in t.rows])
+    assert [f.name for f in dataclasses.fields(QueryResult)] == [
+        "mode", "best_rows", "best_index", "per_row"]
+    assert lazy == built
+    assert repr(lazy) == repr(built)
+    assert dataclasses.asdict(lazy) == dataclasses.asdict(built)
+    assert dataclasses.replace(lazy, per_row=[]).per_row == []
+    assert lazy != dataclasses.replace(built, per_row=built.per_row[:1])
+    with pytest.raises(TypeError):
+        QueryResult(lazy.mode, lazy.best_rows, lazy.best_index)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_rank_scores_at_most_k_ternary_rows(monkeypatch, k):
+    calls = count_arith_calls(monkeypatch)
+    rows = ["x0x1", "0101", "x0x1", "xxxx", "1010", "00x1", "x011"]
+    got = rank(AssocTable.from_rows(rows), tv("00x1"), k)
+    assert len(calls) == min(k, len(rows))
+    qs = [oracle_q("00x1", r) for r in rows]
+    expect = sorted(range(len(rows)), key=lambda i: (-qs[i], i))[:k]
+    assert [(i, s.value) for i, s in got] == [(i + 1, qs[i]) for i in expect]
 
 
 def test_fold_keeps_first_minimal_row():

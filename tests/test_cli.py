@@ -97,6 +97,61 @@ def test_query_top_lists_sorted_rows(capsys, tmp_path):
     assert [(r[1], r[3]) for r in ranked] == [("1", "0"), ("2", "1"), ("3", "2")]
 
 
+PATTERNS = "# ternary patterns\nP1\t1x0x\nP2\t10xx\n0x01\nP4\t1x0x\nxxxx\n1110\n"
+
+
+def _scores(row, label, q, d, mu_m_in_a, mu_a_in_m):
+    return {"row": row, "label": label, "q": q, "d": d,
+            "mu_m_in_a": mu_m_in_a, "mu_a_in_m": mu_a_in_m}
+
+
+def test_ternary_query_json_is_unchanged(capsys, tmp_path, monkeypatch):
+    # the document as the Fraction-per-row implementation printed it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.tbl").write_text(PATTERNS)
+    per_row = [
+        _scores(1, "P1", "5/6", "1", "1/2", "1"),
+        _scores(2, "P2", "7/12", "1", "1/4", "1/2"),
+        _scores(3, None, "1/4", "3/4", "0", "0"),
+        _scores(4, "P4", "5/6", "1", "1/2", "1"),
+        _scores(5, None, "17/24", "1", "1/8", "1"),
+        _scores(6, None, "1/6", "1/2", "0", "0"),
+    ]
+    expect = {
+        "command": "query",
+        "inputs": {"table": "p.tbl", "vector": "1x01", "top": 3},
+        "mode": "ternary",
+        "best_rows": [{"row": 1, "label": "P1"}, {"row": 4, "label": "P4"}],
+        "best": {"q": "5/6", "d": "1", "mu_m_in_a": "1/2", "mu_a_in_m": "1"},
+        "per_row": per_row,
+        "ranked": [per_row[0], per_row[3], per_row[4]],
+    }
+    code, out, _ = run_cli(capsys, "query", "p.tbl", "--m", "1x01", "--top", "3",
+                           "--format", "json")
+    assert code == 0
+    assert out == json.dumps(expect, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "tsv"])
+def test_query_text_and_tsv_never_score_every_row(capsys, tmp_path, monkeypatch, fmt):
+    from lamp.assoc import QueryResult
+
+    def forbidden(self):
+        raise AssertionError("per_row read")
+
+    def store(self, rows):  # query() still sets the field
+        self.__dict__["_per_row"] = rows
+
+    # the field descriptor hides per_row on the class, hence raising=False
+    monkeypatch.setattr(QueryResult, "per_row", property(forbidden, store), raising=False)
+    path = tmp_path / "p.tbl"
+    path.write_text(PATTERNS)
+    code, out, err = run_cli(capsys, "query", str(path), "--m", "1x01", "--top", "3",
+                             "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "5/6" in out
+
+
 def test_diag_exact_signature(capsys, fault_dict):
     code, out, _ = run_cli(capsys, "diag", fault_dict, "--response", "1100")
     assert code == 0

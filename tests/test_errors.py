@@ -1,0 +1,51 @@
+"""Every library error is a LampError that keeps its built-in class.
+
+Each case triggers one raise site and checks the LampError subclass, the
+built-in class callers caught before, and the message.
+"""
+
+import pytest
+
+from lamp.assoc import AssocTable, _as_ternary, rank
+from lamp.bitvec import BitVector
+from lamp.errors import (
+    CoordinateOutOfRange,
+    EmptyIntersection,
+    InvalidArgument,
+    LampError,
+    NotAVector,
+    NotBinary,
+)
+from lamp.ternary import TernaryVector, intersect
+
+tv = TernaryVector.parse
+
+CASES = [
+    (lambda: rank(AssocTable.from_rows(["10"]), BitVector.parse("10"), 0),
+     InvalidArgument, ValueError, "k must be >= 1, got 0"),
+    (lambda: _as_ternary("10"),
+     NotAVector, TypeError, "expected a vector, got str"),
+    (lambda: TernaryVector(BitVector(3, 0b101)),
+     InvalidArgument, ValueError, "encoded width must be even"),
+    (lambda: tv("1x").to_bitvector(),
+     NotBinary, ValueError, "vector contains x, not a binary vector"),
+    (lambda: tv("1x0").symbol(4),
+     CoordinateOutOfRange, IndexError, "coordinate 4 outside 1..3"),
+    (lambda: BitVector.parse("101").bit(0),
+     CoordinateOutOfRange, IndexError, "coordinate 0 outside 1..3"),
+    (lambda: intersect(tv("01"), tv("x0")).to_ternary(),
+     EmptyIntersection, ValueError, "empty intersection has no ternary form"),
+]
+
+
+@pytest.mark.parametrize(
+    "trigger, cls, builtin, message", CASES,
+    ids=["rank_k", "as_ternary", "odd_width", "to_bitvector", "symbol", "bit",
+         "to_ternary"],
+)
+def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
+    with pytest.raises(cls) as err:
+        trigger()
+    assert isinstance(err.value, LampError)
+    assert isinstance(err.value, builtin)
+    assert str(err.value) == message

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lamp.bitvec import BitVector, sls, vand, vor, vxor
 from lamp.errors import LengthMismatch, NotCompacted
 from lamp.quality import (
+    arith_keys,
     choose_best,
     criterion_arith,
     criterion_vector,
@@ -231,3 +232,56 @@ def test_ranking_consistency(n, rng):
     lt_int = criterion_arith(m, a1).value < criterion_arith(m, a2).value
     lt_vec = quality_index(m, a1).k < quality_index(m, a2).k
     assert lt_int == lt_vec
+
+
+# --- ternary order keys ---------------------------------------------------------
+
+ALPHABETS = ["01x", "01", "x", "0x", "1x"]  # mixed, all-binary, all-x, ...
+
+
+@st.composite
+def query_and_rows(draw):
+    """(m, rows) of one width in 1..70; half the rows meet m in every
+    coordinate (e = 0), the rest are free, so most of those have e >= 1."""
+    n = draw(st.integers(1, 70))
+
+    def vec(alphabet):
+        return "".join(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)))
+
+    m = vec(draw(st.sampled_from(ALPHABETS)))
+    rows = []
+    for _ in range(draw(st.integers(2, 8))):
+        free = vec(draw(st.sampled_from(ALPHABETS)))
+        if draw(st.booleans()):  # keep m's binary symbols where free has none
+            free = "".join(f if s == "x" or f == "x" else s for s, f in zip(m, free))
+        rows.append(free)
+    return m, rows
+
+
+@given(query_and_rows())
+@example(("xxxx", ["xxxx", "0000", "1x1x", "0101"]))
+@example(("0101", ["0101", "1010", "0100", "x1x1", "xxxx"]))
+@example(("x", ["0", "1", "x"]))
+def test_arith_keys_order_and_tie_exactly_as_quality_arith(case):
+    m, rows = case
+    keys = arith_keys(tv(m), [tv(r) for r in rows])
+    qs = [quality_arith(tv(m), tv(r)).value for r in rows]
+    for (k1, q1), (k2, q2) in itertools.product(zip(keys, qs), repeat=2):
+        assert (k1 < k2) == (q1 < q2)
+        assert (k1 == k2) == (q1 == q2)
+
+
+def test_arith_keys_follow_the_derivation():
+    n = 4
+    m = tv("1x0x")
+    assert arith_keys(m, [tv("0101"), tv("0x1x"), tv("1x0x"), tv("xxxx")]) == [
+        n - 1,  # e = 1
+        n - 2,  # e = 2
+        n + 2**n + 2**n,  # equal cubes: both memberships 1
+        n + 2 ** (n - 4 + 2) + 2**n,  # a covers m: mu(m in A) = 1/4
+    ]
+
+
+def test_arith_keys_width_mismatch():
+    with pytest.raises(LengthMismatch):
+        arith_keys(tv("x0"), [tv("x0"), tv("x00")])

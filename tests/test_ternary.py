@@ -258,3 +258,12 @@ def test_parse_names_first_bad_symbol(text):
         assert str(err.value) == f"invalid symbol {bad[0]!r} in vector literal {text!r}"
     else:
         assert tv(text).symbols() == s
+
+
+@given(st.text(alphabet="01xX_", min_size=1, max_size=90))
+def test_parse_matches_per_symbol_code(text):
+    s = text.replace("_", "").lower()
+    if not s:
+        return
+    pairs = "".join({"0": "10", "1": "01", "x": "11"}[c] for c in s)
+    assert tv(text).enc == BitVector(len(pairs), int(pairs, 2))
