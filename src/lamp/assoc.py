@@ -1,14 +1,18 @@
 """Associative tables and the search / recognition / decision procedures.
 
 A table is an ordered list of associator rows, optionally labeled.
-Binary tables (no ``x`` anywhere) are scored with the quality index
-k = popcount(m XOR a), where the winner minimizes k and the selection
-itself is the nonarithmetic and/xor/or-fold of compacted quality vectors.
-Ternary tables are scored with the normalized rational metric, where
-the winner maximizes Q; rows are ordered by its exact int keys
-(:func:`lamp.quality.arith_keys`), and a Fraction score is built only for
-a score that is read. All optimal rows are reported, in ascending row
-order; row indices in results are 1-based.
+One int key per row (:func:`lamp.quality.arith_keys`, on the rows'
+2n-bit codes) orders the rows of both modes: the winners are the rows
+that reach the highest key and ``rank`` sorts by it. On binary rows the
+meet is empty exactly where m and a differ, so the key is n - k with
+k = popcount(m XOR a), or n + 2^(n+1) when k = 0, and the order is the
+quality index's. The paper's and/xor/or selection of the winner is
+:func:`lamp.quality.decide`, and the grid machine runs it
+(:func:`lamp.sim.builtin_query_program`). The mode only picks the score
+a user sees: a :class:`QualityIndex` for binary rows, a Fraction
+:class:`QualityScoreNorm` for ternary ones, built only for a score that
+is read. All optimal rows are reported, in ascending row order; row
+indices in results are 1-based.
 
 Table file format (UTF-8 text):
   * ``#`` starts a comment to end of line, blank lines are ignored;
@@ -40,7 +44,6 @@ from .quality import (
     arith_keys,
     choose_best,  # unused here; bench/tracer.py hooks lamp.assoc.choose_best
     criterion_vector,  # unused here; bench/tracer.py hooks lamp.assoc.criterion_vector
-    decide,
     quality_arith,
     quality_index,
 )
@@ -67,7 +70,6 @@ class AssocTable:
     rows: list[TernaryVector]
     labels: list[Optional[str]] = field(default_factory=list)
     mode: Mode = field(init=False)
-    _bits: Optional[list[BitVector]] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows:
@@ -107,10 +109,8 @@ class AssocTable:
         return self.mode is Mode.BINARY
 
     def row_bits(self) -> list[BitVector]:
-        """The rows as BitVectors, converted on first use and kept."""
-        if self._bits is None:
-            self._bits = [row.to_bitvector() for row in self.rows]
-        return self._bits
+        """The rows of a binary table as BitVectors, converted on each call."""
+        return [row.to_bitvector() for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -146,7 +146,7 @@ class QueryResult:
     """Outcome of a table query.
 
     ``per_row`` holds one score per row: a :class:`QualityIndex` in
-    binary mode, a :class:`QualityScoreNorm` in ternary mode. A ternary
+    binary mode, a :class:`QualityScoreNorm` in ternary mode.
     :func:`query` scores the rows on the first read of ``per_row`` and
     then keeps the list.
     ``best_index`` is the winning score in the same convention and
@@ -210,68 +210,50 @@ def _as_ternary(m) -> TernaryVector:
     raise NotAVector(f"expected a vector, got {type(m).__name__}")
 
 
-def _check_query(table: AssocTable, m) -> TernaryVector:
+def _keyed(table: AssocTable, m) -> tuple[list[int], Callable[[TernaryVector], RowScore]]:
+    """The rows' :func:`lamp.quality.arith_keys` for query ``m``, and the
+    score of one row that a user sees, in the table's mode."""
     mt = _as_ternary(m)
     if mt.n != table.cols:
         raise LengthMismatch(
             f"query width {mt.n} differs from table width {table.cols}"
         )
-    if table.is_binary and not mt.is_binary:
-        raise ModeMismatch("ternary query against a binary table")
-    return mt
+    if table.is_binary:
+        if not mt.is_binary:
+            raise ModeMismatch("ternary query against a binary table")
+        mb = m if isinstance(m, BitVector) else mt.to_bitvector()
+        score = lambda row: quality_index(mb, row.to_bitvector())
+    else:
+        score = lambda row: quality_arith(mt, row)
+    return arith_keys(mt, table.rows), score
 
 
 def query(table: AssocTable, m) -> QueryResult:
     """Find the best-interacting row(s) for query vector ``m``.
 
-    Binary mode scores each row with :func:`lamp.quality.quality_index`
-    and selects by folding the compacted quality vectors 1^k 0^(n-k)
-    through :func:`lamp.quality.decide`, starting from the worst, 1^n;
-    all rows attaining the winning score are then reported. Ternary mode
-    takes the winners from the rows' :func:`lamp.quality.arith_keys` and
-    scores only the first of them with :func:`lamp.quality.quality_arith`.
+    The winners are the rows with the highest key; only the first of
+    them is scored for ``best_index``, and ``per_row`` scores every row
+    when it is read.
     """
-    mt = _check_query(table, m)
-    if table.is_binary:
-        mb = mt.to_bitvector()
-        n = table.cols
-        scores, best = [], (1 << n) - 1
-        for row in table.row_bits():
-            score = quality_index(mb, row)
-            scores.append(score)
-            q = ((1 << score.k) - 1) << (n - score.k)
-            if decide(best, q):
-                best = q
-        best_k = best.bit_count()
-        winners = [
-            (i + 1, table.labels[i])
-            for i, s in enumerate(scores)
-            if s.k == best_k
-        ]
-        return QueryResult(Mode.BINARY, winners, QualityIndex(best_k, n), scores)
-    keys = arith_keys(mt, table.rows)
+    keys, score = _keyed(table, m)
     best_key = max(keys)
     winners = [(i + 1, table.labels[i]) for i, key in enumerate(keys) if key == best_key]
-    best = quality_arith(mt, table.rows[winners[0][0] - 1])
-    per_row = _Deferred(lambda: [quality_arith(mt, row) for row in table.rows])
-    return QueryResult(Mode.TERNARY, winners, best, per_row)
+    best = score(table.rows[winners[0][0] - 1])
+    per_row = _Deferred(lambda: [score(row) for row in table.rows])
+    return QueryResult(table.mode, winners, best, per_row)
 
 
 def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:
-    """First k rows best-first; ties broken by ascending row index.
+    """First k rows best-first, by key; ties broken by ascending row index.
 
-    Ternary rows are ordered by their :func:`lamp.quality.arith_keys`, and
-    only the k rows returned are scored with Fractions.
+    Only the k rows returned are scored.
     """
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
+    keys, score = _keyed(table, m)
     # sorted() is stable, so tied rows stay in ascending order
-    if table.is_binary:
-        return sorted(enumerate(query(table, m).per_row, start=1), key=lambda p: p[1].k)[:k]
-    mt = _check_query(table, m)
-    keys = arith_keys(mt, table.rows)
     order = sorted(range(len(keys)), key=lambda i: -keys[i])[:k]
-    return [(i + 1, quality_arith(mt, table.rows[i])) for i in order]
+    return [(i + 1, score(table.rows[i])) for i in order]
 
 
 def diagnose(dictionary: AssocTable, response: BitVector) -> QueryResult:

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import asm as asm_mod
-from .assoc import diagnose, load_table, query, rank
+from .assoc import AssocTable, diagnose, load_table, query, rank
 from .bitvec import BitVector
 from .errors import LampError, ModeMismatch
 from .quality import (
@@ -360,23 +360,20 @@ def cmd_bench(args) -> int:
     n, rows = args.n, args.rows
     table = [BitVector(n, rng.getrandbits(n)) for _ in range(rows)]
     m = BitVector(n, rng.getrandbits(n))
+    assoc_table = AssocTable.from_rows(table)  # row conversion is not timed
 
-    winners = []
     t0 = time.perf_counter()
-    for _ in range(args.iters):
-        ks = [quality_index(m, row).k for row in table]
-        best = min(ks)
-        winners.append(tuple(i for i, k in enumerate(ks) if k == best))
+    results = [query(assoc_table, m) for _ in range(args.iters)]
     vec_elapsed = time.perf_counter() - t0
     vec_rate = rows * args.iters / vec_elapsed if vec_elapsed else float("inf")
-    stable = all(w == winners[0] for w in winners)
+    stable = all(r.best_rows == results[0].best_rows for r in results)
 
     report = {
         "command": "bench",
         "inputs": {"n": n, "rows": rows, "iters": args.iters, "seed": args.seed},
         "vector_rows_per_s": round(vec_rate, 1),
-        "winner_rows": [i + 1 for i in winners[0]],
-        "best_k": min(quality_index(m, table[i]).k for i in winners[0]),
+        "winner_rows": [i for i, _ in results[0].best_rows],
+        "best_k": results[0].best_index.k,
         "winners_stable": stable,
     }
     text = [

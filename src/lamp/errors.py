@@ -99,3 +99,11 @@ class EmptyIntersection(LampError, ValueError):
 
 class CoordinateOutOfRange(LampError, IndexError):
     """A 1-based coordinate lies outside 1..n."""
+
+
+class NotAnInstruction(LampError, TypeError):
+    """A program holds an object that is not a machine instruction."""
+
+
+class SequencerHalted(LampError, RuntimeError):
+    """A halted sequencer was stepped."""

@@ -19,9 +19,10 @@ Three equivalent views of the same idea, each cheaper than the last:
   On binary vectors that OR is exactly m XOR a (acceptance criterion 4).
 
 :func:`decide` is the paper's selection between two compacted quality
-vectors, an and/xor/or-fold with no comparison arithmetic; the table
-query folds its rows through it and :func:`choose_best` wraps it for
-:class:`BitVector` inputs.
+vectors, an and/xor/or-fold with no comparison arithmetic; the grid
+machine's built-in query runs it, and :func:`choose_best` wraps it for
+:class:`BitVector` inputs. On binary rows :func:`arith_keys` orders the
+rows exactly as the fold does, so the table query ranks by the keys.
 """
 
 from __future__ import annotations

@@ -32,9 +32,12 @@ from dataclasses import dataclass, field
 from .bitvec import BitVector
 from .errors import (
     DeadlockDetected,
+    InvalidArgument,
     InvalidRowIndex,
     LampError,
+    NotAnInstruction,
     PcOutOfRange,
+    SequencerHalted,
     WidthMismatch,
 )
 
@@ -52,6 +55,11 @@ class Reg(enum.Enum):
 
 
 M_REGS = (Reg.MA, Reg.MB, Reg.MC, Reg.MD)
+
+
+def _require_mreg(reg: Reg, role: str) -> None:
+    if reg not in M_REGS:
+        raise InvalidArgument(f"{role} must be an m-register, got {reg}")
 
 
 class BinOp(enum.Enum):
@@ -153,8 +161,7 @@ class Logic(Instruction):
     dst: Reg
 
     def __post_init__(self):
-        if self.dst not in M_REGS:
-            raise ValueError(f"destination must be an m-register, got {self.dst}")
+        _require_mreg(self.dst, "destination")
         if self.binop is BinOp.PASS and self.src_b is not self.src_a:
             # PASS has one operand; normalize so equal programs compare equal
             object.__setattr__(self, "src_b", self.src_a)
@@ -201,7 +208,7 @@ class SetRow(Instruction):
 
     def __post_init__(self):
         if self.index < 0:
-            raise ValueError(f"row index must be nonnegative, got {self.index}")
+            raise InvalidArgument(f"row index must be nonnegative, got {self.index}")
 
 
 @dataclass(frozen=True)
@@ -228,8 +235,7 @@ class LoadImm(Instruction):
     literal: BitVector
 
     def __post_init__(self):
-        if self.reg not in M_REGS:
-            raise ValueError(f"LOADM target must be an m-register, got {self.reg}")
+        _require_mreg(self.reg, "LOADM target")
 
 
 @dataclass(frozen=True)
@@ -241,8 +247,7 @@ class Send(Instruction):
     reg: Reg
 
     def __post_init__(self):
-        if self.reg not in M_REGS:
-            raise ValueError(f"SEND source must be an m-register, got {self.reg}")
+        _require_mreg(self.reg, "SEND source")
 
 
 @dataclass(frozen=True)
@@ -254,8 +259,7 @@ class Recv(Instruction):
     reg: Reg
 
     def __post_init__(self):
-        if self.reg not in M_REGS:
-            raise ValueError(f"RECV target must be an m-register, got {self.reg}")
+        _require_mreg(self.reg, "RECV target")
 
 
 @dataclass(frozen=True)
@@ -373,7 +377,7 @@ def _decode(program: list, width: int) -> list[tuple]:
         elif cls is Halt:
             code.append((_HALT,))
         else:
-            raise TypeError(f"cannot execute {inst!r}")
+            raise NotAnInstruction(f"cannot execute {inst!r}")
     return code
 
 
@@ -643,7 +647,7 @@ class Sequencer:
         stalls: the cycle is spent, the pc does not move.
         """
         if self.halted:
-            raise RuntimeError("step on a halted sequencer")
+            raise SequencerHalted("step on a halted sequencer")
         _lockstep([self], self.width, 1)
         return self
 
@@ -742,7 +746,7 @@ class Grid:
     def run(self, max_cycles: int) -> RunResult:
         """Step until everything halts, the budget runs out, or deadlock."""
         if max_cycles < 1:
-            raise ValueError(f"max_cycles must be positive, got {max_cycles}")
+            raise InvalidArgument(f"max_cycles must be positive, got {max_cycles}")
         try:
             self._lockstep(max_cycles - self.global_cycle)
         except DeadlockDetected as exc:
@@ -775,7 +779,7 @@ def builtin_query_program(rows: int) -> list[Instruction]:
     cycles per row, the search 6 per row up to the winner.
     """
     if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
+        raise InvalidArgument(f"rows must be >= 1, got {rows}")
     quality_into_mc = Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MC)
     fold, next_row, find, found = 1, 7, 10, 16  # jump targets
     return [

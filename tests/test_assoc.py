@@ -321,31 +321,39 @@ def test_ternary_query_matches_fraction_oracle():
     assert checked >= 300 and 200 <= ties < checked
 
 
-def count_arith_calls(monkeypatch) -> list:
-    """Record the row of every quality_arith call made by lamp.assoc."""
+def count_score_calls(monkeypatch, name="quality_arith") -> list:
+    """Record the row of every call of scorer ``name`` made by lamp.assoc."""
     import lamp.assoc
 
+    score = getattr(lamp.assoc, name)
     calls = []
 
     def counted(m, a):
         calls.append(a)
-        return quality_arith(m, a)
+        return score(m, a)
 
-    monkeypatch.setattr(lamp.assoc, "quality_arith", counted)
+    monkeypatch.setattr(lamp.assoc, name, counted)
     return calls
 
 
 def test_ternary_query_scores_only_the_first_winner(monkeypatch):
-    calls = count_arith_calls(monkeypatch)
-    rows = ["x0", "10", "x0", "0x", "11"]
-    t = AssocTable.from_rows(rows)
-    res = query(t, tv("x0"))
-    assert res.best_rows == [(1, None), (3, None)]
-    assert calls == [t.rows[0]]
-    assert [s.value for s in res.per_row] == [oracle_q("x0", r) for r in rows]
-    assert len(calls) == 1 + len(rows)
-    assert len(res.per_row) == len(rows)
-    assert len(calls) == 1 + len(rows)  # computed on first read, then kept
+    arith_calls = count_score_calls(monkeypatch, "quality_arith")
+    index_calls = count_score_calls(monkeypatch, "quality_index")
+    ternary = ["x0", "10", "x0", "0x", "11"]
+    binary = ["10", "01", "10", "00", "11"]
+    cases = [  # (calls, parse, m, rows, score of a per_row entry, expected scores)
+        (arith_calls, tv, "x0", ternary, lambda s: s.value, [oracle_q("x0", r) for r in ternary]),
+        (index_calls, bv, "10", binary, lambda s: s.k, [0, 2, 0, 1, 1]),
+    ]
+    for calls, parse, m, rows, value, expect in cases:
+        res = query(AssocTable.from_rows(rows), parse(m))
+        assert res.best_rows == [(1, None), (3, None)]
+        assert calls == [parse(rows[0])]
+        assert [value(s) for s in res.per_row] == expect
+        assert len(calls) == 1 + len(rows)
+        assert len(res.per_row) == len(rows)
+        assert len(calls) == 1 + len(rows)  # computed on first read, then kept
+    assert len(arith_calls) == len(index_calls) == 1 + len(binary)
 
 
 def test_query_result_keeps_its_dataclass_interface():
@@ -370,13 +378,28 @@ def test_query_result_keeps_its_dataclass_interface():
 
 @pytest.mark.parametrize("k", [1, 2, 5, 9])
 def test_rank_scores_at_most_k_ternary_rows(monkeypatch, k):
-    calls = count_arith_calls(monkeypatch)
+    import lamp.assoc
+
+    calls = count_score_calls(monkeypatch)
     rows = ["x0x1", "0101", "x0x1", "xxxx", "1010", "00x1", "x011"]
     got = rank(AssocTable.from_rows(rows), tv("00x1"), k)
     assert len(calls) == min(k, len(rows))
     qs = [oracle_q("00x1", r) for r in rows]
     expect = sorted(range(len(rows)), key=lambda i: (-qs[i], i))[:k]
     assert [(i, s.value) for i, s in got] == [(i + 1, qs[i]) for i in expect]
+
+    # a binary rank neither runs query() nor scores more than its k rows
+    def forbidden(*args):
+        raise AssertionError("rank called query")
+
+    monkeypatch.setattr(lamp.assoc, "query", forbidden)
+    calls = count_score_calls(monkeypatch, "quality_index")
+    rows = ["0101", "1100", "0101", "1111", "0000", "0111", "1101"]
+    got = rank(AssocTable.from_rows(rows), bv("0101"), k)
+    assert len(calls) == min(k, len(rows))
+    ks = [(bv(r).value ^ 0b0101).bit_count() for r in rows]
+    expect = sorted(range(len(rows)), key=lambda i: (ks[i], i))[:k]
+    assert [(i, s.k) for i, s in got] == [(i + 1, ks[i]) for i in expect]
 
 
 def test_fold_keeps_first_minimal_row():
@@ -418,8 +441,8 @@ def test_binary_rows_converted_and_checked_once(monkeypatch):
         assert query(table, m).best_index.k == min(
             (m.value ^ v).bit_count() for v in values
         )
-    # n row conversions on the first query and one per probe; each
-    # conversion reads is_binary, and _check_query reads it once per probe
+    # one row conversion per probe, for best_index; each conversion reads
+    # is_binary, and the query check reads it once per probe
     assert calls["to_bitvector"] <= n + len(probes)
     assert calls["is_binary"] <= n + 2 * len(probes)
 

@@ -132,8 +132,18 @@ def test_ternary_query_json_is_unchanged(capsys, tmp_path, monkeypatch):
     assert out == json.dumps(expect, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "tsv"])
-def test_query_text_and_tsv_never_score_every_row(capsys, tmp_path, monkeypatch, fmt):
+@pytest.mark.parametrize(
+    "command, fmt, table, probe, shown",
+    [
+        ("query", "text", PATTERNS, ["--m", "1x01"], "5/6"),
+        ("query", "tsv", PATTERNS, ["--m", "1x01"], "5/6"),
+        ("diag", "text", FAULT_DICT, ["--response", "1111"], "F2  k=2/4"),
+        ("diag", "tsv", FAULT_DICT, ["--response", "1111"], "F2\t2\t4"),
+    ],
+    ids=["text", "tsv", "diag-text", "diag-tsv"],
+)
+def test_query_text_and_tsv_never_score_every_row(capsys, tmp_path, monkeypatch, command,
+                                                  fmt, table, probe, shown):
     from lamp.assoc import QueryResult
 
     def forbidden(self):
@@ -145,11 +155,11 @@ def test_query_text_and_tsv_never_score_every_row(capsys, tmp_path, monkeypatch,
     # the field descriptor hides per_row on the class, hence raising=False
     monkeypatch.setattr(QueryResult, "per_row", property(forbidden, store), raising=False)
     path = tmp_path / "p.tbl"
-    path.write_text(PATTERNS)
-    code, out, err = run_cli(capsys, "query", str(path), "--m", "1x01", "--top", "3",
+    path.write_text(table)
+    code, out, err = run_cli(capsys, command, str(path), *probe, "--top", "3",
                              "--format", fmt)
     assert (code, err) == (0, "")
-    assert "5/6" in out
+    assert shown in out
 
 
 def test_diag_exact_signature(capsys, fault_dict):

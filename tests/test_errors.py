@@ -6,16 +6,30 @@ built-in class callers caught before, and the message.
 
 import pytest
 
-from lamp.assoc import AssocTable, _as_ternary, rank
-from lamp.bitvec import BitVector
-from lamp.errors import (
+from lamp import (
+    BinOp,
     CoordinateOutOfRange,
+    Dir,
     EmptyIntersection,
+    Grid,
     InvalidArgument,
     LampError,
+    LoadImm,
+    Logic,
     NotAVector,
+    NotAnInstruction,
     NotBinary,
+    Recv,
+    Reg,
+    Send,
+    Sequencer,
+    SequencerHalted,
+    SetRow,
+    UnOp,
+    builtin_query_program,
 )
+from lamp.assoc import AssocTable, _as_ternary, rank
+from lamp.bitvec import BitVector
 from lamp.ternary import TernaryVector, intersect
 
 tv = TernaryVector.parse
@@ -35,13 +49,32 @@ CASES = [
      CoordinateOutOfRange, IndexError, "coordinate 0 outside 1..3"),
     (lambda: intersect(tv("01"), tv("x0")).to_ternary(),
      EmptyIntersection, ValueError, "empty intersection has no ternary form"),
+    (lambda: Logic(BinOp.AND, Reg.MA, Reg.MB, UnOp.NOPU, Reg.ROW),
+     InvalidArgument, ValueError, "destination must be an m-register, got Reg.ROW"),
+    (lambda: SetRow(-1),
+     InvalidArgument, ValueError, "row index must be nonnegative, got -1"),
+    (lambda: LoadImm(Reg.ROW, BitVector.parse("10")),
+     InvalidArgument, ValueError, "LOADM target must be an m-register, got Reg.ROW"),
+    (lambda: Send(Dir.N, Reg.ROW),
+     InvalidArgument, ValueError, "SEND source must be an m-register, got Reg.ROW"),
+    (lambda: Recv(Dir.S, Reg.ROW),
+     InvalidArgument, ValueError, "RECV target must be an m-register, got Reg.ROW"),
+    (lambda: Grid(4).run(0),
+     InvalidArgument, ValueError, "max_cycles must be positive, got 0"),
+    (lambda: builtin_query_program(0),
+     InvalidArgument, ValueError, "rows must be >= 1, got 0"),
+    (lambda: Sequencer(4, program=["HALT"]),
+     NotAnInstruction, TypeError, "cannot execute 'HALT'"),
+    (lambda: Sequencer(4).step(),
+     SequencerHalted, RuntimeError, "step on a halted sequencer"),
 ]
 
 
 @pytest.mark.parametrize(
     "trigger, cls, builtin, message", CASES,
     ids=["rank_k", "as_ternary", "odd_width", "to_bitvector", "symbol", "bit",
-         "to_ternary"],
+         "to_ternary", "logic_dst", "setrow", "loadm", "send", "recv", "max_cycles",
+         "builtin_rows", "decode", "halted_step"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:

@@ -262,6 +262,8 @@ def query_and_rows(draw):
 @example(("xxxx", ["xxxx", "0000", "1x1x", "0101"]))
 @example(("0101", ["0101", "1010", "0100", "x1x1", "xxxx"]))
 @example(("x", ["0", "1", "x"]))
+@example(("0110", ["0110", "1001", "0111", "0110", "1110", "0100"]))
+@example(("1" * 70, ["1" * 70, "0" * 70, "1" * 69 + "0", "0" + "1" * 69]))
 def test_arith_keys_order_and_tie_exactly_as_quality_arith(case):
     m, rows = case
     keys = arith_keys(tv(m), [tv(r) for r in rows])
@@ -269,6 +271,12 @@ def test_arith_keys_order_and_tie_exactly_as_quality_arith(case):
     for (k1, q1), (k2, q2) in itertools.product(zip(keys, qs), repeat=2):
         assert (k1 < k2) == (q1 < q2)
         assert (k1 == k2) == (q1 == q2)
+    if "x" not in m:  # binary rows: a higher key is a lower quality index k
+        binary = [(key, quality_index(bv(m), bv(r)).k) for key, r in zip(keys, rows)
+                  if "x" not in r]
+        for (k1, i1), (k2, i2) in itertools.product(binary, repeat=2):
+            assert (k1 > k2) == (i1 < i2)
+            assert (k1 == k2) == (i1 == i2)
 
 
 def test_arith_keys_follow_the_derivation():
