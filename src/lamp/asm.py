@@ -295,6 +295,7 @@ def disassemble(program: Program) -> str:
 # Binary codec
 
 MAGIC = b"LAMP1"
+_LOADM = bytes([ISA.index(LoadImm)])  # the kind byte of a LOADM record
 
 
 def _encode_instr(inst, width) -> bytes:
@@ -332,59 +333,67 @@ def program_to_bytes(program: Program) -> bytes:
     return b"".join(chunks)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _take(data: bytes, pos: int, count: int) -> bytes:
+    if pos + count > len(data):
+        raise MalformedBinary(f"truncated: wanted {count} bytes at offset {pos}")
+    return data[pos : pos + count]
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise MalformedBinary(
-                f"truncated: wanted {count} bytes at offset {self.pos}"
-            )
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
+
+def _decode_record(data: bytes, pos: int, width):
+    rec = _take(data, pos, 8)
+    if rec[0] >= len(ISA):
+        raise MalformedBinary(f"invalid instruction kind {rec[0]}")
+    cls = ISA[rec[0]]
+    args, fields = [], iter(rec[1:6])
+    for kind in cls.OPERANDS:
+        if kind in _ENUM_KINDS:
+            members, what = _ENUM_KINDS[kind]
+            value = next(fields)
+            if value >= len(members):
+                raise MalformedBinary(f"invalid {what} code {value}")
+            args.append(members[value])
+        elif kind == "literal":
+            if width is None:
+                raise MalformedBinary("LOADM literal without a width")
+            nbytes = (width + 7) // 8
+            raw = int.from_bytes(_take(data, pos + 8, nbytes), "big")
+            pad = 8 * nbytes - width
+            if raw & ((1 << pad) - 1):
+                raise MalformedBinary("nonzero padding in LOADM literal")
+            args.append(BitVector(width, raw >> pad))
+        else:
+            args.append(int.from_bytes(rec[6:8], "big"))
+    return cls(*args)
 
 
 def program_from_bytes(data: bytes) -> Program:
-    rd = _Reader(data)
-    if rd.take(len(MAGIC)) != MAGIC:
+    """Equal records, a LOADM's with its literal, decode to one shared instruction;
+    only records that decoded are remembered, so no fault goes unreported."""
+    data = bytes(data)  # hashable slices for any bytes-like input
+    if _take(data, 0, len(MAGIC)) != MAGIC:
         raise MalformedBinary("bad magic, not a LAMP1 program")
-    width = int.from_bytes(rd.take(2), "big") or None
-    counts = [int.from_bytes(rd.take(4), "big") for _ in range(GRID_SIZE**2)]
+    width = int.from_bytes(_take(data, 5, 2), "big") or None
+    counts = [int.from_bytes(_take(data, 7 + 4 * i, 4), "big") for i in range(GRID_SIZE**2)]
+    literal = (width + 7) // 8 if width else 0
     program = Program(width=width)
+    memo: dict = {}
+    pos = 7 + 4 * GRID_SIZE**2
     for idx, count in enumerate(counts):
-        r, c = divmod(idx, GRID_SIZE)
         code = []
         for _ in range(count):
-            rec = rd.take(8)
-            if rec[0] >= len(ISA):
-                raise MalformedBinary(f"invalid instruction kind {rec[0]}")
-            cls = ISA[rec[0]]
-            args, fields = [], iter(rec[1:6])
-            for kind in cls.OPERANDS:
-                if kind in _ENUM_KINDS:
-                    members, what = _ENUM_KINDS[kind]
-                    value = next(fields)
-                    if value >= len(members):
-                        raise MalformedBinary(f"invalid {what} code {value}")
-                    args.append(members[value])
-                elif kind == "literal":
-                    if width is None:
-                        raise MalformedBinary("LOADM literal without a width")
-                    nbytes = (width + 7) // 8
-                    raw = int.from_bytes(rd.take(nbytes), "big")
-                    pad = 8 * nbytes - width
-                    if raw & ((1 << pad) - 1):
-                        raise MalformedBinary("nonzero padding in LOADM literal")
-                    args.append(BitVector(width, raw >> pad))
-                else:
-                    args.append(int.from_bytes(rec[6:8], "big"))
-            code.append(cls(*args))
-        program.cells[r][c] = code
-    if rd.pos != len(data):
-        raise MalformedBinary(f"{len(data) - rd.pos} trailing bytes")
+            key = data[pos : pos + 8]
+            inst = memo.get(key)
+            if inst is None:
+                if key[:1] == _LOADM:
+                    key = data[pos : pos + 8 + literal]
+                    inst = memo.get(key)
+                if inst is None:  # a cut record matches no key remembered
+                    inst = memo[key] = _decode_record(data, pos, width)
+            code.append(inst)
+            pos += len(key)
+        program.cells[idx // GRID_SIZE][idx % GRID_SIZE] = code
+    if pos != len(data):
+        raise MalformedBinary(f"{len(data) - pos} trailing bytes")
     return program
 
 

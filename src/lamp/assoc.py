@@ -239,7 +239,9 @@ def query(table: AssocTable, m) -> QueryResult:
     best_key = max(keys)
     winners = [(i + 1, table.labels[i]) for i, key in enumerate(keys) if key == best_key]
     best = score(table.rows[winners[0][0] - 1])
-    per_row = _Deferred(lambda: [score(row) for row in table.rows])
+    n = table.cols  # a binary row's k is n - key, or 0 for the match key n + 2^(n+1)
+    per_row = _Deferred(lambda: [QualityIndex(max(n - key, 0), n) for key in keys]
+                        if table.is_binary else [score(row) for row in table.rows])
     return QueryResult(table.mode, winners, best, per_row)
 
 

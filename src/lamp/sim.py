@@ -368,7 +368,7 @@ def _decode(program: list, width: int) -> list[tuple]:
         elif cls is LoadImm:
             lit = inst.literal
             if lit.n != width:
-                code.append((_BADWIDTH, f"literal width {lit.n} != machine width {width}"))
+                code.append((_BADWIDTH, lit.n))
             else:
                 code.append((_LOADM, inst.reg._value_, lit.value, stop))
         elif cls is Send or cls is Recv:
@@ -461,7 +461,7 @@ def _lockstep(seqs: list, width: int, budget: int, grid=None) -> None:
         regs[i] = values
         code[i], pcs[i], flags[i] = seq._code, seq.pc, seq.flag
         if trace is not None:
-            texts[i] = seq._trace_text()
+            texts[i] = seq._trace_text({})
     loaded = active
     look = True  # the first cycle checks every pc and exchange
     matched, stalled = {}, set()
@@ -559,7 +559,7 @@ def _lockstep(seqs: list, width: int, budget: int, grid=None) -> None:
                     halted = True
                     stop = _GO
                 else:  # _BADWIDTH
-                    raise WidthMismatch(inst[1])
+                    raise WidthMismatch(f"literal width {inst[1]} != machine width {width}")
                 pcs[i] = pc
                 if stop:
                     look = True
@@ -623,10 +623,11 @@ class Sequencer:
         self._code = _decode(self._program, self.width)
         self._texts = None
 
-    def _trace_text(self) -> list[str]:
-        """Each instruction's trace text, rendered once per loaded program."""
+    def _trace_text(self, texts: dict) -> list[str]:
+        """Trace texts, rendered once per loaded program and per object in ``texts``."""
         if self._texts is None:
-            self._texts = [inst.text() for inst in self._program]
+            self._texts = [texts.get(id(inst)) or texts.setdefault(id(inst), inst.text())
+                           for inst in self._program]
         return self._texts
 
     @property
@@ -685,22 +686,25 @@ class Grid:
             raise WidthMismatch(
                 f"program width {program.width} != grid width {self.width}"
             )
+        # Cells whose lists hold the same instruction objects share one
+        # decode; the program keeps the objects alive, so their ids stay distinct.
+        decoded, texts = {}, {}
         for r in range(GRID_SIZE):
             for c in range(GRID_SIZE):
                 seq = self.cells[r][c]
-                seq.program = program.cells[r][c]
-                for inst in seq.program:
-                    if isinstance(inst, LoadImm) and inst.literal.n != self.width:
-                        raise WidthMismatch(
-                            f"cell ({r},{c}): literal width {inst.literal.n} "
-                            f"!= grid width {self.width}"
-                        )
+                seq._program, seq._texts = list(program.cells[r][c]), None
+                key = tuple(map(id, seq._program))
+                if key not in decoded:
+                    code = _decode(seq._program, self.width)
+                    decoded[key] = code, [inst[1] for inst in code if inst[0] == _BADWIDTH]
+                seq._code, bad = decoded[key]
+                if bad:
+                    raise WidthMismatch(f"cell ({r},{c}): literal width {bad[0]} "
+                                        f"!= grid width {self.width}")
                 if self.tracing:
-                    seq._trace_text()
+                    seq._trace_text(texts)
                 # a loaded program starts from a fresh control state
-                seq.pc = 0
-                seq.row_idx = 0
-                seq.flag = 0
+                seq.pc = seq.row_idx = seq.flag = 0
                 seq.halted = not seq.program
 
     def _targets(self, at) -> list[Sequencer]:

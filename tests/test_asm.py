@@ -294,6 +294,78 @@ def test_trailing_garbage_rejected():
         program_from_bytes(blob + b"\x00")
 
 
+def _blob(*cells, width=0):
+    """A LAMP1 binary whose cells (0,0), (0,1), ... hold the given records,
+    each a hex string, written as they are: bad codes, literals, cut ends."""
+    counts = [0] * GRID_SIZE**2
+    for idx, records in enumerate(cells):
+        counts[idx] = len(records)
+    head = b"LAMP1" + width.to_bytes(2, "big")
+    head += b"".join(n.to_bytes(4, "big") for n in counts)
+    return head + bytes.fromhex("".join(r for records in cells for r in records))
+
+
+HALT = "0b 00 00 00 00 00 0000"
+VALID = _blob([HALT])  # the header is 71 bytes, so the first record is at 71
+
+# one case per MalformedBinary the decoder raises, with its exact text
+MALFORMED = {
+    "bad-magic": (b"NOPE!" + VALID[5:], "bad magic, not a LAMP1 program"),
+    "cut-in-magic": (b"LAM", "truncated: wanted 5 bytes at offset 0"),
+    "cut-in-width": (b"LAMP1\x00", "truncated: wanted 2 bytes at offset 5"),
+    "cut-in-counts": (VALID[:20], "truncated: wanted 4 bytes at offset 19"),
+    "cut-in-record": (VALID[:76], "truncated: wanted 8 bytes at offset 71"),
+    "cut-in-second-record": (_blob([HALT, "0b 00 00"]),
+                             "truncated: wanted 8 bytes at offset 79"),
+    "cut-in-literal": (_blob(["08 00 00 00 00 00 0000 ab"], width=16),
+                       "truncated: wanted 2 bytes at offset 79"),
+    "kind": (_blob(["0c 00 00 00 00 00 0000"]), "invalid instruction kind 12"),
+    "binop": (_blob(["00 04 00 00 00 00 0000"]), "invalid binary op code 4"),
+    "src": (_blob(["00 00 05 00 00 00 0000"]), "invalid source operand code 5"),
+    "unop": (_blob(["00 00 00 00 03 00 0000"]), "invalid unary op code 3"),
+    "mreg": (_blob(["00 00 00 00 00 04 0000"]), "invalid m-register code 4"),
+    "dir": (_blob(["09 08 00 00 00 00 0000"]), "invalid direction code 8"),
+    "loadm-without-width": (_blob(["08 00 00 00 00 00 0000"]),
+                            "LOADM literal without a width"),
+    "nonzero-padding": (_blob(["08 00 00 00 00 00 0000 b1"], width=5),
+                        "nonzero padding in LOADM literal"),
+    "trailing": (VALID + b"\0\0", "2 trailing bytes"),
+    # two faults in one record: the earlier field is reported
+    "loadm-bad-mreg-and-no-width": (_blob(["08 04 00 00 00 00 0000"]),
+                                    "invalid m-register code 4"),
+    "logic-bad-binop-and-src": (_blob(["00 04 05 00 00 00 0000"]),
+                                "invalid binary op code 4"),
+    # a record equal to one decoded before is still checked in full
+    "bad-record-twice": (_blob(["00 04 00 00 00 00 0000"] * 2),
+                         "invalid binary op code 4"),
+    "same-loadm-bad-padding": (
+        _blob(["08 01 00 00 00 00 0000 b0"], ["08 01 00 00 00 00 0000 b1"], width=5),
+        "nonzero padding in LOADM literal"),
+    "same-loadm-cut-literal": (
+        _blob(["08 01 00 00 00 00 0000 abcd", "08 01 00 00 00 00 0000 ab"], width=16),
+        "truncated: wanted 2 bytes at offset 89"),
+    "same-record-cut": (_blob([HALT], [HALT[:8]]), "truncated: wanted 8 bytes at offset 79"),
+}
+
+
+def test_equal_records_decode_to_one_shared_instruction():
+    ones, zeros = LoadImm(Reg.MA, bv("11111")), LoadImm(Reg.MA, bv("00000"))
+    p = Program.broadcast([ones, zeros, LoadImm(Reg.MA, bv("11111")), Halt()], width=5)
+    decoded = program_from_bytes(program_to_bytes(p))
+    assert decoded == p
+    code = decoded.cells[0][0]
+    assert code[0] is code[2] and code[0] is not code[1]  # the literal is in the key
+    assert all(decoded.cells[r][c][i] is code[i] for r in range(4) for c in range(4)
+               for i in range(4))
+
+
+@pytest.mark.parametrize("blob, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_binary_messages_golden(blob, message):
+    with pytest.raises(MalformedBinary) as exc:
+        program_from_bytes(blob)
+    assert str(exc.value) == message
+
+
 # --- generated-program round trips -----------------------------------------------
 
 

@@ -15,7 +15,7 @@ from lamp.errors import (
     ParseError,
     WidthMismatch,
 )
-from lamp.quality import quality_arith
+from lamp.quality import quality_arith, quality_index
 from lamp.ternary import TernaryVector
 
 bv = BitVector.parse
@@ -341,19 +341,34 @@ def test_ternary_query_scores_only_the_first_winner(monkeypatch):
     index_calls = count_score_calls(monkeypatch, "quality_index")
     ternary = ["x0", "10", "x0", "0x", "11"]
     binary = ["10", "01", "10", "00", "11"]
-    cases = [  # (calls, parse, m, rows, score of a per_row entry, expected scores)
-        (arith_calls, tv, "x0", ternary, lambda s: s.value, [oracle_q("x0", r) for r in ternary]),
-        (index_calls, bv, "10", binary, lambda s: s.k, [0, 2, 0, 1, 1]),
+    # (calls, parse, m, rows, score of a per_row entry, expected scores, scorer
+    # calls of reading per_row): a binary per_row is read off the keys
+    cases = [
+        (arith_calls, tv, "x0", ternary, lambda s: s.value, [oracle_q("x0", r) for r in ternary],
+         len(ternary)),
+        (index_calls, bv, "10", binary, lambda s: s.k, [0, 2, 0, 1, 1], 0),
     ]
-    for calls, parse, m, rows, value, expect in cases:
+    for calls, parse, m, rows, value, expect, read in cases:
         res = query(AssocTable.from_rows(rows), parse(m))
         assert res.best_rows == [(1, None), (3, None)]
         assert calls == [parse(rows[0])]
         assert [value(s) for s in res.per_row] == expect
-        assert len(calls) == 1 + len(rows)
+        assert len(calls) == 1 + read
         assert len(res.per_row) == len(rows)
-        assert len(calls) == 1 + len(rows)  # computed on first read, then kept
-    assert len(arith_calls) == len(index_calls) == 1 + len(binary)
+        assert len(calls) == 1 + read  # computed on first read, then kept
+    assert len(arith_calls) == 1 + len(ternary) and len(index_calls) == 1
+
+
+def test_binary_per_row_read_off_the_keys_equals_quality_index():
+    rng = random.Random(8)
+    for n in (1, 2, 5, 64, 70):
+        m = rng.getrandbits(n)
+        rows = [rng.getrandbits(n) for _ in range(30)] + [m, m, m ^ 1]  # exact matches
+        rng.shuffle(rows)
+        mb = BitVector(n, m)
+        res = query(AssocTable.from_rows([BitVector(n, v) for v in rows]), mb)
+        assert res.per_row == [quality_index(mb, BitVector(n, v)) for v in rows]
+        assert 0 in [s.k for s in res.per_row]
 
 
 def test_query_result_keeps_its_dataclass_interface():

@@ -2,9 +2,12 @@ from dataclasses import fields
 
 import pytest
 
+from lamp.asm import assemble, program_from_bytes, program_to_bytes
 from lamp.assoc import AssocTable, query
 from lamp.bitvec import BitVector, sls, vxor
-from lamp.errors import DeadlockDetected, InvalidRowIndex, LampError, PcOutOfRange
+from lamp.errors import (
+    DeadlockDetected, InvalidRowIndex, LampError, PcOutOfRange, WidthMismatch,
+)
 from lamp.quality import criterion_vector
 from lamp.sim import (
     GRID_SIZE,
@@ -32,6 +35,7 @@ from lamp.sim import (
     neighbor,
     opposite,
 )
+from test_sim_reference import sharded
 
 bv = BitVector.parse
 
@@ -438,3 +442,52 @@ def test_trace_text_rendered_once_per_loaded_instruction(monkeypatch):
     g.run(100)
     assert len(g.trace) == 11 and len(calls) == len(loop)
     assert g.trace[:3] == ["1\t0,0\t0\tINCROW", "2\t0,0\t1\tJRLT 0", "3\t0,0\t0\tINCROW"]
+    # a decoded LAMP1 program shares one object per distinct record, and
+    # a traced load renders each object once
+    calls.clear()
+    blob = program_to_bytes(assemble(sharded.sharded_source(16)))
+    Grid(16, tracing=True).load_program(program_from_bytes(blob))
+    assert len(calls) == len(_records(blob))
+
+
+def _records(blob):
+    """The distinct 8-byte records of a LAMP1 binary without LOADM literals."""
+    header = 5 + 2 + 4 * GRID_SIZE**2
+    assert (len(blob) - header) % 8 == 0
+    return {blob[i : i + 8] for i in range(header, len(blob), 8)}
+
+
+def test_decoded_program_shares_instructions_and_cell_decodes(monkeypatch):
+    import lamp.sim
+
+    assembled = assemble(sharded.sharded_source(16))
+    blob = program_to_bytes(assembled)
+    decoded = program_from_bytes(blob)
+    assert decoded == assembled
+    objects = {id(inst) for row in decoded.cells for code in row for inst in code}
+    total = sum(len(code) for row in decoded.cells for code in row)
+    assert len(objects) == len(_records(blob)) < total
+    calls = []
+    decode = lamp.sim._decode
+    one, two = Grid(16), Grid(16)  # each new cell decodes its empty program
+
+    def counted(program, width):
+        calls.append(program)
+        return decode(program, width)
+
+    monkeypatch.setattr(lamp.sim, "_decode", counted)
+    one.load_program(decoded)
+    assert len(calls) == 4  # the cells differ only by the parity of row and column
+    calls.clear()
+    two.load_program(assembled)  # equal but distinct objects are decoded apart
+    assert len(calls) == GRID_SIZE * GRID_SIZE
+
+
+def test_grid_rejects_a_literal_of_another_width_at_its_first_cell():
+    code = [LoadImm(Reg.MA, bv("01")), Halt()]
+    p = Program()
+    p.cells[1][2] = p.cells[3][0] = code
+    g = Grid(4)
+    with pytest.raises(WidthMismatch) as exc:
+        g.load_program(p)
+    assert str(exc.value) == "cell (1,2): literal width 2 != grid width 4"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from lamp.asm import assemble
+from lamp.asm import assemble, program_from_bytes, program_to_bytes
 from lamp.bitvec import BitVector
 from lamp.errors import DeadlockDetected, LampError
 from lamp.sim import (
@@ -244,7 +244,7 @@ GOLDEN_SHARDED = {
 }
 
 
-def _sharded_run():
+def _sharded_run(decoded):
     rng = random.Random(64)
     width = 64
     shards = []
@@ -254,7 +254,10 @@ def _sharded_run():
         shards.append(rows)
     query = rng.getrandbits(width)
     grid = Grid(width, tracing=True)
-    grid.load_program(assemble(sharded.sharded_source(width)))
+    program = assemble(sharded.sharded_source(width))
+    if decoded:
+        program = program_from_bytes(program_to_bytes(program))
+    grid.load_program(program)
     for idx, rows in enumerate(shards):
         grid.set_table([BitVector(width, v) for v in rows], at=divmod(idx, GRID_SIZE))
     grid.set_register(Reg.MA, BitVector(width, query))
@@ -263,7 +266,11 @@ def _sharded_run():
 
 
 def test_golden_sharded_run():
-    grid, result, shards, query = _sharded_run()
+    for decoded in (False, True):  # as assembled, and decoded from its LAMP1 bytes
+        _check_golden_sharded_run(*_sharded_run(decoded))
+
+
+def _check_golden_sharded_run(grid, result, shards, query):
     assert result.outcome is RunOutcome.ALL_HALTED
     # the int oracle: MD is the best compacted quality of the whole table,
     # MC the earliest best row of the cell's own shard
