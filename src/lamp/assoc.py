@@ -1,18 +1,22 @@
 """Associative tables and the search / recognition / decision procedures.
 
-A table is an ordered list of associator rows, optionally labeled.
-One int key per row (:func:`lamp.quality.arith_keys`, on the rows'
-2n-bit codes) orders the rows of both modes: the winners are the rows
-that reach the highest key and ``rank`` sorts by it. On binary rows the
-meet is empty exactly where m and a differ, so the key is n - k with
-k = popcount(m XOR a), or n + 2^(n+1) when k = 0, and the order is the
-quality index's. The paper's and/xor/or selection of the winner is
-:func:`lamp.quality.decide`, and the grid machine runs it
-(:func:`lamp.sim.builtin_query_program`). The mode only picks the score
-a user sees: a :class:`QualityIndex` for binary rows, a Fraction
+A table is an ordered list of associator rows, optionally labeled,
+held as the rows' 2n-bit int codes (:mod:`lamp.ternary`) from the text
+to the score: :func:`load_table` reads each row with one byte
+translation and one base-4 ``int`` (:func:`lamp.ternary.parse_code`),
+and no vector object is built per row. One int key per row
+(:func:`lamp.quality.code_keys`) orders the rows of both modes: the
+winners are the rows that reach the highest key and ``rank`` sorts by
+it. On binary rows the meet is empty exactly where m and a differ, so
+the key is n - k with k = popcount(m XOR a), or n + 2^(n+1) when k = 0,
+and the order is the quality index's. The paper's and/xor/or selection
+of the winner is :func:`lamp.quality.decide`, and the grid machine runs
+it (:func:`lamp.sim.builtin_query_program`). The mode only picks the
+score a user sees: a :class:`QualityIndex` for binary rows, a Fraction
 :class:`QualityScoreNorm` for ternary ones, built only for a score that
-is read. All optimal rows are reported, in ascending row order; row
-indices in results are 1-based.
+is read, and for every row from the counts the keys are made of. All
+optimal rows are reported, in ascending row order; row indices in
+results are 1-based.
 
 Table file format (UTF-8 text):
   * ``#`` starts a comment to end of line, blank lines are ignored;
@@ -41,13 +45,14 @@ from .errors import (
 from .quality import (
     QualityIndex,
     QualityScoreNorm,
-    arith_keys,
     choose_best,  # unused here; bench/tracer.py hooks lamp.assoc.choose_best
     criterion_vector,  # unused here; bench/tracer.py hooks lamp.assoc.criterion_vector
+    code_keys,
+    code_scores,
     quality_arith,
     quality_index,
 )
-from .ternary import TernaryVector
+from .ternary import TernaryVector, any_x, check_codes, parse_code
 
 RowScore = Union[QualityIndex, QualityScoreNorm]
 
@@ -61,37 +66,41 @@ class Mode(enum.Enum):
 class AssocTable:
     """Matrix of associators with optional per-row labels.
 
-    The mode is decided once, at construction; the rows must not change
-    afterwards.
+    ``codes`` holds each row's 2n-bit code (:mod:`lamp.ternary`), the
+    one form in which a table keeps its rows; ``rows`` builds one
+    :class:`TernaryVector` per row on each read. The mode is decided
+    once, at construction; the rows must not change afterwards.
     """
 
     name: str
     cols: int
-    rows: list[TernaryVector]
+    codes: list[int]
     labels: list[Optional[str]] = field(default_factory=list)
     mode: Mode = field(init=False)
 
     def __post_init__(self):
-        if not self.rows:
+        codes, n = self.codes, self.cols
+        if not codes:
             raise EmptyTable(f"table {self.name!r} has no rows")
         if not self.labels:
-            self.labels = [None] * len(self.rows)
-        if len(self.labels) != len(self.rows):
-            raise ParseError(f"{len(self.labels)} labels for {len(self.rows)} rows")
-        for row in self.rows:
-            if row.n != self.cols:
-                raise WidthMismatch(
-                    f"row width {row.n} differs from table width {self.cols}"
-                )
-        seen = set()
-        for label in self.labels:
-            if label is None:
-                continue
-            if label in seen:
-                raise ParseError(f"duplicate row label {label!r}")
-            seen.add(label)
-        binary = all(row.is_binary for row in self.rows)
-        self.mode = Mode.BINARY if binary else Mode.TERNARY
+            self.labels = [None] * len(codes)
+        if len(self.labels) != len(codes):
+            raise ParseError(f"{len(self.labels)} labels for {len(codes)} rows")
+        check_codes(codes, n)
+        named = [label for label in self.labels if label is not None]
+        if len(set(named)) != len(named):
+            seen = set()
+            label = next(lab for lab in named if lab in seen or seen.add(lab))
+            raise ParseError(f"duplicate row label {label!r}")
+        self.mode = Mode.TERNARY if any_x(codes, n) else Mode.BINARY
+
+    @classmethod
+    def _checked(cls, name, cols, codes, labels) -> "AssocTable":
+        """A table of rows whose widths and labels the caller has checked."""
+        table = cls.__new__(cls)
+        table.name, table.cols, table.codes, table.labels = name, cols, codes, labels
+        table.mode = Mode.TERNARY if any_x(codes, cols) else Mode.BINARY
+        return table
 
     @classmethod
     def from_rows(cls, rows, labels=None, name="table") -> "AssocTable":
@@ -102,7 +111,17 @@ class AssocTable:
         ]
         if not parsed:
             raise EmptyTable(f"table {name!r} has no rows")
-        return cls(name, parsed[0].n, parsed, list(labels) if labels else [])
+        codes = [row.enc.value for row in parsed]
+        return cls(name, parsed[0].n, codes, list(labels) if labels else [])
+
+    @property
+    def rows(self) -> list[TernaryVector]:
+        """The rows as TernaryVectors, built on each read."""
+        return [TernaryVector._of_code(c, self.cols) for c in self.codes]
+
+    def _row(self, i: int) -> TernaryVector:
+        """Row i, 0-based, as a TernaryVector."""
+        return TernaryVector._of_code(self.codes[i], self.cols)
 
     @property
     def is_binary(self) -> bool:
@@ -113,7 +132,7 @@ class AssocTable:
         return [row.to_bitvector() for row in self.rows]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.codes)
 
 
 class _Deferred:
@@ -165,7 +184,7 @@ def load_table(source, name="table") -> AssocTable:
         lines = source.splitlines()
     else:
         lines = source
-    rows: list[TernaryVector] = []
+    codes: list[int] = []
     labels: list[Optional[str]] = []
     seen: set[str] = set()
     width = None
@@ -182,24 +201,22 @@ def load_table(source, name="table") -> AssocTable:
         else:
             label, vec_text = None, line
         try:
-            row = TernaryVector.parse(vec_text)
+            n, code = parse_code(vec_text)
         except (ParseError, ZeroLength) as exc:
             raise ParseError(str(exc), line=lineno) from None
         if width is None:
-            width = row.n
-        elif row.n != width:
-            raise WidthMismatch(
-                f"line {lineno}: row width {row.n} differs from {width}"
-            )
+            width = n
+        elif n != width:
+            raise WidthMismatch(f"line {lineno}: row width {n} differs from {width}")
         if label is not None:
             if label in seen:
                 raise ParseError(f"duplicate row label {label!r}", line=lineno)
             seen.add(label)
-        rows.append(row)
+        codes.append(code)
         labels.append(label)
-    if not rows:
+    if not codes:
         raise EmptyTable(f"table {name!r} has no rows")
-    return AssocTable(name, width, rows, labels)
+    return AssocTable._checked(name, width, codes, labels)
 
 
 def _as_ternary(m) -> TernaryVector:
@@ -210,22 +227,29 @@ def _as_ternary(m) -> TernaryVector:
     raise NotAVector(f"expected a vector, got {type(m).__name__}")
 
 
-def _keyed(table: AssocTable, m) -> tuple[list[int], Callable[[TernaryVector], RowScore]]:
-    """The rows' :func:`lamp.quality.arith_keys` for query ``m``, and the
-    score of one row that a user sees, in the table's mode."""
+def _keyed(
+    table: AssocTable, m
+) -> tuple[list[int], Callable[[int], RowScore], Callable[[], list[RowScore]]]:
+    """The rows' keys for query ``m`` (:func:`lamp.quality.code_keys`), and the
+    scores that a user sees, in the table's mode: of row i (0-based), and
+    of every row."""
     mt = _as_ternary(m)
     if mt.n != table.cols:
         raise LengthMismatch(
             f"query width {mt.n} differs from table width {table.cols}"
         )
+    if table.is_binary and not mt.is_binary:
+        raise ModeMismatch("ternary query against a binary table")
+    keys = code_keys(mt, table.codes)
     if table.is_binary:
-        if not mt.is_binary:
-            raise ModeMismatch("ternary query against a binary table")
         mb = m if isinstance(m, BitVector) else mt.to_bitvector()
-        score = lambda row: quality_index(mb, row.to_bitvector())
+        score = lambda i: quality_index(mb, table._row(i).to_bitvector())
+        n = table.cols  # a binary row's k is n - key, or 0 for the match key n + 2^(n+1)
+        scores = lambda: [QualityIndex(max(n - key, 0), n) for key in keys]
     else:
-        score = lambda row: quality_arith(mt, row)
-    return arith_keys(mt, table.rows), score
+        score = lambda i: quality_arith(mt, table._row(i))
+        scores = lambda: code_scores(mt, table.codes)
+    return keys, score, scores
 
 
 def query(table: AssocTable, m) -> QueryResult:
@@ -235,14 +259,10 @@ def query(table: AssocTable, m) -> QueryResult:
     them is scored for ``best_index``, and ``per_row`` scores every row
     when it is read.
     """
-    keys, score = _keyed(table, m)
+    keys, score, scores = _keyed(table, m)
     best_key = max(keys)
     winners = [(i + 1, table.labels[i]) for i, key in enumerate(keys) if key == best_key]
-    best = score(table.rows[winners[0][0] - 1])
-    n = table.cols  # a binary row's k is n - key, or 0 for the match key n + 2^(n+1)
-    per_row = _Deferred(lambda: [QualityIndex(max(n - key, 0), n) for key in keys]
-                        if table.is_binary else [score(row) for row in table.rows])
-    return QueryResult(table.mode, winners, best, per_row)
+    return QueryResult(table.mode, winners, score(winners[0][0] - 1), _Deferred(scores))
 
 
 def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:
@@ -252,10 +272,10 @@ def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:
     """
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
-    keys, score = _keyed(table, m)
+    keys, score, _ = _keyed(table, m)
     # sorted() is stable, so tied rows stay in ascending order
     order = sorted(range(len(keys)), key=lambda i: -keys[i])[:k]
-    return [(i + 1, score(table.rows[i])) for i in order]
+    return [(i + 1, score(i)) for i in order]
 
 
 def diagnose(dictionary: AssocTable, response: BitVector) -> QueryResult:

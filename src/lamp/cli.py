@@ -9,6 +9,7 @@ Set LAMP_COLOR=0 to disable text decoration.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -451,7 +452,10 @@ def _add_format(p):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every parse returns a new namespace."""
     ap = argparse.ArgumentParser(
         prog="lamp",
         description="Vector-logic metric, associative table queries, and "

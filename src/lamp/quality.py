@@ -8,7 +8,9 @@ Three equivalent views of the same idea, each cheaper than the last:
   it with one exact int per row, so a table is ranked without Fractions:
   n - e for a row with e >= 1 empty coordinates, else
   n + 2^(n-xa+cx) + 2^(n-xm+cx) from the x counts of A, m and their
-  meet (derived in its docstring).
+  meet (derived in its docstring). :func:`code_keys` computes them on
+  rows held as 2n-bit codes, and :func:`code_scores` builds the scores
+  of those rows from the same counts.
 * :func:`criterion_arith` -- integer sum of a Hamming term and two
   non-membership counts on binary vectors (lower is better, 0 means
   equal).
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 from .bitvec import BitVector, sls, vand, vnot, vor, vxor
 from .errors import LengthMismatch, NotCompacted
-from .ternary import TernaryVector, card_x, empty_coord_count, intersect, pair_counts
+from .ternary import TernaryVector, low_bits, card_x, empty_coord_count, intersect
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,22 @@ def quality_arith(m: TernaryVector, a: TernaryVector) -> QualityScoreNorm:
     if m.n != a.n:
         raise LengthMismatch(f"widths differ: {m.n} vs {a.n}")
     empty = empty_coord_count(m, a)
-    d = Fraction(m.n - empty, m.n)
     if empty:
-        mu_m_in_a = Fraction(0)
-        mu_a_in_m = Fraction(0)
+        return _score_norm(m.n, empty, 0, 0)
+    cx = card_x(intersect(m, a).to_ternary())
+    return _score_norm(m.n, 0, card_x(a) - cx, card_x(m) - cx)
+
+
+def _score_norm(n: int, e: int, da: int, dm: int) -> QualityScoreNorm:
+    """The score of a row with e empty coordinates of n; when e = 0, the
+    meet covers 2^-da of the row's points and 2^-dm of the query's."""
+    d = Fraction(n - e, n)
+    if e:
+        mu_m_in_a = mu_a_in_m = Fraction(0)
     else:
-        cx = card_x(intersect(m, a).to_ternary())
-        mu_m_in_a = Fraction(1, 2 ** (card_x(a) - cx))
-        mu_a_in_m = Fraction(1, 2 ** (card_x(m) - cx))
-    q = (d + mu_m_in_a + mu_a_in_m) / 3
-    return QualityScoreNorm(q, d, mu_m_in_a, mu_a_in_m)
+        mu_m_in_a = Fraction(1, 2**da)
+        mu_a_in_m = Fraction(1, 2**dm)
+    return QualityScoreNorm((d + mu_m_in_a + mu_a_in_m) / 3, d, mu_m_in_a, mu_a_in_m)
 
 
 def arith_keys(m: TernaryVector, rows) -> list[int]:
@@ -112,24 +120,63 @@ def arith_keys(m: TernaryVector, rows) -> list[int]:
       n + 2^(n-xa+cx) + 2^(n-xm+cx), that is n plus the two memberships
       scaled by 2^n: at least n + 2, so it beats every row with e >= 1.
 
-    Every count is read off the 2n-bit codes by
-    :func:`lamp.ternary.pair_counts`, the meet's as ``m & a``.
+    The keys are :func:`code_keys` of the rows' 2n-bit codes.
+    """
+    for a in rows:
+        if a.n != m.n:
+            raise LengthMismatch(f"widths differ: {m.n} vs {a.n}")
+    return code_keys(m, [a.enc.value for a in rows])
+
+
+def code_keys(m: TernaryVector, codes: list[int]) -> list[int]:
+    """:func:`arith_keys` of rows given as n-symbol codes.
+
+    Every count is a popcount of a mask over the codes, the meet's read
+    off ``m & a``: its 00 pairs are the empty coordinates, and the 11
+    pairs of any code are its x symbols.
     """
     n = m.n
     mv = m.enc.value
-    xm = card_x(m)
+    low = low_bits(n)
+    xm = (mv & mv >> 1 & low).bit_count()
     keys = []
-    for a in rows:
-        if a.n != n:
-            raise LengthMismatch(f"widths differ: {n} vs {a.n}")
-        av = a.enc.value
-        e, cx = pair_counts(mv & av, n)
+    for av in codes:
+        meet = mv & av
+        e = (~(meet | meet >> 1) & low).bit_count()
         if e:
             keys.append(n - e)
         else:
-            xa = pair_counts(av, n)[1]
+            cx = (meet & meet >> 1 & low).bit_count()
+            xa = (av & av >> 1 & low).bit_count()
             keys.append(n + (1 << n - xa + cx) + (1 << n - xm + cx))
     return keys
+
+
+def code_scores(m: TernaryVector, codes: list[int]) -> list[QualityScoreNorm]:
+    """``quality_arith(m, a)`` of rows given as n-symbol codes.
+
+    Each score is built from the counts :func:`code_keys` reads; rows
+    with the same counts share one score object.
+    """
+    n = m.n
+    mv = m.enc.value
+    low = low_bits(n)
+    xm = (mv & mv >> 1 & low).bit_count()
+    built: dict[tuple[int, int, int], QualityScoreNorm] = {}
+    scores = []
+    for av in codes:
+        meet = mv & av
+        e = (~(meet | meet >> 1) & low).bit_count()
+        if e:
+            counts = (e, 0, 0)
+        else:
+            cx = (meet & meet >> 1 & low).bit_count()
+            counts = (0, (av & av >> 1 & low).bit_count() - cx, xm - cx)
+        score = built.get(counts)
+        if score is None:
+            score = built[counts] = _score_norm(n, *counts)
+        scores.append(score)
+    return scores
 
 
 def criterion_arith(m: BitVector, a: BitVector) -> QualityScoreInt:

@@ -10,6 +10,12 @@ Checks, conversions and counts are mask expressions over the 2-bit
 code, built on the low-bit mask ``0101...01``: a pair is ``x`` where
 both of its bits are set and empty where neither is. The ``{0,1,x}``
 string is rendered for display only.
+
+Read as a base-4 digit, a symbol's code is 0 -> 2, 1 -> 1, x -> 3, so
+:func:`parse_code` turns a whole symbol string into its code with one
+byte translation and one ``int(digits, 4)``; a table keeps only these
+ints (:class:`lamp.assoc.AssocTable`), and a :class:`TernaryVector` is
+built for the rows a caller reads.
 """
 
 from __future__ import annotations
@@ -24,35 +30,72 @@ from .errors import (
     EmptyIntersection,
     InvalidArgument,
     LengthMismatch,
+    NotAVector,
     NotBinary,
     ParseError,
+    WidthMismatch,
     ZeroLength,
 )
 
 _DEC = {0b10: "0", 0b01: "1", 0b11: "x", 0b00: "e"}  # 'e' = empty
 _DROP_SYMBOLS = str.maketrans("", "", "01x")
+# each symbol byte to its code as a base-4 digit, every other digit byte
+# to a non-digit, so that isdigit() accepts exactly the symbol strings
+_CODE = bytes.maketrans(b"0123456789xX", b"21!!!!!!!!33")
 
 
 @functools.cache
-def _low_bits(n: int) -> int:
+def low_bits(n: int) -> int:
     """0101...01 over 2n bits: the low bit of every pair."""
     return ((1 << 2 * n) - 1) // 3
 
 
 def _empty_pairs(enc: BitVector) -> int:
     """The low bit of every 00 pair, all other bits clear."""
-    return ~(enc.value | (enc.value >> 1)) & _low_bits(enc.n // 2)
+    return ~(enc.value | (enc.value >> 1)) & low_bits(enc.n // 2)
 
 
-def pair_counts(code: int, n: int) -> tuple[int, int]:
-    """(empty, x) coordinate counts of a 2n-bit code: its 00 and 11 pairs.
+def parse_code(text: str) -> tuple[int, int]:
+    """(n, 2n-bit code) of a {0,1,x} string; X accepted, underscores ignored."""
+    digits = text.encode("utf-8", "surrogatepass").translate(_CODE, b"_")
+    if digits.isdigit():
+        return len(digits), int(digits, 4)
+    s = text.replace("_", "").lower()
+    if not s:
+        raise ZeroLength("empty vector literal")
+    bad = s.translate(_DROP_SYMBOLS)
+    raise ParseError(f"invalid symbol {bad[0]!r} in vector literal {text!r}")
 
-    ``code`` may be the AND of two vectors' codes, their meet, which
-    need not be a vector: this counts its empty coordinates without
-    building an :class:`IntersectionResult`.
+
+def check_codes(codes: list[int], n: int) -> None:
+    """Raise unless every item of ``codes`` is the int code of an
+    n-symbol vector.
+
+    A code is wrong if it is wider than 2n bits or holds a 00 pair; a
+    narrower code has 00 pairs on its left.
     """
-    low = _low_bits(n)
-    return (~(code | code >> 1) & low).bit_count(), (code & code >> 1 & low).bit_count()
+    kinds = set(map(type, codes))
+    if kinds - {int}:
+        kind = next(k for k in kinds if k is not int)
+        raise NotAVector(f"expected a row code, got {kind.__name__}")
+    if n < 1:
+        raise ZeroLength(f"table width must be positive, got {n}")
+    low = low_bits(n)
+    bad = next((c for c in codes if c >> 2 * n or ~(c | c >> 1) & low), None)
+    if bad is None:
+        return
+    if bad < 0:
+        raise InvalidArgument(f"row code {bad} is negative")
+    width = (bad.bit_length() + 1) // 2
+    if width != n:
+        raise WidthMismatch(f"row width {width} differs from table width {n}")
+    TernaryVector(BitVector(2 * n, bad))  # names the leftmost empty coordinate
+
+
+def any_x(codes: list[int], n: int) -> bool:
+    """Whether some n-symbol code holds an x, an 11 pair."""
+    low = low_bits(n)
+    return any(c & c >> 1 & low for c in codes)
 
 
 def _pair(enc: BitVector, i: int) -> int:
@@ -82,25 +125,24 @@ class TernaryVector:
         raise AttributeError(f"TernaryVector is immutable, cannot set {name!r}")
 
     @classmethod
+    def _of_code(cls, code: int, n: int) -> "TernaryVector":
+        """The vector of a 2n-bit code known to hold no empty pair."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "enc", BitVector(2 * n, code))
+        return v
+
+    @classmethod
     def parse(cls, text: str) -> "TernaryVector":
         """Parse a {0,1,x} string (X accepted); underscores ignored."""
-        s = text.replace("_", "").lower()
-        if not s:
-            raise ZeroLength("empty vector literal")
-        bad = s.translate(_DROP_SYMBOLS)
-        if bad:
-            raise ParseError(f"invalid symbol {bad[0]!r} in vector literal {text!r}")
-        # a symbol read as a base-4 digit lands on the low bit of its pair;
-        # the low bit is set for 1 and x, the high bit for every symbol but 1
-        one_or_x = int(s.replace("x", "1"), 4)
-        one = int(s.replace("x", "0"), 4)
-        return cls(BitVector(2 * len(s), one_or_x | (_low_bits(len(s)) ^ one) << 1))
+        n, code = parse_code(text)
+        return cls._of_code(code, n)
 
     @classmethod
     def from_bitvector(cls, v: BitVector) -> "TernaryVector":
         # binary digits read in base 4 land on the low bit of each pair
         ones = int(format(v.value, "b"), 4)
-        return cls(BitVector(2 * v.n, ones | (_low_bits(v.n) ^ ones) << 1))
+        return cls._of_code(ones | (low_bits(v.n) ^ ones) << 1, v.n)
 
     def symbol(self, i: int) -> str:
         """Symbol at coordinate i, 1-based from the left."""
@@ -194,7 +236,8 @@ def intersect(m: TernaryVector, a: TernaryVector) -> IntersectionResult:
 
 def card_x(v: TernaryVector) -> int:
     """Number of x symbols; the cube covers 2^card_x points."""
-    return pair_counts(v.enc.value, v.n)[1]
+    code = v.enc.value
+    return (code & code >> 1 & low_bits(v.n)).bit_count()
 
 
 def empty_coord_count(m: TernaryVector, a: TernaryVector) -> int:

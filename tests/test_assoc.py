@@ -10,10 +10,13 @@ from lamp.assoc import AssocTable, Mode, diagnose, load_table, query, rank
 from lamp.bitvec import BitVector
 from lamp.errors import (
     EmptyTable,
+    InvalidArgument,
     LengthMismatch,
     ModeMismatch,
+    NotAVector,
     ParseError,
     WidthMismatch,
+    ZeroLength,
 )
 from lamp.quality import quality_arith, quality_index
 from lamp.ternary import TernaryVector
@@ -101,7 +104,29 @@ def test_table_invariants():
     with pytest.raises(EmptyTable):
         AssocTable.from_rows([])
     with pytest.raises(WidthMismatch):
-        AssocTable("t", 3, [tv("10")])
+        AssocTable("t", 3, [tv("10").enc.value])
+
+
+def test_table_checks_its_codes():
+    code = tv("1x0").enc.value
+    t = AssocTable("t", 3, [code, tv("101").enc.value], ["a", None])
+    assert t.codes == [code, 0b011001] and t.rows == [tv("1x0"), tv("101")]
+    assert t.mode is Mode.TERNARY and len(t) == 2
+    assert AssocTable("t", 2, [0b1001]).mode is Mode.BINARY
+    with pytest.raises(NotAVector, match="expected a row code, got TernaryVector"):
+        AssocTable("t", 3, [code, tv("1x0")])
+    with pytest.raises(WidthMismatch, match="row width 4 differs from table width 3"):
+        AssocTable("t", 3, [code, tv("1x01").enc.value])
+    with pytest.raises(WidthMismatch, match="row width 2 differs from table width 3"):
+        AssocTable("t", 3, [tv("10").enc.value])
+    with pytest.raises(ParseError, match="empty symbol at coordinate 2 not allowed"):
+        AssocTable("t", 3, [0b100001])
+    with pytest.raises(InvalidArgument, match="row code -1 is negative"):
+        AssocTable("t", 3, [code, -1])
+    with pytest.raises(ZeroLength):
+        AssocTable("t", 0, [0])
+    with pytest.raises(ParseError, match="duplicate row label 'b'"):
+        AssocTable("t", 3, [code] * 4, ["a", "b", None, "b"])
 
 
 # --- binary query -------------------------------------------------------------
@@ -341,22 +366,35 @@ def test_ternary_query_scores_only_the_first_winner(monkeypatch):
     index_calls = count_score_calls(monkeypatch, "quality_index")
     ternary = ["x0", "10", "x0", "0x", "11"]
     binary = ["10", "01", "10", "00", "11"]
-    # (calls, parse, m, rows, score of a per_row entry, expected scores, scorer
-    # calls of reading per_row): a binary per_row is read off the keys
+    # (calls, parse, m, rows, score of a per_row entry, expected scores): reading
+    # per_row calls no scorer, since both modes build it from the keys' counts
     cases = [
-        (arith_calls, tv, "x0", ternary, lambda s: s.value, [oracle_q("x0", r) for r in ternary],
-         len(ternary)),
-        (index_calls, bv, "10", binary, lambda s: s.k, [0, 2, 0, 1, 1], 0),
+        (arith_calls, tv, "x0", ternary, lambda s: s.value, [oracle_q("x0", r) for r in ternary]),
+        (index_calls, bv, "10", binary, lambda s: s.k, [0, 2, 0, 1, 1]),
     ]
-    for calls, parse, m, rows, value, expect, read in cases:
+    for calls, parse, m, rows, value, expect in cases:
         res = query(AssocTable.from_rows(rows), parse(m))
         assert res.best_rows == [(1, None), (3, None)]
         assert calls == [parse(rows[0])]
         assert [value(s) for s in res.per_row] == expect
-        assert len(calls) == 1 + read
-        assert len(res.per_row) == len(rows)
-        assert len(calls) == 1 + read  # computed on first read, then kept
-    assert len(arith_calls) == 1 + len(ternary) and len(index_calls) == 1
+        assert res.per_row is res.per_row  # computed on first read, then kept
+        assert len(calls) == 1
+    assert len(arith_calls) == 1 and len(index_calls) == 1
+
+
+def test_ternary_per_row_from_the_codes_equals_quality_arith():
+    rng = random.Random(9)
+    empty = whole = 0
+    for _ in range(300):
+        m, rows = _ternary_table(rng)
+        table = AssocTable.from_rows(rows)
+        if table.is_binary:
+            continue
+        expect = [quality_arith(tv(m), tv(r)) for r in rows]
+        assert query(table, tv(m)).per_row == expect
+        empty += sum(s.mu_m_in_a == 0 for s in expect)
+        whole += sum(s.mu_m_in_a > 0 for s in expect)
+    assert empty > 100 and whole > 100  # rows with and without an empty meet
 
 
 def test_binary_per_row_read_off_the_keys_equals_quality_index():

@@ -258,6 +258,29 @@ def test_run_builtin_query_on_worked_data(capsys, worked_table):
     assert doc["cells"]["0,0"]["MC"] == "110011001100"
 
 
+def test_parser_is_built_once_and_keeps_no_values(capsys, worked_table):
+    from lamp.cli import build_parser
+
+    parser = build_parser()
+    assert build_parser() is parser
+    for argv in (["--help"], ["query", "--help"], ["run", "--help"]):
+        for p in (parser, build_parser.__wrapped__()):
+            with pytest.raises(SystemExit):
+                p.parse_args(argv)
+        cached, fresh = capsys.readouterr().out.split("usage:")[1:]
+        assert cached == fresh
+    first = parser.parse_args(["run", "p", "--load", "MA=1", "--load", "MB=0"])
+    second = parser.parse_args(["run", "p", "--load", "MC=1"])
+    assert (first.load, second.load) == (["MA=1", "MB=0"], ["MC=1"])
+    assert parser.parse_args(["run", "p"]).load is None
+    # a run with --load leaves nothing behind for the next main() call
+    plain = ["run", "--builtin-query", "--table", worked_table, "--format", "json"]
+    alone = run_cli(capsys, *plain)
+    loaded = run_cli(capsys, *plain, "--load", "MA=110011001100")
+    assert loaded != alone
+    assert run_cli(capsys, *plain) == alone
+
+
 def test_run_builtin_query_near_miss(capsys, tmp_path):
     path = tmp_path / "t.tbl"
     path.write_text("000011110101\n")
