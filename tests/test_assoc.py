@@ -377,6 +377,7 @@ def test_ternary_query_scores_only_the_first_winner(monkeypatch):
         assert res.best_rows == [(1, None), (3, None)]
         assert calls == [parse(rows[0])]
         assert [value(s) for s in res.per_row] == expect
+        assert len(res.per_row) == len(rows)
         assert res.per_row is res.per_row  # computed on first read, then kept
         assert len(calls) == 1
     assert len(arith_calls) == 1 and len(index_calls) == 1
