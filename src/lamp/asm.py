@@ -17,7 +17,8 @@ Assembly grammar (mnemonics case-insensitive, labels case-sensitive,
 
 ``.cell r,c`` routes the following instructions to one grid cell; a
 source with no ``.cell`` at all is broadcast to every cell. ``.width``
-fixes the vector width and must precede any LOADM literal.
+fixes the width of every LOADM literal, before or after it. A stray
+character is an error, and INT and every name but a label are ASCII.
 
 Binary format (all integers big-endian): magic ``LAMP1``, u16 width
 (0 = unspecified), sixteen u32 per-cell instruction counts in row-major
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .sim import GRID_SIZE, ISA, JUMPS, M_REGS, BinOp, Dir, LoadImm, Program, Reg, UnOp
 
-_TOKEN_RE = re.compile(r"\.?\w+|[:,]")
+_TOKEN_RE = re.compile(r"\.?\w+|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 MNEMONICS = {cls.MNEMONIC: cls for cls in ISA}
@@ -62,6 +63,11 @@ _ENUM_KINDS = {
     "mreg": (M_REGS, "m-register"),
     "dir": (tuple(Dir), "direction"),
 }
+
+
+def _name(tok: str) -> str | None:
+    """An ASCII token upper-cased, for matching names; None for any other."""
+    return tok.upper() if tok.isascii() else None
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -105,7 +111,7 @@ class _Cursor:
 
     def member(self, allowed, what):
         tok, col = self.next(what)
-        name = tok.upper()
+        name = _name(tok)
         for m in allowed:
             if m.name == name:
                 return m
@@ -113,7 +119,7 @@ class _Cursor:
 
     def integer(self, what="integer"):
         tok, col = self.next(what)
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise AsmSyntaxError(f"expected {what}, got {tok!r}", self.lineno, col)
         return int(tok)
 
@@ -136,7 +142,7 @@ def _parse_instr(cur: _Cursor, width, labels, stream):
     """Parse one instruction of ``stream``; ``labels`` maps each label to
     its (stream, address)."""
     tok, col = cur.next("mnemonic")
-    cls = MNEMONICS.get(tok.upper())
+    cls = MNEMONICS.get(_name(tok))
     if cls is None:
         raise UnknownMnemonic(f"unknown mnemonic {tok!r}", cur.lineno, col)
     args = []
@@ -195,14 +201,15 @@ def assemble(source: str) -> Program:
         first = cur.peek()
         if first.startswith("."):
             name, col = cur.next("directive")
-            if name.lower() == ".width":
+            directive = _name(name)
+            if directive == ".WIDTH":
                 if width is not None:
                     raise AsmSyntaxError("duplicate .width", lineno, col)
                 width = cur.integer("width")
                 if width < 1:
                     raise AsmSyntaxError("width must be positive", lineno, col)
                 cur.end()
-            elif name.lower() == ".cell":
+            elif directive == ".CELL":
                 r = cur.integer("cell row")
                 cur.comma()
                 c = cur.integer("cell column")
@@ -224,7 +231,7 @@ def assemble(source: str) -> Program:
             len(tokens) >= 2
             and tokens[1][0] == ":"
             and _IDENT_RE.match(first)
-            and first.upper() not in MNEMONICS
+            and _name(first) not in MNEMONICS
         ):
             label, label_col = cur.ident()
             cur.next("':'")

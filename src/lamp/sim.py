@@ -603,7 +603,7 @@ class Sequencer:
 
     def __init__(self, width: int, program=None, a_matrix=None):
         self.width = width
-        self.regs = {r: BitVector.zeros(width) for r in M_REGS}
+        self.regs = dict.fromkeys(M_REGS, BitVector.zeros(width))  # BitVectors are immutable
         self.set_matrix(a_matrix or [])
         self.program = program or []
         self.row_idx = 0
@@ -718,8 +718,10 @@ class Grid:
 
     def set_table(self, rows, at=None) -> None:
         """Load associator rows into one cell, or into all when at=None."""
-        for seq in self._targets(at):
-            seq.set_matrix(rows)
+        first, *rest = self._targets(at)
+        first.set_matrix(rows)  # reads and checks the rows once
+        for seq in rest:
+            seq.a_matrix = first.a_matrix.copy()
 
     def set_register(self, reg: Reg, value: BitVector, at=None) -> None:
         if reg not in M_REGS:
@@ -767,44 +769,31 @@ class Grid:
 def builtin_query_program(rows: int) -> list[Instruction]:
     """Emit the canonical best-row search over ``rows`` >= 1 matrix rows.
 
-    The program is the same loop of 18 instructions for every row count.
-    It expects the query vector in MA, the associators loaded as the
-    cell's matrix and the row counter at 0, as ``Grid.load_program``
-    leaves it. Two sweeps over the rows. The first folds each row's
-    compacted quality SLC(MA XOR ROW) into MD (the binary criterion is
-    popcount(m XOR a), acceptance criterion 4) through the paper's
-    decision orf((MD AND MC) XOR MD), which is 0 when MD is at least as
-    good, so the earlier row is kept on ties. The second finds the first
-    row whose compacted quality equals MD and parks that associator's
-    pattern in MC as the winner's identification.
-
-    MD starts as all ones -- the worst possible compacted quality --
-    synthesized width-free as NOT(MA XOR MA). The fold costs 7 or 8
-    cycles per row, the search 6 per row up to the winner.
+    One sweep of 11 instructions for every row count. It expects the
+    query in MA, the associators as the cell's matrix and the row
+    counter at 0, as ``Grid.load_program`` leaves it. Row 0's compacted
+    quality SLC(MA XOR ROW) (popcount(m XOR a), acceptance criterion 4)
+    and pattern are taken into MD and MC; a later row is retaken only
+    when the paper's decision orf((MD AND MB) XOR MD), on its quality in
+    MB, says it is strictly better, so ties keep the earlier row. MB is
+    scratch. R rows, t of which beat every earlier one, take 7R + 3t - 2
+    cycles.
     """
     if rows < 1:
         raise InvalidArgument(f"rows must be >= 1, got {rows}")
-    quality_into_mc = Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MC)
-    fold, next_row, find, found = 1, 7, 10, 16  # jump targets
+    take, next_row, fold = 0, 2, 5  # jump targets
     return [
-        Logic(BinOp.XOR, Reg.MA, Reg.MA, UnOp.NOT, Reg.MD),
-        # fold: MD := the better of MD and this row's quality
-        quality_into_mc,
-        Logic(BinOp.AND, Reg.MD, Reg.MC, UnOp.NOPU, Reg.MB),
+        # take: MD and MC := this row's quality and pattern
+        Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MD),
+        Logic(BinOp.PASS, Reg.ROW, Reg.ROW, UnOp.NOPU, Reg.MC),
+        IncRow(),
+        JumpIfRowLt(fold),
+        Halt(),
+        # fold: flag := this row is strictly better than MD
+        Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MB),
+        Logic(BinOp.AND, Reg.MD, Reg.MB, UnOp.NOPU, Reg.MB),
         Logic(BinOp.XOR, Reg.MB, Reg.MD, UnOp.NOPU, Reg.MB),
         Orf(Reg.MB),
         JumpIfNotFlag(next_row),
-        Logic(BinOp.PASS, Reg.MC, Reg.MC, UnOp.NOPU, Reg.MD),
-        IncRow(),
-        JumpIfRowLt(fold),
-        SetRow(0),
-        # find: stop at the first row whose quality equals MD
-        quality_into_mc,
-        Logic(BinOp.XOR, Reg.MC, Reg.MD, UnOp.NOPU, Reg.MB),
-        Orf(Reg.MB),
-        JumpIfNotFlag(found),
-        IncRow(),
-        JumpIfRowLt(find),
-        Logic(BinOp.PASS, Reg.ROW, Reg.ROW, UnOp.NOPU, Reg.MC),
-        Halt(),
+        Jump(take),
     ]

@@ -131,6 +131,41 @@ def test_error_column_points_at_offending_token():
     assert err.value.column == 4
 
 
+@pytest.mark.parametrize(
+    "src, exc, line, column",
+    [
+        ("SETROW -3\n", AsmSyntaxError, 1, 8),
+        (".width 4\nLOADM MA, -0101\n", AsmSyntaxError, 2, 11),
+        ("ORF MA!!\n", AsmSyntaxError, 1, 7),
+        ("HALT $$$\n", AsmSyntaxError, 1, 6),
+        ("JMP @x\nx: HALT\n", AsmSyntaxError, 1, 5),
+        ("SETROW \u0663\n", AsmSyntaxError, 1, 8),  # ARABIC-INDIC DIGIT THREE
+        ("SETROW \u00b2\n", AsmSyntaxError, 1, 8),  # SUPERSCRIPT TWO
+        (".width \u00b2\n", AsmSyntaxError, 1, 8),
+        (".cell 0,\u00b9\nHALT\n", AsmSyntaxError, 1, 9),
+        ("\u017fend \u017f, MA\n", UnknownMnemonic, 1, 1),  # LATIN SMALL LETTER LONG S
+        ("SEND \u017f, MA\n", AsmSyntaxError, 1, 6),
+        (".w\u0131dth 4\n", AsmSyntaxError, 1, 1),  # LATIN SMALL LETTER DOTLESS I
+    ],
+)
+def test_every_character_is_accounted_for(src, exc, line, column):
+    with pytest.raises(exc) as err:
+        assemble(src)
+    assert type(err.value) is exc
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_a_non_ascii_label_that_folds_to_a_mnemonic_is_a_label():
+    p = assemble("LOG\u0131C: HALT\nJMP LOG\u0131C\n")
+    assert p.cells[0][0] == [Halt(), Jump(0)]
+
+
+def test_width_may_follow_the_loadm_it_sizes():
+    after = assemble(".cell 0,0\nLOADM MA, 0101\nHALT\n.width 4\n")
+    assert after == assemble(".width 4\n.cell 0,0\nLOADM MA, 0101\nHALT\n")
+    assert after.width == 4
+
+
 def test_loadm_width_mismatch():
     with pytest.raises(WidthMismatch):
         assemble(".width 4\nLOADM MA, 01\n")

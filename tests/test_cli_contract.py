@@ -29,6 +29,7 @@ def paths(tmp_path_factory):
         "good.lasm": GOOD_ASM,
         "bad.lasm": "HALT\nJF nowhere\n",
         "deadlock.lasm": ".cell 0,0\nSEND E, MA\n.cell 0,1\nSEND W, MA\n",
+        "superscript.lasm": "SETROW \u00b2\n",
     }
     for name, text in files.items():
         (root / name).write_text(text)
@@ -101,3 +102,14 @@ def test_any_argv_exits_0_1_or_2_without_traceback(paths, data):
     assert "Traceback" not in err.getvalue(), argv
     if code:
         assert "error" in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("command", [["asm", "build", "{path}", "-o", "{out}"], ["run", "{path}"]])
+def test_non_ascii_digit_in_assembly_is_one_error_line(paths, command):
+    argv = [arg.format(path=paths["superscript.lasm"], out=paths["out"]) for arg in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: line 1: col 8: expected row index, got '\u00b2'\n"

@@ -1,3 +1,4 @@
+import random
 from dataclasses import fields
 
 import pytest
@@ -329,6 +330,69 @@ def test_builtin_matches_library_query_on_worked_rows():
     assert seq.regs[Reg.MD] == sls(criterion_vector(M12, rows[win]).q_vec)
 
 
+def builtin_cycles(rows, m):
+    """7R + 3t - 2: 7 cycles a row, 3 more for each row after the first
+    that beats every earlier one, less 2 (row 0 skips the fold, HALT ends)."""
+    best, improved = None, 0
+    for row in rows:
+        k = (m.value ^ row.value).bit_count()
+        if best is not None and k < best:
+            improved += 1
+        best = k if best is None else min(best, k)
+    return 7 * len(rows) + 3 * improved - 2
+
+
+def check_builtin(rows, m):
+    """Run the builtin and hold it to the library's winner and the cycle count."""
+    g = one_cell_grid(builtin_query_program(len(rows)), m.n, table=rows, ma=m)
+    res = g.run(100_000)
+    assert res.outcome is RunOutcome.ALL_HALTED
+    seq = g.cell(0, 0)
+    win = query(AssocTable.from_rows(rows), m).best_rows[0][0] - 1
+    assert seq.regs[Reg.MC] == rows[win]
+    assert seq.regs[Reg.MD] == sls(vxor(m, rows[win]))
+    assert seq.regs[Reg.MA] == m
+    assert res.cycles == seq.cycles == builtin_cycles(rows, m)
+    return win, res.cycles
+
+
+def test_builtin_cycles_are_seven_per_row_plus_three_per_improvement():
+    rng = random.Random(1105)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        rows = [BitVector(n, rng.getrandbits(n)) for _ in range(rng.randint(1, 24))]
+        m = rng.choice(rows) if rng.random() < 0.2 else BitVector(n, rng.getrandbits(n))
+        check_builtin(rows, m)
+
+
+def test_builtin_one_row_takes_five_cycles():
+    assert check_builtin([A12], M12) == (0, 5)
+
+
+def test_builtin_rows_all_at_the_worst_quality_keep_the_first():
+    # every row the complement of m: k = n, the all-ones quality
+    m = bv("1010")
+    assert check_builtin([bv("0101")] * 3, m) == (0, 19)
+
+
+def test_builtin_best_row_last():
+    m = bv("1111")
+    rows = [bv("0001"), bv("0000"), bv("0011"), bv("1111")]
+    assert check_builtin(rows, m) == (3, 7 * 4 + 3 * 2 - 2)
+
+
+def test_builtin_strictly_improving_rows_retake_each_row():
+    m = bv("11111")
+    rows = [BitVector(5, (1 << k) - 1) for k in range(6)]
+    assert check_builtin(rows, m) == (5, 10 * 6 - 5)
+
+
+def test_builtin_tie_keeps_the_earlier_row():
+    m = bv("0111")
+    rows = [bv("1100"), bv("0110"), bv("0011"), bv("0101")]  # k = 3, 1, 1, 1
+    assert check_builtin(rows, m) == (1, 7 * 4 + 3 - 2)
+
+
 def test_builtin_program_size_does_not_grow_with_rows():
     assert builtin_query_program(1) == builtin_query_program(2)
     assert builtin_query_program(2) == builtin_query_program(64)
@@ -398,6 +462,34 @@ def test_set_register_rejects_the_row_port():
     with pytest.raises(LampError, match="ROW"):
         g.set_register(Reg.ROW, bv("1010"))
     assert all(Reg.ROW not in seq.regs for row in g.cells for seq in row)
+
+
+def test_set_table_from_a_generator_reaches_every_cell():
+    g = Grid(4)
+    g.set_table(BitVector(4, v) for v in (1, 2, 3))
+    cells = [seq for row in g.cells for seq in row]
+    assert all(seq.a_matrix == [bv("0001"), bv("0010"), bv("0011")] for seq in cells)
+    # each cell owns its list
+    assert len({id(seq.a_matrix) for seq in cells}) == len(cells)
+
+
+@pytest.mark.parametrize("at", [None, (2, 3)])
+def test_set_table_of_a_bad_width_changes_no_matrix(at):
+    g = Grid(4)
+    g.set_table([bv("1100")])
+    with pytest.raises(WidthMismatch, match=r"^matrix row width 3 != 4$"):
+        g.set_table([bv("1010"), bv("101")], at=at)
+    assert all(seq.a_matrix == [bv("1100")] for row in g.cells for seq in row)
+
+
+def test_set_register_at_one_cell_changes_only_that_cell():
+    g = Grid(4)
+    g.set_register(Reg.MB, bv("0110"), at=(1, 1))
+    for r, row in enumerate(g.cells):
+        for c, seq in enumerate(row):
+            want = bv("0110") if (r, c) == (1, 1) else bv("0000")
+            assert seq.regs[Reg.MB] == want
+            assert all(seq.regs[reg] == bv("0000") for reg in (Reg.MA, Reg.MC, Reg.MD))
 
 
 @pytest.mark.parametrize("at", [(-1, 0), (0, -2), (4, 0), (0, 4)])

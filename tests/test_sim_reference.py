@@ -43,6 +43,7 @@ from lamp.sim import (
     Sequencer,
     SetRow,
     UnOp,
+    builtin_query_program,
 )
 from sim_reference import RefCell, RefGrid, cell_state, grid_state
 from test_acceptance import _grid_digest
@@ -226,6 +227,24 @@ def test_sequencer_step_matches_reference():
                     break
             outcomes.append((steps, cell_state(cell)))
         assert outcomes[1] == outcomes[0]
+
+
+def test_builtin_query_matches_reference():
+    rng = random.Random(1973)
+    for _ in range(12):
+        width = rng.randint(1, 40)
+        rows = [BitVector(width, rng.getrandbits(width)) for _ in range(rng.randint(1, 12))]
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))  # a tie
+        program = Program.single_cell(builtin_query_program(len(rows)))
+        ma = BitVector(width, rng.getrandbits(width))
+        case = (width, program, {(0, 0): rows}, [(Reg.MA, ma, (0, 0))], 0)
+        runs = []
+        for grid, fast in ((RefGrid(width, tracing=True), False),
+                           (Grid(width, tracing=True), True)):
+            _build(grid, case, fast)
+            runs.append((grid.run(10_000), grid_state(grid), grid.trace))
+        assert runs[1] == runs[0]
+        assert runs[0][0].outcome is RunOutcome.ALL_HALTED
 
 
 # --- golden run of the benchmark's sharded program ---------------------------
