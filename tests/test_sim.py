@@ -333,12 +333,8 @@ def test_builtin_matches_library_query_on_worked_rows():
 def builtin_cycles(rows, m):
     """7R + 3t - 2: 7 cycles a row, 3 more for each row after the first
     that beats every earlier one, less 2 (row 0 skips the fold, HALT ends)."""
-    best, improved = None, 0
-    for row in rows:
-        k = (m.value ^ row.value).bit_count()
-        if best is not None and k < best:
-            improved += 1
-        best = k if best is None else min(best, k)
+    ks = [(m.value ^ row.value).bit_count() for row in rows]
+    improved = sum(k < min(ks[:i]) for i, k in enumerate(ks) if i)
     return 7 * len(rows) + 3 * improved - 2
 
 
