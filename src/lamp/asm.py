@@ -21,17 +21,18 @@ fixes the width of every LOADM literal, before or after it. A stray
 character is an error, and INT and every name but a label are ASCII.
 
 Binary format (all integers big-endian): magic ``LAMP1``, u16 width
-(0 = unspecified), sixteen u32 per-cell instruction counts in row-major
-order, then each cell's instructions as 8-byte records
-``kind f1 f2 f3 f4 f5 arg16``. ``kind`` is the instruction's position in
+(0 = unspecified; a wider program cannot be encoded), sixteen u32
+per-cell instruction counts in row-major order, then each cell's
+instructions as 8-byte records ``kind f1 f2 f3 f4 f5 arg16``. ``kind`` is the instruction's position in
 ``sim.ISA``; its enum operands fill f1.. in field order, with each
 member's enum value as its code, and a jump target or row index fills
 arg16. A LOADM record is followed by its literal packed MSB-first into
 ceil(width/8) bytes with zero padding.
 
-The parser, the disassembler and both directions of the codec are one
-loop over an instruction class's OPERANDS, so an instruction's shape is
-written only on its class in ``sim``.
+An instruction class in ``sim`` states its shape once, as OPERANDS
+``(field name, kind)`` pairs. Those pairs make its dataclass fields and
+their checks there; here the parser, the disassembler and both
+directions of the codec are one loop over them.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def _parse_instr(cur: _Cursor, width, labels, stream):
     if cls is None:
         raise UnknownMnemonic(f"unknown mnemonic {tok!r}", cur.lineno, col)
     args = []
-    for i, kind in enumerate(cls.OPERANDS):
-        if i and cls.OPERANDS[i - 1] != "binop":
+    for i, (_, kind) in enumerate(cls.OPERANDS):
+        if i and cls.OPERANDS[i - 1][1] != "binop":
             cur.comma()
         if kind in _ENUM_KINDS:
             args.append(cur.member(*_ENUM_KINDS[kind]))
@@ -156,7 +157,7 @@ def _parse_instr(cur: _Cursor, width, labels, stream):
         else:  # a label or literal is checked once the whole line has parsed
             args.append(cur.ident() if kind == "target" else cur.bits())
     cur.end()
-    for i, kind in enumerate(cls.OPERANDS):
+    for i, (_, kind) in enumerate(cls.OPERANDS):
         if kind == "target":
             label, col = args[i]
             if label not in labels or labels[label][0] != stream:
@@ -307,7 +308,8 @@ _LOADM = bytes([ISA.index(LoadImm)])  # the kind byte of a LOADM record
 
 def _encode_instr(inst, width) -> bytes:
     fields, arg, tail = [ISA.index(type(inst))], 0, b""
-    for kind, value in zip(inst.OPERANDS, inst.operands()):
+    for name, kind in inst.OPERANDS:
+        value = getattr(inst, name)
         if kind in _ENUM_KINDS:
             fields.append(value.value)
         elif kind == "literal":
@@ -328,6 +330,8 @@ def _encode_instr(inst, width) -> bytes:
 
 def program_to_bytes(program: Program) -> bytes:
     width = program.width
+    if not 0 <= (width or 0) <= 0xFFFF:
+        raise MalformedBinary(f"width {width} does not fit in 16 bits")
     chunks = [MAGIC, (width or 0).to_bytes(2, "big")]
     flat = [
         program.cells[r][c] for r in range(GRID_SIZE) for c in range(GRID_SIZE)
@@ -352,7 +356,7 @@ def _decode_record(data: bytes, pos: int, width):
         raise MalformedBinary(f"invalid instruction kind {rec[0]}")
     cls = ISA[rec[0]]
     args, fields = [], iter(rec[1:6])
-    for kind in cls.OPERANDS:
+    for _, kind in cls.OPERANDS:
         if kind in _ENUM_KINDS:
             members, what = _ENUM_KINDS[kind]
             value = next(fields)
@@ -405,8 +409,9 @@ def program_from_bytes(data: bytes) -> Program:
 
 
 def save_program(path, program: Program) -> None:
+    data = program_to_bytes(program)  # a program that cannot be encoded leaves no file
     with open(path, "wb") as fh:
-        fh.write(program_to_bytes(program))
+        fh.write(data)
 
 
 def load_program(path) -> Program:

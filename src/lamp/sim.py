@@ -57,11 +57,6 @@ class Reg(enum.Enum):
 M_REGS = (Reg.MA, Reg.MB, Reg.MC, Reg.MD)
 
 
-def _require_mreg(reg: Reg, role: str) -> None:
-    if reg not in M_REGS:
-        raise InvalidArgument(f"{role} must be an m-register, got {reg}")
-
-
 class BinOp(enum.Enum):
     AND = 0
     OR = 1
@@ -112,29 +107,68 @@ def neighbor(r: int, c: int, d: Dir) -> tuple[int, int]:
 # Instruction set
 
 
+def _mreg_check(name: str, role: str):
+    def check(inst) -> None:
+        reg = getattr(inst, name)
+        if reg not in M_REGS:
+            raise InvalidArgument(f"{role} must be an m-register, got {reg}")
+    return check
+
+
+def _index_check(name: str, role: str):
+    def check(inst) -> None:
+        index = getattr(inst, name)
+        if index < 0:
+            raise InvalidArgument(f"row index must be nonnegative, got {index}")
+    return check
+
+
+# operand kind -> the factory of the check of one field of that kind, which
+# takes the field's name and its class's ROLE
+_CHECKS = {"mreg": _mreg_check, "index": _index_check}
+
+
 class Instruction:
     """Base of the instruction classes.
 
-    Each class declares its assembly MNEMONIC and, in OPERANDS, the kind
-    of each of its fields in field order. The kinds are the enum operands
-    ``binop``, ``src`` (any Reg), ``unop``, ``mreg`` (an m-register) and
-    ``dir``, plus ``target`` (a jump address), ``index`` (a row number)
-    and ``literal`` (a BitVector). The assembler, disassembler and binary
-    codec are all driven by these declarations.
+    Each class declares its assembly MNEMONIC and, in OPERANDS, one
+    ``(field name, kind)`` pair per field, in field order. The kinds are
+    the enum operands ``binop``, ``src`` (any Reg), ``unop``, ``mreg`` (an
+    m-register) and ``dir``, plus ``target`` (a jump address), ``index``
+    (a row number) and ``literal`` (a BitVector). The pairs are the one
+    statement of an instruction's shape. From them the base makes each
+    class a frozen dataclass whose fields are annotated with their kinds,
+    and gives a class with an ``mreg`` or ``index`` field the check of
+    that field as ``_check``, run by ``__post_init__`` on construction.
+    The assembler, disassembler and binary codec loop over the same pairs.
     """
 
     MNEMONIC = ""
-    OPERANDS: tuple[str, ...] = ()
+    OPERANDS: tuple[tuple[str, str], ...] = ()
+    ROLE = ""  # what errors call the m-register operand
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__annotations__ = dict(cls.OPERANDS)
+        checks = [_CHECKS[kind](name, cls.ROLE) for name, kind in cls.OPERANDS if kind in _CHECKS]
+        if len(checks) > 1:  # ROLE names one operand, and one check is one call
+            raise TypeError(f"{cls.__name__} declares more than one checked operand")
+        if checks:
+            # a class with nothing to check has no __post_init__ call per construction
+            cls._check = checks[0]
+            if "__post_init__" not in cls.__dict__:
+                cls.__post_init__ = cls._check
+        dataclass(frozen=True)(cls)
 
     def operands(self) -> tuple:
-        """Field values in the order of OPERANDS, which is the order the
-        dataclass declares its fields."""
+        """Field values in the order of OPERANDS."""
         return tuple(getattr(self, name) for name in self.__match_args__)
 
     def text(self, label=str) -> str:
         """Assembly text; ``label`` renders jump targets."""
         out, sep = self.MNEMONIC, " "
-        for kind, value in zip(self.OPERANDS, self.operands()):
+        for name, kind in self.OPERANDS:
+            value = getattr(self, name)
             if kind == "target":
                 value = label(value)
             elif kind == "index":
@@ -149,120 +183,73 @@ class Instruction:
         return out
 
 
-@dataclass(frozen=True)
 class Logic(Instruction):
     MNEMONIC = "LOGIC"
-    OPERANDS = ("binop", "src", "src", "unop", "mreg")
-
-    binop: BinOp
-    src_a: Reg
-    src_b: Reg
-    unop: UnOp
-    dst: Reg
+    OPERANDS = (("binop", "binop"), ("src_a", "src"), ("src_b", "src"), ("unop", "unop"),
+                ("dst", "mreg"))
+    ROLE = "destination"
 
     def __post_init__(self):
-        _require_mreg(self.dst, "destination")
+        self._check()
         if self.binop is BinOp.PASS and self.src_b is not self.src_a:
             # PASS has one operand; normalize so equal programs compare equal
             object.__setattr__(self, "src_b", self.src_a)
 
 
-@dataclass(frozen=True)
 class Orf(Instruction):
     MNEMONIC = "ORF"
-    OPERANDS = ("src",)
-
-    src: Reg
+    OPERANDS = (("src", "src"),)
 
 
-@dataclass(frozen=True)
 class Jump(Instruction):
     MNEMONIC = "JMP"
-    OPERANDS = ("target",)
-
-    target: int
+    OPERANDS = (("target", "target"),)
 
 
-@dataclass(frozen=True)
 class JumpIfFlag(Instruction):
     MNEMONIC = "JF"
-    OPERANDS = ("target",)
-
-    target: int
+    OPERANDS = (("target", "target"),)
 
 
-@dataclass(frozen=True)
 class JumpIfNotFlag(Instruction):
     MNEMONIC = "JNF"
-    OPERANDS = ("target",)
-
-    target: int
+    OPERANDS = (("target", "target"),)
 
 
-@dataclass(frozen=True)
 class SetRow(Instruction):
     MNEMONIC = "SETROW"
-    OPERANDS = ("index",)
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise InvalidArgument(f"row index must be nonnegative, got {self.index}")
+    OPERANDS = (("index", "index"),)
 
 
-@dataclass(frozen=True)
 class IncRow(Instruction):
     MNEMONIC = "INCROW"
 
 
-@dataclass(frozen=True)
 class JumpIfRowLt(Instruction):
     """Jump while the row counter is below the loaded row count."""
 
     MNEMONIC = "JRLT"
-    OPERANDS = ("target",)
-
-    target: int
+    OPERANDS = (("target", "target"),)
 
 
-@dataclass(frozen=True)
 class LoadImm(Instruction):
     MNEMONIC = "LOADM"
-    OPERANDS = ("mreg", "literal")
-
-    reg: Reg
-    literal: BitVector
-
-    def __post_init__(self):
-        _require_mreg(self.reg, "LOADM target")
+    OPERANDS = (("reg", "mreg"), ("literal", "literal"))
+    ROLE = "LOADM target"
 
 
-@dataclass(frozen=True)
 class Send(Instruction):
     MNEMONIC = "SEND"
-    OPERANDS = ("dir", "mreg")
-
-    direction: Dir
-    reg: Reg
-
-    def __post_init__(self):
-        _require_mreg(self.reg, "SEND source")
+    OPERANDS = (("direction", "dir"), ("reg", "mreg"))
+    ROLE = "SEND source"
 
 
-@dataclass(frozen=True)
 class Recv(Instruction):
     MNEMONIC = "RECV"
-    OPERANDS = ("dir", "mreg")
-
-    direction: Dir
-    reg: Reg
-
-    def __post_init__(self):
-        _require_mreg(self.reg, "RECV target")
+    OPERANDS = (("direction", "dir"), ("reg", "mreg"))
+    ROLE = "RECV target"
 
 
-@dataclass(frozen=True)
 class Halt(Instruction):
     MNEMONIC = "HALT"
 
@@ -305,13 +292,6 @@ class Program:
                 prog.cells[r][c] = list(instructions)
         return prog
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Program)
-            and self.width == other.width
-            and self.cells == other.cells
-        )
-
 
 # --------------------------------------------------------------------------
 # Predecoded code
@@ -326,9 +306,8 @@ class Program:
 
 _LOGIC, _ORF, _JUMP, _SETROW, _INCROW, _LOADM, _SEND, _RECV, _HALT, _BADWIDTH = range(10)
 _GO, _LOOK, _BAD = range(3)
-_ALWAYS, _IF_FLAG, _IF_NOT_FLAG, _IF_ROW = range(4)  # jump conditions
-_CONDITION = {Jump: _ALWAYS, JumpIfFlag: _IF_FLAG, JumpIfNotFlag: _IF_NOT_FLAG,
-              JumpIfRowLt: _IF_ROW}
+_ALWAYS, _IF_FLAG, _IF_NOT_FLAG, _IF_ROW = range(4)  # jump conditions, in the order of JUMPS
+_CONDITION = {cls: cond for cond, cls in enumerate(JUMPS)}
 _AND, _OR, _XOR = BinOp.AND.value, BinOp.OR.value, BinOp.XOR.value
 _NOT, _SLC = UnOp.NOT.value, UnOp.SLC.value
 _ROW = Reg.ROW.value  # the row port is register slot 4 of a running cell

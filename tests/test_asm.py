@@ -293,6 +293,13 @@ def test_bytes_round_trip_width_unset():
     assert program_from_bytes(program_to_bytes(p)) == p
 
 
+def test_width_outside_u16_field_is_malformed_binary():
+    program = assemble(".width 70000\nHALT\n")
+    with pytest.raises(MalformedBinary, match=r"^width 70000 does not fit in 16 bits$"):
+        program_to_bytes(program)
+    program_to_bytes(Program.single_cell([Halt()], width=0xFFFF))
+
+
 def test_truncated_binary_rejected():
     blob = program_to_bytes(Program.single_cell(EVERY_MNEMONIC, width=5))
     for cut in (3, 10, len(blob) - 1):

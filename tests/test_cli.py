@@ -224,6 +224,15 @@ def test_asm_build_error_carries_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_asm_build_width_past_16_bits_is_one_error_line(capsys, tmp_path):
+    src = tmp_path / "wide.lasm"
+    src.write_text(".width 70000\nHALT\n")
+    code, out, err = run_cli(capsys, "asm", "build", str(src))
+    assert code == 1
+    assert (out, err) == ("", "error: width 70000 does not fit in 16 bits\n")
+    assert not (tmp_path / "wide.lprog").exists()
+
+
 def test_run_assembly_source_directly(capsys, tmp_path):
     src = tmp_path / "prog.lasm"
     src.write_text(ASM_SRC)

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -20,6 +20,8 @@ from lamp.sim import (
     IncRow,
     Instruction,
     Jump,
+    JumpIfFlag,
+    JumpIfNotFlag,
     JumpIfRowLt,
     LoadImm,
     Logic,
@@ -150,6 +152,82 @@ def test_operands_declare_every_field_in_order():
         assert len(cls.OPERANDS) == len(fields(cls)), cls.__name__
     inst = Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MD)
     assert inst.operands() == (BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MD)
+
+
+# one instance of every ISA class, in ISA order
+ONE_OF_EACH = [
+    Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MD),
+    Orf(Reg.MB),
+    Jump(3),
+    JumpIfFlag(3),
+    JumpIfNotFlag(3),
+    SetRow(2),
+    IncRow(),
+    JumpIfRowLt(0),
+    LoadImm(Reg.MC, BitVector.parse("0110")),
+    Send(Dir.NE, Reg.MA),
+    Recv(Dir.SW, Reg.MB),
+    Halt(),
+]
+
+
+def _matched_operands(inst) -> tuple:
+    match inst:
+        case Logic(binop, src_a, src_b, unop, dst):
+            return binop, src_a, src_b, unop, dst
+        case Orf(src):
+            return (src,)
+        case Jump(target) | JumpIfFlag(target) | JumpIfNotFlag(target) | JumpIfRowLt(target):
+            return (target,)
+        case SetRow(index):
+            return (index,)
+        case LoadImm(reg, literal):
+            return reg, literal
+        case Send(direction, reg) | Recv(direction, reg):
+            return direction, reg
+        case IncRow() | Halt():
+            return ()
+
+
+@pytest.mark.parametrize("inst", ONE_OF_EACH, ids=lambda inst: type(inst).__name__)
+def test_instructions_are_frozen_values(inst):
+    cls, args = type(inst), inst.operands()
+    names = [f.name for f in fields(cls)]
+    assert cls(**dict(zip(names, args))) == cls(*args) == inst
+    again = cls(*args)
+    assert again is not inst and hash(again) == hash(inst)
+    assert _matched_operands(inst) == args
+    for name in names or ["extra"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(inst, name, None)
+    assert cls(*args) == inst  # the failed assignments changed nothing
+
+
+def test_instruction_classes_and_repr():
+    assert [type(inst) for inst in ONE_OF_EACH] == list(ISA)
+    assert Jump(3) != JumpIfFlag(3)
+    match Jump(3):
+        case JumpIfFlag():
+            pytest.fail("a Jump matched the JumpIfFlag pattern")
+    assert repr(Logic(BinOp.PASS, Reg.MA, Reg.MB, UnOp.NOPU, Reg.MD)) == (
+        "Logic(binop=<BinOp.PASS: 3>, src_a=<Reg.MA: 0>, src_b=<Reg.MA: 0>, "
+        "unop=<UnOp.NOPU: 2>, dst=<Reg.MD: 3>)"
+    )
+
+
+def test_operands_make_the_fields_and_their_checks():
+    class Move(Instruction):
+        MNEMONIC = "MOVE"
+        OPERANDS = (("src", "src"), ("dst", "mreg"))
+        ROLE = "MOVE target"
+
+    assert [(f.name, f.type) for f in fields(Move)] == [("src", "src"), ("dst", "mreg")]
+    assert Move(Reg.ROW, Reg.MA) == Move(src=Reg.ROW, dst=Reg.MA)
+    with pytest.raises(LampError, match="^MOVE target must be an m-register, got Reg.ROW$"):
+        Move(Reg.MA, Reg.ROW)
+    with pytest.raises(TypeError, match="more than one checked operand"):
+        class Twice(Instruction):
+            OPERANDS = (("reg", "mreg"), ("index", "index"))
 
 
 def test_every_instruction_costs_one_cycle():
