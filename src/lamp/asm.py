@@ -21,7 +21,7 @@ fixes the width of every LOADM literal, before or after it. A stray
 character is an error, and INT and every name but a label are ASCII.
 
 Binary format (all integers big-endian): magic ``LAMP1``, u16 width
-(0 = unspecified; a wider program cannot be encoded), sixteen u32
+(0 = unspecified, so a set width must be 1..65535), sixteen u32
 per-cell instruction counts in row-major order, then each cell's
 instructions as 8-byte records ``kind f1 f2 f3 f4 f5 arg16``. ``kind`` is the instruction's position in
 ``sim.ISA``; its enum operands fill f1.. in field order, with each
@@ -330,7 +330,9 @@ def _encode_instr(inst, width) -> bytes:
 
 def program_to_bytes(program: Program) -> bytes:
     width = program.width
-    if not 0 <= (width or 0) <= 0xFFFF:
+    if width is not None and width < 1:  # LAMP1 reads width 0 as unspecified
+        raise MalformedBinary(f"width {width} is not positive")
+    if (width or 0) > 0xFFFF:
         raise MalformedBinary(f"width {width} does not fit in 16 bits")
     chunks = [MAGIC, (width or 0).to_bytes(2, "big")]
     flat = [

@@ -4,6 +4,10 @@ Every command renders one report in a chosen format: ``text`` (human),
 ``tsv`` (stable tab-separated lines), or ``json`` (stable document).
 Diagnostics go to stderr and the exit status is nonzero on any failure.
 Set LAMP_COLOR=0 to disable text decoration.
+
+The grid commands, ``asm`` and ``run``, import the simulator and the
+assembler inside their functions, so that metric, query, diag and bench
+start without loading either.
 """
 
 from __future__ import annotations
@@ -13,11 +17,9 @@ import functools
 import io
 import json
 import os
-import random
 import sys
 import time
 
-from . import asm as asm_mod
 from .assoc import AssocTable, diagnose, load_table, query, rank
 from .bitvec import BitVector
 from .errors import LampError, ModeMismatch
@@ -28,7 +30,6 @@ from .quality import (
     quality_arith,
     quality_index,
 )
-from .sim import GRID_SIZE, Grid, M_REGS, Program, builtin_query_program
 from .ternary import TernaryVector
 
 
@@ -214,21 +215,22 @@ def cmd_diag(args) -> int:
 
 
 def cmd_asm_build(args) -> int:
-    program = asm_mod.assemble(_read_text(args.source))
+    from .asm import assemble, save_program
+
+    program = assemble(_read_text(args.source))
     out = args.output or os.path.splitext(args.source)[0] + ".lprog"
-    asm_mod.save_program(out, program)
-    used = sum(
-        1 for r in range(GRID_SIZE) for c in range(GRID_SIZE) if program.cells[r][c]
-    )
-    total = sum(len(program.cells[r][c]) for r in range(GRID_SIZE) for c in range(GRID_SIZE))
+    save_program(out, program)
+    used = sum(1 for row in program.cells for code in row if code)
+    total = sum(len(code) for row in program.cells for code in row)
     print(f"wrote {out}: width={program.width or 'unset'}, "
           f"{total} instructions across {used} cells")
     return 0
 
 
 def cmd_asm_dump(args) -> int:
-    program = asm_mod.load_program(args.program)
-    sys.stdout.write(asm_mod.disassemble(program))
+    from .asm import disassemble, load_program
+
+    sys.stdout.write(disassemble(load_program(args.program)))
     return 0
 
 
@@ -238,6 +240,9 @@ def cmd_asm_dump(args) -> int:
 
 def _load_freight(args):
     """Resolve the program, table rows, register loads, and the width."""
+    from .asm import MAGIC, assemble, program_from_bytes
+    from .sim import M_REGS, Program, builtin_query_program
+
     table_rows = None
     if args.table:
         table = _read_table(args.table)
@@ -260,11 +265,11 @@ def _load_freight(args):
     else:
         with open(args.program, "rb") as fh:
             blob = fh.read()
-        if blob.startswith(asm_mod.MAGIC):
-            program = asm_mod.program_from_bytes(blob)
+        if blob.startswith(MAGIC):
+            program = program_from_bytes(blob)
         else:
             source = _read_text(args.program, blob, "a LAMP1 binary or UTF-8 assembly")
-            program = asm_mod.assemble(source)
+            program = assemble(source)
 
     width = program.width or args.width
     for _, vec in loads:
@@ -276,6 +281,8 @@ def _load_freight(args):
 
 
 def cmd_run(args) -> int:
+    from .sim import GRID_SIZE, M_REGS, Grid
+
     program, table_rows, loads, width = _load_freight(args)
     grid = Grid(width, tracing=args.trace)
     grid.load_program(program)
@@ -357,6 +364,8 @@ def _scalar_criterion(m_bits: list[int], a_bits: list[int]) -> int:
 
 
 def cmd_bench(args) -> int:
+    import random
+
     rng = random.Random(args.seed)
     n, rows = args.n, args.rows
     table = [BitVector(n, rng.getrandbits(n)) for _ in range(rows)]

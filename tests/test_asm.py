@@ -300,6 +300,14 @@ def test_width_outside_u16_field_is_malformed_binary():
     program_to_bytes(Program.single_cell([Halt()], width=0xFFFF))
 
 
+def test_width_zero_is_malformed_binary_not_unset():
+    # LAMP1 reads width 0 as unspecified: encoded, it would decode as width None
+    with pytest.raises(MalformedBinary, match=r"^width 0 is not positive$"):
+        program_to_bytes(Program.single_cell([Halt()], width=0))
+    narrow = Program.single_cell([Halt()], width=1)
+    assert program_from_bytes(program_to_bytes(narrow)) == narrow
+
+
 def test_truncated_binary_rejected():
     blob = program_to_bytes(Program.single_cell(EVERY_MNEMONIC, width=5))
     for cut in (3, 10, len(blob) - 1):
