@@ -15,10 +15,12 @@ Assembly grammar (mnemonics case-insensitive, labels case-sensitive,
     MREG  := MA|MB|MC|MD        SRC  := MREG|ROW
     DIR   := N|NE|E|SE|S|SW|W|NW
 
-``.cell r,c`` routes the following instructions to one grid cell; a
-source with no ``.cell`` at all is broadcast to every cell. ``.width``
-fixes the width of every LOADM literal, before or after it. A stray
-character is an error, and INT and every name but a label are ASCII.
+A line ends at "\\n", "\\r\\n" or "\\r" only, as in a text-mode file (PEP
+278), so a form feed or U+2028 is whitespace. ``.cell r,c`` routes the
+following instructions to one grid cell; a source with no ``.cell`` at
+all is broadcast to every cell. ``.width`` fixes the width of every
+LOADM literal, before or after it. A stray character is an error, and
+INT and every name but a label are ASCII.
 
 Binary format (all integers big-endian): magic ``LAMP1``, u16 width
 (0 = unspecified, so a set width must be 1..65535), sixteen u32
@@ -37,6 +39,7 @@ directions of the codec are one loop over them.
 
 from __future__ import annotations
 
+import io
 import re
 
 from .bitvec import BitVector
@@ -181,11 +184,12 @@ def _parse_instr(cur: _Cursor, width, labels, stream):
 
 def assemble(source: str) -> Program:
     """Assemble source text into a program (two passes)."""
-    lines = source.splitlines()
-    parsed = []  # (lineno, tokens) with directives resolved in pass one
-    has_cell = any(
-        line.split(";", 1)[0].strip().lower().startswith(".cell") for line in lines
-    )
+    lines = []  # (lineno, tokens) of each line that holds a token
+    for lineno, raw in enumerate(io.StringIO(source, newline=None), start=1):
+        tokens = _tokenize(raw.split(";", 1)[0])
+        if tokens:
+            lines.append((lineno, tokens))
+    has_cell = any(_name(tokens[0][0]) == ".CELL" for _, tokens in lines)
 
     width = None
     stream = None if has_cell else "broadcast"
@@ -193,11 +197,7 @@ def assemble(source: str) -> Program:
     labels: dict = {}  # label -> (stream key, address)
     pending = []  # (stream, lineno, cursor-tokens) in program order
 
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split(";", 1)[0]
-        tokens = _tokenize(text)
-        if not tokens:
-            continue
+    for lineno, tokens in lines:
         cur = _Cursor(tokens, lineno)
         first = cur.peek()
         if first.startswith("."):

@@ -28,6 +28,7 @@ Table file format (UTF-8 text):
 from __future__ import annotations
 
 import enum
+import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -179,16 +180,16 @@ class QueryResult:
 
 
 def load_table(source, name="table") -> AssocTable:
-    """Parse a table from a file object, iterable of lines, or a string."""
+    """Parse a table from a file object, iterable of lines, or a string; a
+    string and a text-mode file are read alike, a line ending at ``\\n``,
+    ``\\r\\n`` or ``\\r`` only (universal newlines, PEP 278)."""
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
+        source = io.StringIO(source, newline=None)
     codes: list[int] = []
     labels: list[Optional[str]] = []
     seen: set[str] = set()
     width = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

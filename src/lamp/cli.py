@@ -7,14 +7,14 @@ Set LAMP_COLOR=0 to disable text decoration.
 
 The grid commands, ``asm`` and ``run``, import the simulator and the
 assembler inside their functions, so that metric, query, diag and bench
-start without loading either.
+start without loading either; ``run --builtin-query`` reads no program
+file and loads only the simulator.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import os
 import sys
@@ -67,9 +67,7 @@ def _read_text(path: str, blob: bytes | None = None, expected: str = "UTF-8 text
 
 
 def _read_table(path: str):
-    # newline=None splits lines as a file opened in text mode does
-    lines = io.StringIO(_read_text(path), newline=None)
-    return load_table(lines, name=os.path.basename(path))
+    return load_table(_read_text(path), name=os.path.basename(path))
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +238,6 @@ def cmd_asm_dump(args) -> int:
 
 def _load_freight(args):
     """Resolve the program, table rows, register loads, and the width."""
-    from .asm import MAGIC, assemble, program_from_bytes
     from .sim import M_REGS, Program, builtin_query_program
 
     table_rows = None
@@ -263,6 +260,8 @@ def _load_freight(args):
             raise LampError("--builtin-query needs --table")
         program = Program.single_cell(builtin_query_program(len(table_rows)))
     else:
+        from .asm import MAGIC, assemble, program_from_bytes
+
         with open(args.program, "rb") as fh:
             blob = fh.read()
         if blob.startswith(MAGIC):
@@ -553,10 +552,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except LampError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LampError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

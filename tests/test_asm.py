@@ -155,6 +155,29 @@ def test_every_character_is_accounted_for(src, exc, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "src, line",
+    [
+        (".width 4 \f; ff in a comment\nFOO\n", 2),
+        ("HALT ; a\u2028; b\nFOO\n", 2),
+        ("HALT\v\x1c\x1d\x1e\x85\u2029\rHALT\r\nFOO\n", 3),
+    ],
+)
+def test_error_line_is_the_line_of_a_text_mode_file(tmp_path, src, line):
+    path = tmp_path / "p.lasm"
+    path.write_bytes(src.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert [text.startswith("FOO") for text in fh].index(True) + 1 == line
+    with pytest.raises(UnknownMnemonic) as err:
+        assemble(src)
+    assert str(err.value) == f"line {line}: col 1: unknown mnemonic 'FOO'"
+
+
+def test_a_cell_prefixed_word_is_an_unknown_directive():
+    with pytest.raises(AsmSyntaxError, match=r"^line 2: col 1: unknown directive '\.cell0'$"):
+        assemble("HALT\n.cell0,0\n")
+
+
 def test_a_non_ascii_label_that_folds_to_a_mnemonic_is_a_label():
     p = assemble("LOG\u0131C: HALT\nJMP LOG\u0131C\n")
     assert p.cells[0][0] == [Halt(), Jump(0)]

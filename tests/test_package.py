@@ -69,7 +69,7 @@ print(json.dumps([status, [m for m in {GRID_MODULES!r} if m in sys.modules]]))
         (["diag", "faults.tbl", "--response", "1000", "--top", "2"], []),
         (["bench", "--n", "16", "--rows", "50", "--iters", "1"], []),
         (["run", "--builtin-query", "--table", "faults.tbl", "--load", "MA=1000"],
-         list(GRID_MODULES)),
+         ["lamp.sim"]),
         (["asm", "build", "pair.lasm", "-o", "pair.lprog"], list(GRID_MODULES)),
     ],
     ids=["metric", "query", "diag", "bench", "run", "asm-build"],

@@ -6,8 +6,14 @@ symbols, labels, width and mode for every accepted text, and the same
 exception class, message and line for every rejected one. The alphabet
 holds the inputs that ``int()`` and ``bytes.isdigit()`` treat specially:
 other digits, signs, spaces, tabs, underscores, non-ASCII digits and
-letters, and a lone surrogate.
+letters, and a lone surrogate; and the characters that ``str.splitlines``
+ends a line at but a file read in text mode does not.
 """
+
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,9 +43,11 @@ def oracle_parse(text: str) -> TernaryVector:
 
 
 def oracle_load(text: str):
-    """(symbols, labels, width, binary) of a table text, line by line."""
+    """(symbols, labels, width, binary) of a table text, line by line; a line
+    ends at \\n, \\r\\n or \\r, as in a file read in text mode."""
     rows, labels, seen, width = [], [], set(), None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -81,7 +89,10 @@ def loaded(text: str):
     return [r.symbols() for r in t.rows], t.labels, t.cols, t.is_binary
 
 
-NOISE = list("0123456789xX_+- \t#٣Ｘ") + ["\ud800", "\udcff", "F", "__"]
+# the last eight end a line for str.splitlines only
+NOISE = list("0123456789xX_+- \t#٣Ｘ") + ["\ud800", "\udcff", "F", "__"] + list(
+    "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+)
 noise = st.lists(st.sampled_from(NOISE), max_size=10).map("".join)
 
 
@@ -136,6 +147,44 @@ def test_parse_matches_the_symbol_oracle(text):
 @example(text="Ｘ1\n")
 def test_load_table_matches_the_line_oracle(text):
     assert outcome(loaded, text) == outcome(oracle_load, text)
+
+
+def query_report(path: str, m: str):
+    """(status, stdout, stderr) of ``lamp query PATH --m M --format json``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(["query", path, "--m", m, "--format", "json"])
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=table_texts())
+@example(text="A\t01\f10\nB\t11\n")
+@example(text="F1\t1x0X\r__1x_0_x\r\r# end\r")
+@example(text="10\u202801\n01\x8510\n")
+@example(text="10\r1z\n")
+@example(text="# only a comment\r\n")
+def test_a_string_a_text_file_and_lamp_query_read_one_table(text):
+    from_str = outcome(loaded, text)
+    assert outcome(loaded, io.StringIO(text, newline=None)) == from_str
+    try:
+        blob = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 file
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table")  # the CLI names a table by its file
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        if from_str[0] != "ok":
+            assert query_report(path, "1") == (1, "", f"error: {from_str[1]}\n")
+            return
+        rows, labels = from_str[1][:2]
+        report = query_report(path, rows[0])
+        with open(path, "w", encoding="utf-8") as fh:  # the rows read, one a line
+            for row, label in zip(rows, labels):
+                fh.write(row + "\n" if label is None else f"{label}\t{row}\n")
+        assert report[0] == 0
+        assert report == query_report(path, rows[0])
 
 
 @settings(max_examples=100, deadline=None)
