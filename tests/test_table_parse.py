@@ -175,6 +175,8 @@ def test_a_string_a_text_file_and_lamp_query_read_one_table(text):
         path = os.path.join(tmp, "table")  # the CLI names a table by its file
         with open(path, "wb") as fh:
             fh.write(blob)
+        with open(path, encoding="utf-8") as fh:
+            assert outcome(loaded, fh) == from_str
         if from_str[0] != "ok":
             assert query_report(path, "1") == (1, "", f"error: {from_str[1]}\n")
             return
