@@ -1,22 +1,23 @@
 """Associative tables and the search / recognition / decision procedures.
 
-A table is an ordered list of associator rows, optionally labeled,
-held as the rows' 2n-bit int codes (:mod:`lamp.ternary`) from the text
-to the score: :func:`load_table` reads each row with one byte
-translation and one base-4 ``int`` (:func:`lamp.ternary.parse_code`),
-and no vector object is built per row. One int key per row
-(:func:`lamp.quality.code_keys`) orders the rows of both modes: the
-winners are the rows that reach the highest key and ``rank`` sorts by
-it. On binary rows the meet is empty exactly where m and a differ, so
-the key is n - k with k = popcount(m XOR a), or n + 2^(n+1) when k = 0,
-and the order is the quality index's. The paper's and/xor/or selection
-of the winner is :func:`lamp.quality.decide`, and the grid machine runs
-it (:func:`lamp.sim.builtin_query_program`). The mode only picks the
-score a user sees: a :class:`QualityIndex` for binary rows, a Fraction
-:class:`QualityScoreNorm` for ternary ones, built only for a score that
-is read, and for every row from the counts the keys are made of. All
-optimal rows are reported, in ascending row order; row indices in
-results are 1-based.
+A table is an ordered list of associator rows, optionally labeled, held
+as the rows' 2n-bit int codes (:mod:`lamp.ternary`) from the text to the
+score: :func:`load_table` reads a whole table text in one pass, with one
+byte translation for all rows and one base-4 ``int`` per row
+(:func:`lamp.ternary.parse_codes`), and builds no vector object per row;
+it reads the lines one by one only to name the first bad line. One int
+key per row (:func:`lamp.quality.code_keys`) orders the rows of both
+modes: the winners are the rows that reach the highest key and ``rank``
+sorts by it. On binary rows the meet is empty exactly where m and a
+differ, so the key is n - k with k = popcount(m XOR a), or n + 2^(n+1)
+when k = 0, and the order is the quality index's. The paper's and/xor/or
+selection of the winner is :func:`lamp.quality.decide`, and the grid
+machine runs it (:func:`lamp.sim.builtin_query_program`). The mode only
+picks the score a user sees: a :class:`QualityIndex` for binary rows, a
+Fraction :class:`QualityScoreNorm` for ternary ones, built only for a
+score that is read, and for every row from the counts the keys are made
+of. All optimal rows are reported, in ascending row order; row indices
+in results are 1-based.
 
 Table file format (UTF-8 text):
   * ``#`` starts a comment to end of line, blank lines are ignored;
@@ -28,8 +29,9 @@ Table file format (UTF-8 text):
 from __future__ import annotations
 
 import enum
-import io
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 from .bitvec import BitVector
@@ -53,7 +55,9 @@ from .quality import (
     quality_arith,
     quality_index,
 )
-from .ternary import TernaryVector, any_x, check_codes, parse_code
+from .ternary import TernaryVector, any_x, check_codes, parse_code, parse_codes
+
+_COMMENT = "#[^\n]*"  # a comment, to the end of its line; re caches it on first use
 
 RowScore = Union[QualityIndex, QualityScoreNorm]
 
@@ -180,29 +184,81 @@ class QueryResult:
 
 
 def load_table(source, name="table") -> AssocTable:
-    """Parse a table from a file object, iterable of lines, or a string; a
-    string and a text-mode file are read alike, a line ending at ``\\n``,
-    ``\\r\\n`` or ``\\r`` only (universal newlines, PEP 278)."""
+    """Parse a table from a string, a text-mode file, or an iterable of lines.
+
+    A string and a file's ``read()`` are one text, whose lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r`` only (universal newlines, PEP 278), so a
+    string and a text-mode file are read alike; each item of an iterable
+    is one line. The text is read in one pass, not line by line: comments
+    are cut over the whole text, every line is stripped and split at its
+    first tab by ``map``, and :func:`lamp.ternary.parse_codes` reads all
+    vectors with one encode and translate. Only when a check of the whole
+    table fails are the lines read one by one, to raise the error of the
+    earliest bad line with its line number. A source that gives no text,
+    such as bytes, a binary file or None, is a :class:`NotAVector` error.
+    """
+    lines = _lines(source)
+    rows = list(filter(None, map(str.strip, lines)))
+    if not rows:
+        raise EmptyTable(f"table {name!r} has no rows")
+    labels = [None] * len(rows)
+    repeated = False
+    text = "\n".join(rows)
+    if "\t" in text:
+        heads, tabs, tails = zip(*map(str.partition, rows, repeat("\t")))
+        labels = [h if t else None for h, t in zip(map(str.strip, heads), tabs)]
+        text = "\n".join([v if t else h for h, t, v in zip(heads, tabs, map(str.strip, tails))])
+        named = set(labels)
+        named.discard(None)
+        repeated = len(named) != len(labels) - labels.count(None)
+    parsed = parse_codes(text)
+    # a count other than len(rows) means an item of an iterable held a newline
+    if parsed is None or len(parsed[1]) != len(rows) or repeated:
+        _raise_first_fault(lines)
+    width, codes = parsed
+    return AssocTable._checked(name, width, codes, labels)
+
+
+def _lines(source) -> list[str]:
+    """The lines of a table source, each cut at its first ``#``."""
+    if hasattr(source, "read"):
+        source = source.read()
     if isinstance(source, str):
-        source = io.StringIO(source, newline=None)
-    codes: list[int] = []
-    labels: list[Optional[str]] = []
+        if "\r" in source:
+            source = source.replace("\r\n", "\n").replace("\r", "\n")
+        if "#" in source:
+            source = re.sub(_COMMENT, "", source)
+        return source.split("\n")
+    if isinstance(source, (bytes, bytearray)):
+        raise _not_text(source)
+    try:
+        items = iter(source)
+    except TypeError:
+        raise _not_text(source) from None
+    lines = list(items)
+    for line in lines:
+        if not isinstance(line, str):
+            raise _not_text(line)
+    return [line.split("#", 1)[0] for line in lines]
+
+
+def _not_text(obj) -> NotAVector:
+    return NotAVector(f"expected table text, a text file or lines, got {type(obj).__name__}")
+
+
+def _raise_first_fault(lines: list[str]) -> None:
+    """Raise the error of the earliest bad line, each line checked for a
+    bad vector, then its width, then a repeated label."""
     seen: set[str] = set()
     width = None
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
         if not line:
             continue
-        if "\t" in line:
-            label, _, vec_text = line.partition("\t")
-            label = label.strip()
-            vec_text = vec_text.strip()
-            if not label:
-                raise ParseError("empty label before tab", line=lineno)
-        else:
-            label, vec_text = None, line
+        label, tab, vec_text = line.partition("\t")
+        label, vec_text = (label.strip(), vec_text.strip()) if tab else (None, line)
         try:
-            n, code = parse_code(vec_text)
+            n, _ = parse_code(vec_text)
         except (ParseError, ZeroLength) as exc:
             raise ParseError(str(exc), line=lineno) from None
         if width is None:
@@ -213,11 +269,7 @@ def load_table(source, name="table") -> AssocTable:
             if label in seen:
                 raise ParseError(f"duplicate row label {label!r}", line=lineno)
             seen.add(label)
-        codes.append(code)
-        labels.append(label)
-    if not codes:
-        raise EmptyTable(f"table {name!r} has no rows")
-    return AssocTable._checked(name, width, codes, labels)
+    raise AssertionError("a whole-table check failed on lines that each pass")
 
 
 def _as_ternary(m) -> TernaryVector:

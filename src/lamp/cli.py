@@ -19,6 +19,8 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .assoc import AssocTable, diagnose, load_table, query, rank
 from .bitvec import BitVector
@@ -41,9 +43,65 @@ def _head(s: str) -> str:
     return f"\033[1m{s}\033[0m" if _color_enabled() else s
 
 
+# the text of each value type that json writes the same at any indent;
+# default=str writes a Fraction as the string str() gives it
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    Fraction: lambda value: _quote(str(value)),
+}
+
+
+def _indented(value, out: list[str], pad: str = "") -> list[str]:
+    """``out`` with ``value`` appended as ``json.dumps(value, indent=2,
+    default=str)`` writes it, nested at indent ``pad``.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder. This
+    writes the same text: dicts, lists and tuples by recursion, the types
+    of ``_SCALARS`` directly, and the rest (floats, subclasses, other
+    objects, ``{}`` and ``[]``) by the C encoder, which writes them alike
+    with or without an indent.
+    """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        out.append(write(value))
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out += sep, _quote(key if isinstance(key, str) else _key(key)), ": "
+            write = _SCALARS.get(type(item))
+            if write is None:
+                _indented(item, out, inner)
+            else:
+                out.append(write(item))
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _indented(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        out.append(json.dumps(value, default=str))
+    return out
+
+
+def _key(key) -> str:
+    """A dict key that is not a str, as ``json.dumps`` names it."""
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(report: dict, text_lines: list[str], tsv_lines: list[list], fmt: str):
     if fmt == "json":
-        print(json.dumps(report, indent=2, default=str))
+        print("".join(_indented(report, [])))
     elif fmt == "tsv":
         for row in tsv_lines:
             print("\t".join(str(x) for x in row))

@@ -13,7 +13,8 @@ string is rendered for display only.
 
 Read as a base-4 digit, a symbol's code is 0 -> 2, 1 -> 1, x -> 3, so
 :func:`parse_code` turns a whole symbol string into its code with one
-byte translation and one ``int(digits, 4)``; a table keeps only these
+byte translation and one ``int(digits, 4)``, and :func:`parse_codes`
+the lines of a whole table with one translation; a table keeps only these
 ints (:class:`lamp.assoc.AssocTable`), and a :class:`TernaryVector` is
 built for the rows a caller reads.
 """
@@ -65,6 +66,18 @@ def parse_code(text: str) -> tuple[int, int]:
         raise ZeroLength("empty vector literal")
     bad = s.translate(_DROP_SYMBOLS)
     raise ParseError(f"invalid symbol {bad[0]!r} in vector literal {text!r}")
+
+
+def parse_codes(text: str) -> tuple[int, list[int]] | None:
+    """(n, codes) of the lines of ``text``, split at ``\\n`` only, when each
+    is a {0,1,x} string of n symbols, read as :func:`parse_code` reads it,
+    with one encode, translate and split for them all; None when some
+    line is not, and :func:`parse_code` then names the fault."""
+    digits = text.encode("utf-8", "surrogatepass").translate(_CODE, b"_").split(b"\n")
+    widths = set(map(len, digits))
+    if len(widths) != 1 or not all(map(bytes.isdigit, digits)):
+        return None
+    return widths.pop(), list(map(int, digits, itertools.repeat(4)))
 
 
 def check_codes(codes: list[int], n: int) -> None:

@@ -1,8 +1,11 @@
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lamp.cli import main
+from lamp.cli import _indented, main
 
 WORKED_TABLE = "000011110101\n110011001100\n"
 FAULT_DICT = "F1\t1100\nF2\t0011\n"
@@ -461,3 +464,53 @@ def test_bench_no_baseline(capsys):
     doc = json.loads(out)
     assert code == 0
     assert "scalar_rows_per_s" not in doc
+
+
+# --- the JSON writer ----------------------------------------------------------
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 200
+
+
+_CHARS = st.one_of(
+    st.characters(),  # non-ASCII and control characters
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", " ", "\ud800", "\udfff"]),
+)
+_TEXTS = st.text(_CHARS, max_size=8)
+_KEYS = st.one_of(_TEXTS, st.integers(), st.floats(), st.booleans(), st.none())
+_SCALARS = st.one_of(
+    _TEXTS,
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # nan and both infinities included
+    st.fractions(),
+    st.sampled_from(list(_Level)),  # an int subclass
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_VALUES)
+def test_json_writer_prints_what_indented_json_dumps_prints(value):
+    assert "".join(_indented(value, [])) == json.dumps(value, indent=2, default=str)
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, {"a": [{b"k": 0}]}])
+def test_json_writer_rejects_the_keys_json_dumps_rejects(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2, default=str)
+    with pytest.raises(TypeError) as got:
+        _indented(value, [])
+    assert str(got.value) == str(want.value)

@@ -4,6 +4,8 @@ Each case triggers one raise site and checks the LampError subclass, the
 built-in class callers caught before, and the message.
 """
 
+import io
+
 import pytest
 
 from lamp import (
@@ -28,7 +30,7 @@ from lamp import (
     UnOp,
     builtin_query_program,
 )
-from lamp.assoc import AssocTable, _as_ternary, rank
+from lamp.assoc import AssocTable, _as_ternary, load_table, rank
 from lamp.bitvec import BitVector
 from lamp.ternary import TernaryVector, intersect
 
@@ -67,6 +69,16 @@ CASES = [
      NotAnInstruction, TypeError, "cannot execute 'HALT'"),
     (lambda: Sequencer(4).step(),
      SequencerHalted, RuntimeError, "step on a halted sequencer"),
+    (lambda: load_table(b"01\n10\n"),
+     NotAVector, TypeError, "expected table text, a text file or lines, got bytes"),
+    (lambda: load_table(io.BytesIO(b"01\n10\n")),
+     NotAVector, TypeError, "expected table text, a text file or lines, got bytes"),
+    (lambda: load_table([b"01", b"10"]),
+     NotAVector, TypeError, "expected table text, a text file or lines, got bytes"),
+    (lambda: load_table(None),
+     NotAVector, TypeError, "expected table text, a text file or lines, got NoneType"),
+    (lambda: load_table(5),
+     NotAVector, TypeError, "expected table text, a text file or lines, got int"),
 ]
 
 
@@ -74,7 +86,8 @@ CASES = [
     "trigger, cls, builtin, message", CASES,
     ids=["rank_k", "as_ternary", "odd_width", "to_bitvector", "symbol", "bit",
          "to_ternary", "logic_dst", "setrow", "loadm", "send", "recv", "max_cycles",
-         "builtin_rows", "decode", "halted_step"],
+         "builtin_rows", "decode", "halted_step", "table_bytes", "table_binary_file",
+         "table_byte_lines", "table_none", "table_int"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:

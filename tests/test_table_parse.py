@@ -15,6 +15,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -207,3 +208,50 @@ def test_query_vector_with_surrogate_escaped_byte_is_one_line_error(capsys, tmp_
     assert code == 1
     assert out.out == ""
     assert out.err == "error: invalid symbol '\\udcff' in vector literal '1\\udcff0'\n"
+
+
+def test_each_item_of_an_iterable_is_one_line():
+    assert loaded(["01", "10"]) == (["01", "10"], [None, None], 2, True)
+    # a newline inside an item is a symbol of that line, not a line break
+    assert outcome(loaded, ["0", "1\n10"]) == (
+        ParseError, "line 2: invalid symbol '\\n' in vector literal '1\\n10'", 2
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=table_texts())
+@example(text="A\t01\r\nB\t10\r\n")
+@example(text="A\t01\rB\t1z\r")
+@example(text="10\r\n\r101\n")
+def test_a_file_reads_alike_with_newline_none_and_newline_empty(text):
+    try:
+        blob = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 file
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with open(path, encoding="utf-8", newline=None) as fh:
+            translated = outcome(loaded, fh)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert outcome(loaded, fh) == translated
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("10\n1z\n101\n", 2),  # a bad symbol before a bad width
+        ("10\n101\n1z\n", 2),  # a bad width before a bad symbol
+        ("F1\t10\nF1\t01\n1z\n", 2),  # a duplicate label before a bad symbol
+        ("F1\t10\n1z\nF1\t01\n", 2),  # a bad symbol before a duplicate label
+        ("F1\t10\n101\nF1\t01\n", 2),  # a bad width before a duplicate label
+        ("F1\t10\nF1\t1z\n", 2),  # one line: its symbol before its label
+        ("F1\t10\nF1\t__\n", 2),  # one line: its empty vector before its label
+        ("F1\t10\nF1\t101\n", 2),  # one line: its width before its label
+    ],
+)
+def test_the_earliest_bad_line_is_the_one_reported(text, line):
+    got = outcome(loaded, text)
+    assert got == outcome(oracle_load, text)
+    assert got[1].startswith(f"line {line}: ")
