@@ -27,14 +27,16 @@ Binary format (all integers big-endian): magic ``LAMP1``, u16 width
 per-cell instruction counts in row-major order, then each cell's
 instructions as 8-byte records ``kind f1 f2 f3 f4 f5 arg16``. ``kind`` is the instruction's position in
 ``sim.ISA``; its enum operands fill f1.. in field order, with each
-member's enum value as its code, and a jump target or row index fills
-arg16. A LOADM record is followed by its literal packed MSB-first into
-ceil(width/8) bytes with zero padding.
+member's position in its kind's members as its code, and a jump target
+or row index fills arg16. A LOADM record is followed by its literal
+packed MSB-first into ceil(width/8) bytes with zero padding.
 
 An instruction class in ``sim`` states its shape once, as OPERANDS
-``(field name, kind)`` pairs. Those pairs make its dataclass fields and
+``(field name, kind)`` pairs, and ``sim.OPERAND_KINDS`` is the one table
+of what each kind accepts. Both make the class's dataclass fields and
 their checks there; here the parser, the disassembler and both
-directions of the codec are one loop over them.
+directions of the codec are one loop over the pairs, and read an enum
+kind's members and the name its errors use from the same table.
 """
 
 from __future__ import annotations
@@ -51,22 +53,16 @@ from .errors import (
     UnresolvedLabel,
     WidthMismatch,
 )
-from .sim import GRID_SIZE, ISA, JUMPS, M_REGS, BinOp, Dir, LoadImm, Program, Reg, UnOp
+from .sim import GRID_SIZE, ISA, JUMPS, OPERAND_KINDS, LoadImm, Program
 
 _TOKEN_RE = re.compile(r"\.?\w+|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 MNEMONICS = {cls.MNEMONIC: cls for cls in ISA}
 
-# enum operand kind -> (its members, indexed by their binary code; what
-# error messages call it)
-_ENUM_KINDS = {
-    "binop": (tuple(BinOp), "binary op"),
-    "src": (tuple(Reg), "source operand"),
-    "unop": (tuple(UnOp), "unary op"),
-    "mreg": (M_REGS, "m-register"),
-    "dir": (tuple(Dir), "direction"),
-}
+# enum operand kind -> {member name: member}
+_NAMES = {kind: {m.name: m for m in members}
+          for kind, (members, _, _) in OPERAND_KINDS.items() if isinstance(members, tuple)}
 
 
 def _name(tok: str) -> str | None:
@@ -86,11 +82,6 @@ class _Cursor:
         self.tokens = tokens
         self.lineno = lineno
         self.i = 0
-
-    def error(self, message, column=None):
-        if column is None:
-            column = self.tokens[self.i - 1][1] if self.tokens else 1
-        raise AsmSyntaxError(message, self.lineno, column)
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -113,13 +104,13 @@ class _Cursor:
             tok, col = self.tokens[self.i]
             raise AsmSyntaxError(f"unexpected {tok!r}", self.lineno, col)
 
-    def member(self, allowed, what):
+    def member(self, kind):
+        what = OPERAND_KINDS[kind][1]
         tok, col = self.next(what)
-        name = _name(tok)
-        for m in allowed:
-            if m.name == name:
-                return m
-        raise AsmSyntaxError(f"expected {what}, got {tok!r}", self.lineno, col)
+        member = _NAMES[kind].get(_name(tok))
+        if member is None:
+            raise AsmSyntaxError(f"expected {what}, got {tok!r}", self.lineno, col)
+        return member
 
     def integer(self, what="integer"):
         tok, col = self.next(what)
@@ -153,8 +144,8 @@ def _parse_instr(cur: _Cursor, width, labels, stream):
     for i, (_, kind) in enumerate(cls.OPERANDS):
         if i and cls.OPERANDS[i - 1][1] != "binop":
             cur.comma()
-        if kind in _ENUM_KINDS:
-            args.append(cur.member(*_ENUM_KINDS[kind]))
+        if kind in _NAMES:
+            args.append(cur.member(kind))
         elif kind == "index":
             args.append(cur.integer("row index"))
         else:  # a label or literal is checked once the whole line has parsed
@@ -237,7 +228,7 @@ def assemble(source: str) -> Program:
             label, label_col = cur.ident()
             cur.next("':'")
             if cur.peek() is None:
-                cur.error("expected instruction after label", label_col)
+                raise AsmSyntaxError("expected instruction after label", lineno, label_col)
 
         if stream is None:
             raise AsmSyntaxError(
@@ -254,14 +245,11 @@ def assemble(source: str) -> Program:
     for stream, addr, cur in pending:
         streams[stream][addr] = _parse_instr(cur, width, labels, stream)
 
+    if "broadcast" in streams:  # then it is the only stream, and not empty
+        return Program.broadcast(streams["broadcast"], width=width)
     program = Program(width=width)
-    if "broadcast" in streams:
-        if streams["broadcast"]:
-            program = Program.broadcast(streams["broadcast"], width=width)
-    for key, instrs in streams.items():
-        if key == "broadcast":
-            continue
-        program.cells[key[0]][key[1]] = list(instrs)
+    for (r, c), instrs in streams.items():
+        program.cells[r][c] = instrs
     return program
 
 
@@ -310,8 +298,8 @@ def _encode_instr(inst, width) -> bytes:
     fields, arg, tail = [ISA.index(type(inst))], 0, b""
     for name, kind in inst.OPERANDS:
         value = getattr(inst, name)
-        if kind in _ENUM_KINDS:
-            fields.append(value.value)
+        if kind in _NAMES:
+            fields.append(OPERAND_KINDS[kind][0].index(value))
         elif kind == "literal":
             if width is None:
                 raise MalformedBinary("cannot encode LOADM without a width")
@@ -359,8 +347,8 @@ def _decode_record(data: bytes, pos: int, width):
     cls = ISA[rec[0]]
     args, fields = [], iter(rec[1:6])
     for _, kind in cls.OPERANDS:
-        if kind in _ENUM_KINDS:
-            members, what = _ENUM_KINDS[kind]
+        if kind in _NAMES:
+            members, what, _ = OPERAND_KINDS[kind]
             value = next(fields)
             if value >= len(members):
                 raise MalformedBinary(f"invalid {what} code {value}")

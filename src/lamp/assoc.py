@@ -29,7 +29,6 @@ Table file format (UTF-8 text):
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Optional, Union
@@ -56,8 +55,6 @@ from .quality import (
     quality_index,
 )
 from .ternary import TernaryVector, any_x, check_codes, parse_code, parse_codes
-
-_COMMENT = "#[^\n]*"  # a comment, to the end of its line; re caches it on first use
 
 RowScore = Union[QualityIndex, QualityScoreNorm]
 
@@ -189,13 +186,15 @@ def load_table(source, name="table") -> AssocTable:
     A string and a file's ``read()`` are one text, whose lines end at
     ``\\n``, ``\\r\\n`` or ``\\r`` only (universal newlines, PEP 278), so a
     string and a text-mode file are read alike; each item of an iterable
-    is one line. The text is read in one pass, not line by line: comments
-    are cut over the whole text, every line is stripped and split at its
-    first tab by ``map``, and :func:`lamp.ternary.parse_codes` reads all
-    vectors with one encode and translate. Only when a check of the whole
-    table fails are the lines read one by one, to raise the error of the
+    is one line. Each line that holds a ``#`` is cut there. The lines are
+    not parsed one by one: every line is stripped and split at its first
+    tab by ``map``, and :func:`lamp.ternary.parse_codes` reads all vectors
+    with one encode and translate. Only when a check of the whole table
+    fails are the lines read one by one, to raise the error of the
     earliest bad line with its line number. A source that gives no text,
-    such as bytes, a binary file or None, is a :class:`NotAVector` error.
+    such as bytes, a binary file or None, is a :class:`NotAVector` error,
+    and a file whose bytes its encoding cannot decode an
+    :class:`InvalidArgument`.
     """
     lines = _lines(source)
     rows = list(filter(None, map(str.strip, lines)))
@@ -222,24 +221,27 @@ def load_table(source, name="table") -> AssocTable:
 def _lines(source) -> list[str]:
     """The lines of a table source, each cut at its first ``#``."""
     if hasattr(source, "read"):
-        source = source.read()
+        try:
+            source = source.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgument(f"table text is not {exc.encoding}: {exc.reason}") from None
     if isinstance(source, str):
         if "\r" in source:
             source = source.replace("\r\n", "\n").replace("\r", "\n")
-        if "#" in source:
-            source = re.sub(_COMMENT, "", source)
-        return source.split("\n")
-    if isinstance(source, (bytes, bytearray)):
+        lines = source.split("\n")
+    elif isinstance(source, (bytes, bytearray)):
         raise _not_text(source)
-    try:
-        items = iter(source)
-    except TypeError:
-        raise _not_text(source) from None
-    lines = list(items)
-    for line in lines:
-        if not isinstance(line, str):
-            raise _not_text(line)
-    return [line.split("#", 1)[0] for line in lines]
+    else:
+        try:
+            items = iter(source)
+        except TypeError:
+            raise _not_text(source) from None
+        lines = list(items)
+        for line in lines:
+            if not isinstance(line, str):
+                raise _not_text(line)
+    # a line without a comment stays the same object
+    return [line.partition("#")[0] if "#" in line else line for line in lines]
 
 
 def _not_text(obj) -> NotAVector:

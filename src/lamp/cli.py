@@ -200,10 +200,16 @@ def cmd_metric(args) -> int:
 # query / diag
 
 
-def _score_cells(score) -> tuple[str, dict]:
+def _score_text(score) -> str:
     if isinstance(score, QualityIndex):
-        return f"k={score.k}/{score.n}", {"k": score.k, "n": score.n}
-    return f"Q={score.value}", {
+        return f"k={score.k}/{score.n}"
+    return f"Q={score.value}"
+
+
+def _score_cells(score) -> dict:
+    if isinstance(score, QualityIndex):
+        return {"k": score.k, "n": score.n}
+    return {
         "q": score.value, "d": score.d,
         "mu_m_in_a": score.mu_m_in_a, "mu_a_in_m": score.mu_a_in_m,
     }
@@ -220,7 +226,7 @@ def _run_table_query(args, response_mode: bool) -> int:
         result = query(table, probe)
 
     mode_name = result.mode.value
-    best_disp, best_json = _score_cells(result.best_index)
+    best_disp, best_json = _score_text(result.best_index), _score_cells(result.best_index)
     text = [
         _head(f"{table.name}: {len(table)} rows, width {table.cols}, {mode_name}"),
         f"query   {vec_text}",
@@ -233,9 +239,8 @@ def _run_table_query(args, response_mode: bool) -> int:
         ranked = rank(table, probe, args.top)
         text.append(_head(f"top {len(ranked)}"))
         for idx, score in ranked:
-            disp, cells = _score_cells(score)
-            label = table.labels[idx - 1]
-            text.append(f"  row {idx}" + (f"  {label}" if label else "") + f"  {disp}")
+            cells, label = _score_cells(score), table.labels[idx - 1]
+            text.append(f"  row {idx}" + (f"  {label}" if label else "") + "  " + _score_text(score))
             tsv.append(["rank", idx, label or "", *cells.values()])
             rows_json.append({"row": idx, "label": label, **cells})
     report = {
@@ -249,7 +254,7 @@ def _run_table_query(args, response_mode: bool) -> int:
     }
     if args.format == "json":  # only JSON prints per-row scores
         report["per_row"] = [
-            {"row": i + 1, "label": table.labels[i], **_score_cells(s)[1]}
+            {"row": i + 1, "label": table.labels[i], **_score_cells(s)}
             for i, s in enumerate(result.per_row)
         ]
     if args.top:

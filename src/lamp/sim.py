@@ -107,25 +107,21 @@ def neighbor(r: int, c: int, d: Dir) -> tuple[int, int]:
 # Instruction set
 
 
-def _mreg_check(name: str, role: str):
-    def check(inst) -> None:
-        reg = getattr(inst, name)
-        if reg not in M_REGS:
-            raise InvalidArgument(f"{role} must be an m-register, got {reg}")
-    return check
-
-
-def _index_check(name: str, role: str):
-    def check(inst) -> None:
-        index = getattr(inst, name)
-        if index < 0:
-            raise InvalidArgument(f"row index must be nonnegative, got {index}")
-    return check
-
-
-# operand kind -> the factory of the check of one field of that kind, which
-# takes the field's name and its class's ROLE
-_CHECKS = {"mreg": _mreg_check, "index": _index_check}
+# What each operand kind accepts, stated once; the checks made at construction
+# and the parser and codec in ``asm`` read it. kind -> (an enum kind's members
+# in binary-code order, or a test of any other kind's value; what errors call
+# the operand; what its value must be)
+OPERAND_KINDS = {
+    "binop": (tuple(BinOp), "binary op", "a BinOp"),
+    "src": (tuple(Reg), "source operand", "a Reg"),
+    "unop": (tuple(UnOp), "unary op", "a UnOp"),
+    "mreg": (M_REGS, "m-register", "an m-register"),
+    "dir": (tuple(Dir), "direction", "a Dir"),
+    "target": (lambda value: type(value) is int, "jump target", "an int"),  # not a bool
+    "index": (lambda value: type(value) is int and value >= 0, "row index", "nonnegative"),
+    "literal": (lambda value: isinstance(value, BitVector), "bit literal", "a BitVector"),
+}
+_RANGED = ("mreg", "index")  # the kinds that refuse some values of their type
 
 
 class Instruction:
@@ -136,28 +132,40 @@ class Instruction:
     the enum operands ``binop``, ``src`` (any Reg), ``unop``, ``mreg`` (an
     m-register) and ``dir``, plus ``target`` (a jump address), ``index``
     (a row number) and ``literal`` (a BitVector). The pairs are the one
-    statement of an instruction's shape. From them the base makes each
-    class a frozen dataclass whose fields are annotated with their kinds,
-    and gives a class with an ``mreg`` or ``index`` field the check of
-    that field as ``_check``, run by ``__post_init__`` on construction.
-    The assembler, disassembler and binary codec loop over the same pairs.
+    statement of an instruction's shape, and ``OPERAND_KINDS`` the one
+    table of what each kind accepts. From them the base makes each class
+    a frozen dataclass whose fields are annotated with their kinds, and
+    gives it the check of every field as ``_check``, run by
+    ``__post_init__`` on construction, so a wrong operand is an
+    InvalidArgument. The assembler, disassembler and codec read the same.
     """
 
     MNEMONIC = ""
     OPERANDS: tuple[tuple[str, str], ...] = ()
-    ROLE = ""  # what errors call the m-register operand
+    ROLE = ""  # what errors call the class's one mreg or index operand
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__annotations__ = dict(cls.OPERANDS)
-        checks = [_CHECKS[kind](name, cls.ROLE) for name, kind in cls.OPERANDS if kind in _CHECKS]
-        if len(checks) > 1:  # ROLE names one operand, and one check is one call
+        if sum(kind in _RANGED for _, kind in cls.OPERANDS) > 1:  # ROLE names one operand
             raise TypeError(f"{cls.__name__} declares more than one checked operand")
-        if checks:
-            # a class with nothing to check has no __post_init__ call per construction
-            cls._check = checks[0]
-            if "__post_init__" not in cls.__dict__:
-                cls.__post_init__ = cls._check
+        checks = []  # (field name, test, error message up to the value)
+        for name, kind in cls.OPERANDS:
+            accepts, noun, must = OPERAND_KINDS[kind]
+            role = cls.ROLE or noun if kind in _RANGED else noun
+            test = accepts if callable(accepts) else accepts.__contains__
+            checks.append((name, test, f"{role} must be {must}, got "))
+
+        def check(inst) -> None:
+            for name, test, error in checks:
+                value = getattr(inst, name)
+                if not test(value):  # an enum member shows as Reg.ROW, any other value by repr
+                    shown = str(value) if isinstance(value, enum.Enum) else repr(value)
+                    raise InvalidArgument(error + shown)
+
+        cls._check = check
+        if checks and "__post_init__" not in cls.__dict__:  # none for IncRow and Halt
+            cls.__post_init__ = check
         dataclass(frozen=True)(cls)
 
     def operands(self) -> tuple:

@@ -7,6 +7,8 @@ built-in class callers caught before, and the message.
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamp import (
     BinOp,
@@ -15,12 +17,15 @@ from lamp import (
     EmptyIntersection,
     Grid,
     InvalidArgument,
+    Jump,
     LampError,
     LoadImm,
     Logic,
     NotAVector,
     NotAnInstruction,
     NotBinary,
+    Orf,
+    Program,
     Recv,
     Reg,
     Send,
@@ -29,9 +34,11 @@ from lamp import (
     SetRow,
     UnOp,
     builtin_query_program,
+    program_to_bytes,
 )
 from lamp.assoc import AssocTable, _as_ternary, load_table, rank
 from lamp.bitvec import BitVector
+from lamp.sim import ISA
 from lamp.ternary import TernaryVector, intersect
 
 tv = TernaryVector.parse
@@ -79,6 +86,20 @@ CASES = [
      NotAVector, TypeError, "expected table text, a text file or lines, got NoneType"),
     (lambda: load_table(5),
      NotAVector, TypeError, "expected table text, a text file or lines, got int"),
+    (lambda: load_table(io.TextIOWrapper(io.BytesIO(b"01\n1\xff\n"), encoding="utf-8")),
+     InvalidArgument, ValueError, "table text is not utf-8: invalid start byte"),
+    (lambda: Orf("MA"),
+     InvalidArgument, ValueError, "source operand must be a Reg, got 'MA'"),
+    (lambda: Send("E", Reg.MA),
+     InvalidArgument, ValueError, "direction must be a Dir, got 'E'"),
+    (lambda: Logic("AND", Reg.MA, Reg.MB, UnOp.NOPU, Reg.MC),
+     InvalidArgument, ValueError, "binary op must be a BinOp, got 'AND'"),
+    (lambda: LoadImm(Reg.MA, "0101"),
+     InvalidArgument, ValueError, "bit literal must be a BitVector, got '0101'"),
+    (lambda: Jump("x"),
+     InvalidArgument, ValueError, "jump target must be an int, got 'x'"),
+    (lambda: SetRow("3"),
+     InvalidArgument, ValueError, "row index must be nonnegative, got '3'"),
 ]
 
 
@@ -87,7 +108,9 @@ CASES = [
     ids=["rank_k", "as_ternary", "odd_width", "to_bitvector", "symbol", "bit",
          "to_ternary", "logic_dst", "setrow", "loadm", "send", "recv", "max_cycles",
          "builtin_rows", "decode", "halted_step", "table_bytes", "table_binary_file",
-         "table_byte_lines", "table_none", "table_int"],
+         "table_byte_lines", "table_none", "table_int", "table_not_utf8", "orf_str",
+         "send_dir_str", "logic_binop_str", "loadm_literal_str", "jump_target_str",
+         "setrow_str"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:
@@ -95,3 +118,28 @@ def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     assert isinstance(err.value, LampError)
     assert isinstance(err.value, builtin)
     assert str(err.value) == message
+
+
+# Every enum's members (Reg.ROW among them), and values of the wrong type or range.
+_OPERANDS = (
+    st.sampled_from([*BinOp, *Reg, *UnOp, *Dir, "MA", "AND", "0101", "", None, True, False])
+    | st.integers(-(1 << 17), 1 << 17)
+    | st.builds(BitVector, st.integers(1, 12), st.integers(0, (1 << 12) - 1))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from(ISA), data=st.data(), width=st.sampled_from([None, 4]))
+def test_an_instruction_is_refused_when_built_or_fails_only_as_lamp_error(cls, data, width):
+    args = [data.draw(_OPERANDS) for _ in cls.OPERANDS]
+    try:
+        inst = cls(*args)
+    except LampError:
+        return
+    program = Program.single_cell([inst], width=width)
+    for use in (inst.text, lambda: program_to_bytes(program),
+                lambda: Grid(4).load_program(program)):
+        try:
+            use()
+        except LampError:
+            pass
