@@ -239,7 +239,8 @@ def _run_table_query(args, response_mode: bool) -> int:
         ranked = rank(table, probe, args.top)
         text.append(_head(f"top {len(ranked)}"))
         for idx, score in ranked:
-            cells, label = _score_cells(score), table.labels[idx - 1]
+            cells = _score_cells(score)
+            label = table.labels[idx - 1]
             text.append(f"  row {idx}" + (f"  {label}" if label else "") + "  " + _score_text(score))
             tsv.append(["rank", idx, label or "", *cells.values()])
             rows_json.append({"row": idx, "label": label, **cells})
