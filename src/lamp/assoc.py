@@ -1,23 +1,36 @@
 """Associative tables and the search / recognition / decision procedures.
 
 A table is an ordered list of associator rows, optionally labeled, held
-as the rows' 2n-bit int codes (:mod:`lamp.ternary`) from the text to the
-score: :func:`load_table` reads a whole table text in one pass, with one
-byte translation for all rows and one base-4 ``int`` per row
-(:func:`lamp.ternary.parse_codes`), and builds no vector object per row;
-it reads the lines one by one only to name the first bad line. One int
-key per row (:func:`lamp.quality.code_keys`) orders the rows of both
-modes: the winners are the rows that reach the highest key and ``rank``
-sorts by it. On binary rows the meet is empty exactly where m and a
-differ, so the key is n - k with k = popcount(m XOR a), or n + 2^(n+1)
-when k = 0, and the order is the quality index's. The paper's and/xor/or
-selection of the winner is :func:`lamp.quality.decide`, and the grid
-machine runs it (:func:`lamp.sim.builtin_query_program`). The mode only
-picks the score a user sees: a :class:`QualityIndex` for binary rows, a
-Fraction :class:`QualityScoreNorm` for ternary ones, built only for a
-score that is read, and for every row from the counts the keys are made
-of. All optimal rows are reported, in ascending row order; row indices
-in results are 1-based.
+by columns (:class:`AssocTable`): one int per coordinate, whose pair r
+holds row r's symbol. :func:`load_table` reads a whole table text in one
+pass, with one byte translation for all rows and one base-4 ``int`` per
+column (:func:`lamp.ternary.parse_columns`), and builds no object per
+row; it reads the lines one by one only to name the first bad line.
+
+A query is answered word-parallel, as an associative memory answers it:
+each operation acts on one coordinate of every row at once, as in the
+bit-serial, word-parallel search and min search of Foster's
+*Content-Addressable Parallel Processors* (1976). For each coordinate
+the probe m does not leave open, the rows whose symbol conflicts with
+m's (a 1 against a 0) form one bit plane. A carry-save adder tree, the
+Harley-Seal population count, adds those planes into about log2 n
+counter planes that hold each row's count e of empty coordinates, and a
+min search from the top counter plane down gives the rows with the
+least e. On binary rows e is k = popcount(m XOR a), the quality index,
+so both modes share this search. When some rows of a ternary table have
+e = 0, the same count and min search run on them over p, the x of the
+row where m has none, and q, the x of m where the row has none, and rank
+them by (min(p, q), max(p, q)), the order of :func:`lamp.quality.arith_keys`.
+``rank`` repeats the min search on the rows left, and ``per_row`` reads
+every row's counts back from the counter planes.
+
+The paper's and/xor/or selection of the winner is
+:func:`lamp.quality.decide`, and the grid machine runs it
+(:func:`lamp.sim.builtin_query_program`). The mode only picks the score
+a user sees: a :class:`QualityIndex` for binary rows, a Fraction
+:class:`QualityScoreNorm` for ternary ones, built only for a score that
+is read. All optimal rows are reported, in ascending row order; row
+indices in results are 1-based.
 
 Table file format (UTF-8 text):
   * ``#`` starts a comment to end of line, blank lines are ignored;
@@ -29,9 +42,11 @@ Table file format (UTF-8 text):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, islice, repeat
+from operator import or_
+from typing import Callable, Iterable, Optional, Union
 
 from .bitvec import BitVector
 from .errors import (
@@ -47,14 +62,20 @@ from .errors import (
 from .quality import (
     QualityIndex,
     QualityScoreNorm,
+    _score_norm,
     choose_best,  # unused here; bench/tracer.py hooks lamp.assoc.choose_best
     criterion_vector,  # unused here; bench/tracer.py hooks lamp.assoc.criterion_vector
-    code_keys,
-    code_scores,
     quality_arith,
     quality_index,
 )
-from .ternary import TernaryVector, any_x, check_codes, parse_code, parse_codes
+from .ternary import (
+    TernaryVector,
+    any_x,
+    check_codes,
+    low_bits,
+    parse_code,
+    parse_columns,
+)
 
 RowScore = Union[QualityIndex, QualityScoreNorm]
 
@@ -64,45 +85,43 @@ class Mode(enum.Enum):
     TERNARY = "ternary"
 
 
-@dataclass
 class AssocTable:
-    """Matrix of associators with optional per-row labels.
+    """Matrix of associators with optional per-row labels, held by columns.
 
-    ``codes`` holds each row's 2n-bit code (:mod:`lamp.ternary`), the
-    one form in which a table keeps its rows; ``rows`` builds one
-    :class:`TernaryVector` per row on each read. The mode is decided
-    once, at construction; the rows must not change afterwards.
+    Column j is an int of one 2-bit pair per row, the first row most
+    significant. Pair r holds the bits of row r's symbol j that a probe
+    symbol can conflict with: 01 for a 0, which conflicts with a probe 1,
+    10 for a 1, which conflicts with a probe 0, and 00 for an x; it is
+    the complement of the symbol's 2-bit code (:mod:`lamp.ternary`). The
+    table keeps each column in two: ``_zeros[j]``, its pairs' low bits,
+    and ``_ones[j]``, their high bits. ``codes`` and ``rows`` are built
+    from them on each read. The mode is decided once, at construction;
+    the rows must not change afterwards.
     """
 
-    name: str
-    cols: int
-    codes: list[int]
-    labels: list[Optional[str]] = field(default_factory=list)
-    mode: Mode = field(init=False)
-
-    def __post_init__(self):
-        codes, n = self.codes, self.cols
+    def __init__(self, name: str, cols: int, codes: list[int], labels=None):
         if not codes:
-            raise EmptyTable(f"table {self.name!r} has no rows")
-        if not self.labels:
-            self.labels = [None] * len(codes)
-        if len(self.labels) != len(codes):
-            raise ParseError(f"{len(self.labels)} labels for {len(codes)} rows")
-        check_codes(codes, n)
-        named = [label for label in self.labels if label is not None]
+            raise EmptyTable(f"table {name!r} has no rows")
+        if not labels:
+            labels = [None] * len(codes)
+        if len(labels) != len(codes):
+            raise ParseError(f"{len(labels)} labels for {len(codes)} rows")
+        check_codes(codes, cols)
+        named = [label for label in labels if label is not None]
         if len(set(named)) != len(named):
             seen = set()
             label = next(lab for lab in named if lab in seen or seen.add(lab))
             raise ParseError(f"duplicate row label {label!r}")
-        self.mode = Mode.TERNARY if any_x(codes, n) else Mode.BINARY
+        self._set(name, _flip(codes, cols), labels, any_x(codes, cols))
 
-    @classmethod
-    def _checked(cls, name, cols, codes, labels) -> "AssocTable":
-        """A table of rows whose widths and labels the caller has checked."""
-        table = cls.__new__(cls)
-        table.name, table.cols, table.codes, table.labels = name, cols, codes, labels
-        table.mode = Mode.TERNARY if any_x(codes, cols) else Mode.BINARY
-        return table
+    def _set(self, name, columns, labels, ternary) -> None:
+        self.name, self.cols, self.labels = name, len(columns), labels
+        low = low_bits(len(labels))
+        self._zeros = [column & low for column in columns]
+        self._ones = columns  # their high bits, cut in place so that no third list is held
+        for j, zeros in enumerate(self._zeros):
+            columns[j] ^= zeros
+        self.mode = Mode.TERNARY if ternary else Mode.BINARY
 
     @classmethod
     def from_rows(cls, rows, labels=None, name="table") -> "AssocTable":
@@ -117,13 +136,24 @@ class AssocTable:
         return cls(name, parsed[0].n, codes, list(labels) if labels else [])
 
     @property
+    def codes(self) -> list[int]:
+        """Each row's 2n-bit code, built on each read."""
+        return _flip(map(or_, self._zeros, self._ones), len(self))
+
+    @property
     def rows(self) -> list[TernaryVector]:
         """The rows as TernaryVectors, built on each read."""
         return [TernaryVector._of_code(c, self.cols) for c in self.codes]
 
+    @cached_property
+    def _column_bytes(self) -> bytes:
+        """The columns' bytes, (R + 3) // 4 for each, from which rows are read."""
+        return _bytes(map(or_, self._zeros, self._ones), len(self))
+
     def _row(self, i: int) -> TernaryVector:
         """Row i, 0-based, as a TernaryVector."""
-        return TernaryVector._of_code(self.codes[i], self.cols)
+        code = _flipped(self._column_bytes, len(self), i)
+        return TernaryVector._of_code(code, self.cols)
 
     @property
     def is_binary(self) -> bool:
@@ -134,16 +164,62 @@ class AssocTable:
         return [row.to_bitvector() for row in self.rows]
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.labels)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AssocTable) and (
+            (self.name, self.labels, self._zeros, self._ones)
+            == (other.name, other.labels, other._zeros, other._ones)
+        )
+
+    __hash__ = None  # unhashable, as the dataclass with mutable fields it was
+
+    def __repr__(self) -> str:
+        return (f"AssocTable(name={self.name!r}, cols={self.cols!r}, codes={self.codes!r}, "
+                f"labels={self.labels!r}, mode={self.mode!r})")
+
+
+def _bytes(values: Iterable[int], width: int) -> bytes:
+    """Ints of ``width`` 2-bit pairs each, in (width + 3) // 4 bytes each."""
+    return b"".join(map(int.to_bytes, values, repeat((width + 3) // 4), repeat("big")))
+
+
+# _FLIPPED[k] maps a byte to its pair k, from the most significant,
+# complemented, as a base-4 digit
+_FLIPPED = [bytes(ord("3") - (b >> 6 - 2 * k & 3) for b in range(256)) for k in range(4)]
+
+
+def _flipped(matrix: bytes, width: int, i: int) -> int:
+    """Pair i of every value in ``matrix``, complemented, as the pairs of one
+    int, the first value's most significant. ``matrix`` holds values of
+    ``width`` pairs each, as :func:`_bytes` writes them."""
+    size = (width + 3) // 4
+    at = 4 * size - width + i  # the pair's place in a value's bytes
+    return int(matrix[at // 4::size].translate(_FLIPPED[at % 4]), 4)
+
+
+def _flip(values: Iterable[int], width: int) -> list[int]:
+    """The transpose of a matrix of 2-bit pairs, each pair complemented:
+    ``values`` hold ``width`` pairs each, and result i holds pair i of
+    every value, as :func:`_flipped` reads it. The rows' codes flip to
+    the table's columns, and back."""
+    size = (width + 3) // 4
+    matrix = _bytes(values, width)
+    flipped = []
+    for k in range(size):  # each byte of the values holds four of their pairs
+        column = matrix[k::size]
+        flipped += [int(column.translate(table), 4) for table in _FLIPPED]
+    return flipped[4 * size - width:]
 
 
 class _Deferred:
-    """Per-row scores not computed yet: ``score()`` computes them."""
+    """Per-row scores not computed yet: ``every()`` computes them all, and
+    ``one(i)`` row i's (0-based) alone."""
 
-    __slots__ = ("score",)
+    __slots__ = ("every", "one")
 
-    def __init__(self, score: Callable[[], list[RowScore]]):
-        self.score = score
+    def __init__(self, every: Callable[[], list[RowScore]], one: Callable[[int], RowScore]):
+        self.every, self.one = every, one
 
 
 class _PerRow:
@@ -155,7 +231,7 @@ class _PerRow:
             raise AttributeError("per_row")  # so @dataclass gives the field no default
         rows = obj.__dict__["_per_row"]
         if isinstance(rows, _Deferred):
-            rows = obj.__dict__["_per_row"] = rows.score()
+            rows = obj.__dict__["_per_row"] = rows.every()
         return rows
 
     def __set__(self, obj, rows) -> None:
@@ -169,7 +245,7 @@ class QueryResult:
     ``per_row`` holds one score per row: a :class:`QualityIndex` in
     binary mode, a :class:`QualityScoreNorm` in ternary mode.
     :func:`query` scores the rows on the first read of ``per_row`` and
-    then keeps the list.
+    then keeps the list; ``row_score`` reads one row's score without it.
     ``best_index`` is the winning score in the same convention and
     ``best_rows`` lists every optimal (1-based row, label) pair.
     """
@@ -178,6 +254,12 @@ class QueryResult:
     best_rows: list[tuple[int, Optional[str]]]
     best_index: RowScore
     per_row: list[RowScore] = _PerRow()
+
+    def row_score(self, row: int) -> RowScore:
+        """The score of ``row`` (1-based), from ``per_row`` once it is built;
+        before that, :func:`query` reads this row's alone."""
+        rows = self.__dict__["_per_row"]
+        return rows.one(row - 1) if isinstance(rows, _Deferred) else rows[row - 1]
 
 
 def load_table(source, name="table") -> AssocTable:
@@ -188,10 +270,10 @@ def load_table(source, name="table") -> AssocTable:
     string and a text-mode file are read alike; each item of an iterable
     is one line. Each line that holds a ``#`` is cut there. The lines are
     not parsed one by one: every line is stripped and split at its first
-    tab by ``map``, and :func:`lamp.ternary.parse_codes` reads all vectors
-    with one encode and translate. Only when a check of the whole table
-    fails are the lines read one by one, to raise the error of the
-    earliest bad line with its line number. A source that gives no text,
+    tab by ``map``, and :func:`lamp.ternary.parse_columns` reads all
+    vectors with one encode and translate, and one ``int`` per column.
+    Only when a check of the whole table fails are the lines read one by
+    one, to raise the error of the earliest bad line with its line number. A source that gives no text,
     such as bytes, a binary file or None, is a :class:`NotAVector` error,
     and a file whose bytes its encoding cannot decode an
     :class:`InvalidArgument`.
@@ -210,12 +292,13 @@ def load_table(source, name="table") -> AssocTable:
         named = set(labels)
         named.discard(None)
         repeated = len(named) != len(labels) - labels.count(None)
-    parsed = parse_codes(text)
+    parsed = parse_columns(text)
     # a count other than len(rows) means an item of an iterable held a newline
-    if parsed is None or len(parsed[1]) != len(rows) or repeated:
+    if parsed is None or parsed[1] != len(rows) or repeated:
         _raise_first_fault(lines)
-    width, codes = parsed
-    return AssocTable._checked(name, width, codes, labels)
+    table = AssocTable.__new__(AssocTable)
+    table._set(name, parsed[0], labels, parsed[2])
+    return table
 
 
 def _lines(source) -> list[str]:
@@ -282,55 +365,222 @@ def _as_ternary(m) -> TernaryVector:
     raise NotAVector(f"expected a vector, got {type(m).__name__}")
 
 
-def _keyed(
-    table: AssocTable, m
-) -> tuple[list[int], Callable[[int], RowScore], Callable[[], list[RowScore]]]:
-    """The rows' keys for query ``m`` (:func:`lamp.quality.code_keys`), and the
-    scores that a user sees, in the table's mode: of row i (0-based), and
-    of every row."""
-    mt = _as_ternary(m)
-    if mt.n != table.cols:
-        raise LengthMismatch(
-            f"query width {mt.n} differs from table width {table.cols}"
-        )
-    if table.is_binary and not mt.is_binary:
-        raise ModeMismatch("ternary query against a binary table")
-    keys = code_keys(mt, table.codes)
-    if table.is_binary:
-        mb = m if isinstance(m, BitVector) else mt.to_bitvector()
-        score = lambda i: quality_index(mb, table._row(i).to_bitvector())
-        n = table.cols  # a binary row's k is n - key, or 0 for the match key n + 2^(n+1)
-        scores = lambda: [QualityIndex(max(n - key, 0), n) for key in keys]
-    else:
-        score = lambda i: quality_arith(mt, table._row(i))
-        scores = lambda: code_scores(mt, table.codes)
-    return keys, score, scores
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+_CLEAR = bytes.maketrans(b"01", b"\1\0")  # a bit's text to a selector of its clear bits
+
+
+def _select(spread: int, n: int) -> bytes:
+    """A ``compress`` selector of n coordinates: byte j is 1 where the low
+    bit of pair j of ``spread``, counted from the most significant, is set."""
+    return format(spread, f"0{2 * n}b")[1::2].encode().translate(_SELECT)
+
+
+def _count(planes: list[int]) -> list[int]:
+    """The per-row number of ``planes`` that have the row's bit set, as
+    bit-sliced counter planes: bit i of a row's count is its bit in plane i.
+
+    A carry-save adder tree (the Harley-Seal population count): each
+    full adder folds two more planes of one weight into that weight's
+    running sum and passes their carry on to the next weight, so n planes
+    take about n adders of five bitwise operations, each over every row.
+    """
+    counts = []
+    while planes:
+        it = iter(planes)
+        total, carries = next(it), []
+        for a, b in zip(it, it):
+            t = total ^ a
+            carries.append(total & a | t & b)
+            total = t ^ b
+        if not len(planes) % 2:  # zip dropped the last plane
+            a = planes[-1]
+            carries.append(total & a)
+            total ^= a
+        counts.append(total)
+        planes = carries
+    return counts
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """The bit-sliced sum of two bit-sliced counts of the same length."""
+    total, carry = [], 0
+    for x, y in zip(a, b):
+        t = x ^ y
+        total.append(t ^ carry)
+        carry = x & y | t & carry
+    return total + [carry] if carry else total
+
+
+def _least(rows: int, counts: list[int]) -> tuple[int, int]:
+    """(the rows of mask ``rows`` whose count is least, that count): a min
+    search from the top counter plane down."""
+    least = 0
+    for i in range(len(counts) - 1, -1, -1):
+        fewer = rows & ~counts[i]
+        if fewer:
+            rows = fewer
+        else:
+            least |= 1 << i
+    return rows, least
+
+
+def _min_max(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """The per-row min and max of two bit-sliced counts."""
+    width = max(len(p), len(q))
+    p, q = p + [0] * (width - len(p)), q + [0] * (width - len(q))
+    swap, same = 0, -1  # the rows known to have q < p; those with equal bits so far
+    for a, b in zip(reversed(p), reversed(q)):
+        swap |= same & a & ~b
+        same &= ~(a ^ b)
+    return [a ^ (a ^ b) & swap for a, b in zip(p, q)], [b ^ (a ^ b) & swap for a, b in zip(p, q)]
+
+
+def _count_at(counts: list[int], at: int) -> int:
+    """The count of the row at bit ``at`` of bit-sliced ``counts``."""
+    return sum((plane >> at & 1) << i for i, plane in enumerate(counts))
+
+
+def _transpose(planes: list[int], height: int) -> list[int]:
+    """One int per row of ``height``: row r reads bit 2(height-1-r) of each
+    plane, the first plane as its most significant bit."""
+    text = "".join([format(plane, f"0{2 * height}b")[1::2] for plane in planes])
+    return [int(text[r::height] or "0", 2) for r in range(height)]
+
+
+def _indices(rows: int, height: int) -> list[int]:
+    """The 0-based rows of mask ``rows`` over ``height`` rows, ascending."""
+    text = format(rows, f"0{2 * height}b")
+    found, at = [], text.find("1")
+    while at >= 0:
+        found.append(at // 2)
+        at = text.find("1", at + 2)
+    return found
+
+
+class _Search:
+    """The counts of one probe m against every row of one table.
+
+    ``e`` counts each row's empty coordinates, where m is 0 and the row is
+    1 or the reverse: on binary rows it is the quality index k. For the
+    rows with e = 0 of a ternary table, ``_pq`` counts p, the x of the row
+    where m has none, and q, the x of m where the row has none; such rows
+    score better as (min(p, q), max(p, q)) is less
+    (:func:`lamp.quality.arith_keys` derives it), so rows are ranked by
+    (e, min(p, q), max(p, q)). Every count is bit-sliced, its planes over
+    the columns' pairs: a row's bit is the low bit of its pair, and the
+    high bits hold nothing of use.
+    """
+
+    def __init__(self, table: AssocTable, m):
+        mt = _as_ternary(m)
+        if mt.n != table.cols:
+            raise LengthMismatch(
+                f"query width {mt.n} differs from table width {table.cols}"
+            )
+        if table.is_binary and not mt.is_binary:
+            raise ModeMismatch("ternary query against a binary table")
+        self.table, self.m, self.mt = table, m, mt
+        # a probe 1 (code 01) conflicts with a row's 0, at the low bits, a
+        # probe 0 (code 10) with a 1, at the high bits; an x (11) with neither
+        pairs = format(mt.enc.value, f"0{2 * mt.n}b").encode()
+        lows = list(compress(table._zeros, pairs[0::2].translate(_CLEAR)))
+        highs = list(compress(table._ones, pairs[1::2].translate(_CLEAR)))
+        # a low and a high plane share one int, so each adder adds two columns
+        counts = _count([*map(or_, lows, highs), *lows[len(highs):], *highs[len(lows):]])
+        low = low_bits(len(table))
+        self.e = _add([c & low for c in counts], [c >> 1 & low for c in counts])
+        self._pq_counts = self._order_counts = None
+
+    def _pq(self) -> tuple[list[int], list[int]]:
+        """The counter planes of p and q, counted on first use."""
+        if self._pq_counts is None:
+            mv, n = self.mt.enc.value, self.table.cols
+            low = low_bits(len(self.table))
+            filled = [z | o >> 1 for z, o in zip(self.table._zeros, self.table._ones)]  # not x
+            p = _count([low ^ f for f in compress(filled, _select(mv ^ mv >> 1, n))])
+            q = _count(list(compress(filled, _select(mv & mv >> 1, n))))
+            self._pq_counts = p, q
+        return self._pq_counts
+
+    def best(self, rows: int) -> int:
+        """The rows of mask ``rows`` that score best."""
+        rows, e = _least(rows, self.e)
+        if e == 0 and not self.table.is_binary:
+            if self._order_counts is None:
+                self._order_counts = _min_max(*self._pq())
+            for counts in self._order_counts:
+                rows = _least(rows, counts)[0]
+        return rows
+
+    def order(self):
+        """The 0-based rows, best first; tied rows in ascending order."""
+        height = len(self.table)
+        rows = low_bits(height)
+        while rows:
+            best = self.best(rows)
+            yield from _indices(best, height)
+            rows ^= best
+
+    def _scored(self, e: int, p: int, q: int) -> RowScore:
+        n = self.table.cols
+        if self.table.is_binary:
+            return QualityIndex(e, n)
+        return _score_norm(n, e, 0, 0) if e else _score_norm(n, 0, p, q)
+
+    def score(self, i: int) -> RowScore:
+        """Row i's score (0-based), read off the counter planes."""
+        at = 2 * (len(self.table) - 1 - i)
+        e = _count_at(self.e, at)
+        if e or self.table.is_binary:
+            return self._scored(e, 0, 0)
+        return self._scored(0, *(_count_at(counts, at) for counts in self._pq()))
+
+    def scores(self) -> list[RowScore]:
+        """Every row's score, read off the counter planes transposed;
+        rows with the same counts share one score."""
+        height = len(self.table)
+        es = _transpose(self.e[::-1], height)
+        if self.table.is_binary or 0 not in es:
+            keys = [(e, 0, 0) for e in es]
+        else:
+            ps, qs = (_transpose(counts[::-1], height) for counts in self._pq())
+            keys = [(e, 0, 0) if e else (0, p, q) for e, p, q in zip(es, ps, qs)]
+        built: dict[tuple[int, int, int], RowScore] = {}
+        return [built.get(key) or built.setdefault(key, self._scored(*key)) for key in keys]
+
+    def criterion(self, i: int) -> RowScore:
+        """Row i's score (0-based) from the criterion itself, on the row."""
+        row, m = self.table._row(i), self.m
+        if self.table.is_binary:
+            mb = m if isinstance(m, BitVector) else self.mt.to_bitvector()
+            return quality_index(mb, row.to_bitvector())
+        return quality_arith(self.mt, row)
 
 
 def query(table: AssocTable, m) -> QueryResult:
     """Find the best-interacting row(s) for query vector ``m``.
 
-    The winners are the rows with the highest key; only the first of
-    them is scored for ``best_index``, and ``per_row`` scores every row
-    when it is read.
+    The winners are the rows that :class:`_Search` ranks first; only the
+    first of them is scored for ``best_index``, and ``per_row`` scores
+    every row when it is read.
     """
-    keys, score, scores = _keyed(table, m)
-    best_key = max(keys)
-    winners = [(i + 1, table.labels[i]) for i, key in enumerate(keys) if key == best_key]
-    return QueryResult(table.mode, winners, score(winners[0][0] - 1), _Deferred(scores))
+    search = _Search(table, m)
+    best = search.best(low_bits(len(table)))
+    winners = [(i + 1, table.labels[i]) for i in _indices(best, len(table))]
+    scores = _Deferred(search.scores, search.score)
+    return QueryResult(table.mode, winners, search.criterion(winners[0][0] - 1), scores)
 
 
 def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:
-    """First k rows best-first, by key; ties broken by ascending row index.
+    """First k rows best-first; ties broken by ascending row index.
 
-    Only the k rows returned are scored.
+    The rows are found by repeated min searches, and only the k rows
+    returned are scored.
     """
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
-    keys, score, _ = _keyed(table, m)
-    # sorted() is stable, so tied rows stay in ascending order
-    order = sorted(range(len(keys)), key=lambda i: -keys[i])[:k]
-    return [(i + 1, score(i)) for i in order]
+    search = _Search(table, m)
+    return [(i + 1, search.criterion(i)) for i in islice(search.order(), k)]
 
 
 def diagnose(dictionary: AssocTable, response: BitVector) -> QueryResult:

@@ -226,15 +226,15 @@ def _run_table_query(args, response_mode: bool) -> int:
         result = query(table, probe)
 
     mode_name = result.mode.value
-    best_disp, best_json = _score_text(result.best_index), _score_cells(result.best_index)
     text = [
         _head(f"{table.name}: {len(table)} rows, width {table.cols}, {mode_name}"),
         f"query   {vec_text}",
     ]
     tsv, rows_json = [], []
-    for idx, label in result.best_rows:
-        text.append(f"winner  row {idx}" + (f"  {label}" if label else "") + f"  {best_disp}")
-        tsv.append(["winner", idx, label or "", *best_json.values()])
+    for idx, label in result.best_rows:  # tied ternary rows can differ in mu_m_in_a and mu_a_in_m
+        score = result.row_score(idx)
+        text.append(f"winner  row {idx}" + (f"  {label}" if label else "") + "  " + _score_text(score))
+        tsv.append(["winner", idx, label or "", *_score_cells(score).values()])
     if args.top:
         ranked = rank(table, probe, args.top)
         text.append(_head(f"top {len(ranked)}"))
@@ -251,7 +251,7 @@ def _run_table_query(args, response_mode: bool) -> int:
         "best_rows": [
             {"row": idx, "label": label} for idx, label in result.best_rows
         ],
-        "best": best_json,
+        "best": _score_cells(result.best_index),
     }
     if args.format == "json":  # only JSON prints per-row scores
         report["per_row"] = [

@@ -9,8 +9,9 @@ Three equivalent views of the same idea, each cheaper than the last:
   n - e for a row with e >= 1 empty coordinates, else
   n + 2^(n-xa+cx) + 2^(n-xm+cx) from the x counts of A, m and their
   meet (derived in its docstring). :func:`code_keys` computes them on
-  rows held as 2n-bit codes, and :func:`code_scores` builds the scores
-  of those rows from the same counts.
+  rows held as 2n-bit codes. The table search (:mod:`lamp.assoc`) ranks
+  rows without keys, by their counts: e, then, where e = 0, the smaller
+  and the larger of xa - cx and xm - cx, which the keys order alike.
 * :func:`criterion_arith` -- integer sum of a Hamming term and two
   non-membership counts on binary vectors (lower is better, 0 means
   equal).
@@ -24,7 +25,8 @@ Three equivalent views of the same idea, each cheaper than the last:
 vectors, an and/xor/or-fold with no comparison arithmetic; the grid
 machine's built-in query runs it, and :func:`choose_best` wraps it for
 :class:`BitVector` inputs. On binary rows :func:`arith_keys` orders the
-rows exactly as the fold does, so the table query ranks by the keys.
+rows exactly as the fold does, by k; the table search counts k for
+every row at once.
 """
 
 from __future__ import annotations
@@ -150,33 +152,6 @@ def code_keys(m: TernaryVector, codes: list[int]) -> list[int]:
             xa = (av & av >> 1 & low).bit_count()
             keys.append(n + (1 << n - xa + cx) + (1 << n - xm + cx))
     return keys
-
-
-def code_scores(m: TernaryVector, codes: list[int]) -> list[QualityScoreNorm]:
-    """``quality_arith(m, a)`` of rows given as n-symbol codes.
-
-    Each score is built from the counts :func:`code_keys` reads; rows
-    with the same counts share one score object.
-    """
-    n = m.n
-    mv = m.enc.value
-    low = low_bits(n)
-    xm = (mv & mv >> 1 & low).bit_count()
-    built: dict[tuple[int, int, int], QualityScoreNorm] = {}
-    scores = []
-    for av in codes:
-        meet = mv & av
-        e = (~(meet | meet >> 1) & low).bit_count()
-        if e:
-            counts = (e, 0, 0)
-        else:
-            cx = (meet & meet >> 1 & low).bit_count()
-            counts = (0, (av & av >> 1 & low).bit_count() - cx, xm - cx)
-        score = built.get(counts)
-        if score is None:
-            score = built[counts] = _score_norm(n, *counts)
-        scores.append(score)
-    return scores
 
 
 def criterion_arith(m: BitVector, a: BitVector) -> QualityScoreInt:

@@ -13,10 +13,11 @@ string is rendered for display only.
 
 Read as a base-4 digit, a symbol's code is 0 -> 2, 1 -> 1, x -> 3, so
 :func:`parse_code` turns a whole symbol string into its code with one
-byte translation and one ``int(digits, 4)``, and :func:`parse_codes`
-the lines of a whole table with one translation; a table keeps only these
-ints (:class:`lamp.assoc.AssocTable`), and a :class:`TernaryVector` is
-built for the rows a caller reads.
+byte translation and one ``int(digits, 4)``. :func:`parse_columns` reads
+the lines of a whole table with one translation, to the complement of
+each symbol's code, and one ``int(digits, 4)`` per column: the table's
+transpose, which :class:`lamp.assoc.AssocTable` keeps and searches. A
+:class:`TernaryVector` is built only for a row that a caller reads.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ _DROP_SYMBOLS = str.maketrans("", "", "01x")
 # each symbol byte to its code as a base-4 digit, every other digit byte
 # to a non-digit, so that isdigit() accepts exactly the symbol strings
 _CODE = bytes.maketrans(b"0123456789xX", b"21!!!!!!!!33")
+_COLUMN = bytes.maketrans(b"0123456789xX", b"12!!!!!!!!00")  # 3 minus _CODE's digit
 
 
 @functools.cache
@@ -68,16 +70,30 @@ def parse_code(text: str) -> tuple[int, int]:
     raise ParseError(f"invalid symbol {bad[0]!r} in vector literal {text!r}")
 
 
-def parse_codes(text: str) -> tuple[int, list[int]] | None:
-    """(n, codes) of the lines of ``text``, split at ``\\n`` only, when each
-    is a {0,1,x} string of n symbols, read as :func:`parse_code` reads it,
-    with one encode, translate and split for them all; None when some
-    line is not, and :func:`parse_code` then names the fault."""
-    digits = text.encode("utf-8", "surrogatepass").translate(_CODE, b"_").split(b"\n")
-    widths = set(map(len, digits))
-    if len(widths) != 1 or not all(map(bytes.isdigit, digits)):
+def parse_columns(text: str) -> tuple[list[int], int, bool] | None:
+    """(columns, rows, whether some symbol is x) of the lines of ``text``,
+    split at ``\\n`` only, when each is a {0,1,x} string of n symbols,
+    read as :func:`parse_code` reads it; None when some line is not, and
+    :func:`parse_code` then names the fault.
+
+    The text is translated to one base-4 digit per symbol, the complement
+    of its code (0 -> 01, 1 -> 10, x -> 00), and column j is
+    ``int(digits[j::n+1], 4)``: its pair r, counted from the most
+    significant, is that of line r's symbol j. The whole text is checked
+    at once: a newline must be at every (n+1)-th byte, and ``int`` refuses
+    any other byte inside a column. At a column's ends it would allow a
+    sign or a space, so the first and the last line are checked for digits.
+    """
+    digits = text.encode("utf-8", "surrogatepass").translate(_COLUMN, b"_")
+    n = digits.find(b"\n") % (len(digits) + 1)  # the whole text when it has one line
+    rows, rest = divmod(len(digits) + 1, n + 1)
+    if (not n or rest or digits[n::n + 1].strip(b"\n")
+            or not (digits[:n] + digits[-n:]).isdigit()):
         return None
-    return widths.pop(), list(map(int, digits, itertools.repeat(4)))
+    try:
+        return [int(digits[j::n + 1], 4) for j in range(n)], rows, b"0" in digits
+    except ValueError:
+        return None
 
 
 def check_codes(codes: list[int], n: int) -> None:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from lamp.errors import (
 )
 from lamp.sim import (
     GRID_SIZE,
+    ISA,
+    OPERAND_KINDS,
     BinOp,
     Dir,
     Halt,
@@ -495,3 +499,32 @@ def programs(draw):
 def test_generated_program_round_trips(p):
     assert assemble(disassemble(p)) == p
     assert program_from_bytes(program_to_bytes(p)) == p
+
+
+# every valid row index or jump target is a u16; these span the field
+ARG16_CODES = (0, 1, 2, 255, 256, 4095, 32767, 32768, 65534, 65535)
+
+
+@pytest.mark.parametrize("cls", ISA, ids=lambda cls: cls.__name__)
+def test_every_valid_record_decodes_to_the_checked_instruction(cls):
+    """The decoder builds instructions without re-running the operand
+    checks; each valid code of each operand must give what the checked
+    constructor gives, enum operands in every combination."""
+    choices = []  # per operand: (where it is encoded, its code, the value it decodes to)
+    for _, kind in cls.OPERANDS:
+        accepts = OPERAND_KINDS[kind][0]
+        if kind == "literal":  # width 5: the literal's byte holds three padding bits
+            choices.append([("literal", v << 3, BitVector(5, v)) for v in (0, 1, 0b10110, 31)])
+        elif callable(accepts):
+            choices.append([("arg16", code, code) for code in ARG16_CODES])
+        else:
+            choices.append([("field", code, member) for code, member in enumerate(accepts)])
+    for combo in itertools.product(*choices):
+        fields = [code for where, code, _ in combo if where == "field"]
+        arg16 = sum(code for where, code, _ in combo if where == "arg16")
+        literal = bytes(code for where, code, _ in combo if where == "literal")
+        record = bytes([ISA.index(cls), *fields, *[0] * (5 - len(fields))])
+        record += arg16.to_bytes(2, "big") + literal
+        inst = program_from_bytes(_blob([record.hex()], width=5)).cells[0][0][0]
+        expect = cls(*(value for _, _, value in combo))
+        assert type(inst) is cls and inst == expect and hash(inst) == hash(expect)

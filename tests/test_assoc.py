@@ -548,3 +548,141 @@ def test_query_is_deterministic():
     second = query(t, m)
     assert first.best_rows == second.best_rows
     assert first.per_row == second.per_row
+
+
+# --- the column search against the per-row key oracle -----------------------------
+
+
+def code_scores(m, codes):
+    """``quality_arith(m, a)`` of rows given as 2n-bit codes, from the counts
+    that ``code_keys`` reads: the per-row form the column search replaced."""
+    from lamp.quality import _score_norm
+    from lamp.ternary import low_bits
+
+    n, mv = m.n, m.enc.value
+    low = low_bits(n)
+    xm = (mv & mv >> 1 & low).bit_count()
+    scores = []
+    for av in codes:
+        meet = mv & av
+        e = (~(meet | meet >> 1) & low).bit_count()
+        if e:
+            scores.append(_score_norm(n, e, 0, 0))
+        else:
+            cx = (meet & meet >> 1 & low).bit_count()
+            scores.append(_score_norm(n, 0, (av & av >> 1 & low).bit_count() - cx, xm - cx))
+    return scores
+
+
+@st.composite
+def search_cases(draw):
+    """(rows, probe): a table of 1, 63, 64 or 65 rows (or a few), drawn
+    from a small pool so that rows repeat and tie. The probe is a fresh
+    vector or all x. With x in play, the pool may hold all x and the
+    probe, and it holds two rows that meet the probe everywhere with p
+    and q swapped (p, the x of the row where the probe has none, and q,
+    the reverse), which tie with different mu components."""
+    n = draw(st.integers(1, 70))
+    alphabet = draw(st.sampled_from(["01", "01x", "0x", "1x", "x"]))
+    vec = st.lists(st.sampled_from(alphabet), min_size=n, max_size=n).map("".join)
+    probe = draw(vec) if alphabet == "01" else draw(st.sampled_from([draw(vec), "x" * n]))
+    pool = draw(st.lists(vec, min_size=1, max_size=4))
+    if "x" in alphabet:
+        pool += draw(st.lists(st.sampled_from(["x" * n, probe]), max_size=2))
+        binary = [k for k, s in enumerate(probe) if s != "x"]
+        xs = [k for k, s in enumerate(probe) if s == "x"]
+        p = draw(st.integers(0, min(len(binary), len(xs))))
+        q = draw(st.integers(0, min(len(binary), len(xs))))
+        for a, b in ((p, q), (q, p)):
+            opened = set(draw(st.permutations(binary))[:a])
+            fixed = set(draw(st.permutations(xs))[:b])
+            pool.append("".join(
+                "x" if k in opened else draw(st.sampled_from("01")) if k in fixed else s
+                for k, s in enumerate(probe)
+            ))
+    count = draw(st.sampled_from([1, 63, 64, 65]) | st.integers(1, 9))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    return rows, probe
+
+
+@settings(max_examples=120, deadline=None)
+@given(search_cases())
+def test_column_search_matches_the_key_oracle(case):
+    from lamp.quality import QualityIndex, code_keys
+
+    rows, probe = case
+    table = AssocTable.from_rows(rows, labels=[f"r{i}" for i in range(len(rows))])
+    m = tv(probe)
+    if table.is_binary and not m.is_binary:
+        with pytest.raises(ModeMismatch):
+            query(table, m)
+        return
+    if table.is_binary:
+        m = m.to_bitvector()  # a binary probe as a BitVector, as diag passes it
+    mt = tv(probe)
+    codes = [tv(r).enc.value for r in rows]
+    keys = code_keys(mt, codes)
+    n = mt.n
+    if table.is_binary:  # k is n - key, or 0 for an exact row
+        expect_scores = [QualityIndex(max(n - key, 0), n) for key in keys]
+    else:
+        expect_scores = code_scores(mt, codes)
+    best = max(keys)
+    winners = [i for i, key in enumerate(keys) if key == best]
+
+    res = query(table, m)
+    assert res.best_rows == [(i + 1, f"r{i}") for i in winners]
+    assert res.best_index == expect_scores[winners[0]]
+    # each winner's own score, before per_row is built and after
+    assert [res.row_score(i + 1) for i in winners] == [expect_scores[i] for i in winners]
+    assert res.per_row == expect_scores
+    assert [res.row_score(i + 1) for i in winners] == [expect_scores[i] for i in winners]
+    order = sorted(range(len(rows)), key=lambda i: -keys[i])  # stable: ties stay in row order
+    full = rank(table, m, len(rows))
+    assert full == [(i + 1, expect_scores[i]) for i in order]
+    for k in range(1, len(rows)):
+        assert rank(table, m, k) == full[:k]
+
+
+def test_tied_ternary_winners_keep_their_own_components():
+    # both rows score 7/12; row 1 has p = 2, q = 1 and row 2 the reverse
+    table = AssocTable.from_rows(["0xxx", "00x0"])
+    m = tv("xx00")
+    res = query(table, m)
+    expect = [quality_arith(m, tv("0xxx")), quality_arith(m, tv("00x0"))]
+    assert expect[0].value == expect[1].value and expect[0] != expect[1]
+    assert res.best_rows == [(1, None), (2, None)]
+    assert res.best_index == expect[0]
+    assert [res.row_score(1), res.row_score(2)] == expect
+    assert rank(table, m, 2) == [(1, expect[0]), (2, expect[1])]
+
+
+@pytest.mark.parametrize(
+    "rows, probe",
+    [
+        (["1"], "0"),
+        (["x"], "x"),
+        (["x" * 70], "x" * 70),
+        (["1" * 70], "0" * 70),
+        (["x0", "x0", "0x"], "xx"),
+    ],
+)
+def test_column_search_edge_shapes(rows, probe):
+    table = AssocTable.from_rows(rows)
+    m = tv(probe)
+    if table.is_binary:
+        m = m.to_bitvector()
+        scores = [quality_index(m, tv(r).to_bitvector()) for r in rows]
+    else:
+        scores = [quality_arith(m, tv(r)) for r in rows]
+    res = query(table, m)
+    assert res.per_row == scores
+    assert rank(table, m, len(rows))[0] == (res.best_rows[0][0], res.best_index)
+
+
+def test_codes_are_built_from_the_columns_on_each_read():
+    table = load_table("a\t0x1\nb\t1X_0\n")
+    assert table.codes == [tv("0x1").enc.value, tv("1x0").enc.value]
+    assert table.codes is not table.codes
+    assert AssocTable("t", 3, table.codes).rows == [tv("0x1"), tv("1x0")]
+    assert table._row(1) == tv("1x0")

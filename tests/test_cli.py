@@ -514,3 +514,25 @@ def test_json_writer_rejects_the_keys_json_dumps_rejects(value):
     with pytest.raises(TypeError) as got:
         _indented(value, [])
     assert str(got.value) == str(want.value)
+
+
+def test_tied_ternary_winners_print_their_own_components(capsys, tmp_path):
+    # rows 1 and 2 tie at Q = 7/12 with mu_m_in_a and mu_a_in_m swapped
+    path = tmp_path / "t.tbl"
+    path.write_text("0xxx\n00x0\n")
+    code, out, err = run_cli(capsys, "query", str(path), "--m", "xx00", "--top", "2",
+                             "--format", "tsv")
+    assert (code, err) == (0, "")
+    assert out == (
+        "winner\t1\t\t7/12\t1\t1/4\t1/2\n"
+        "winner\t2\t\t7/12\t1\t1/2\t1/4\n"
+        "rank\t1\t\t7/12\t1\t1/4\t1/2\n"
+        "rank\t2\t\t7/12\t1\t1/2\t1/4\n"
+    )
+    _, metric, _ = run_cli(capsys, "metric", "--mode", "arith", "--m", "xx00", "--a", "00x0",
+                           "--format", "tsv")
+    assert "mu_m_in_a\t1/2\nmu_a_in_m\t1/4\n" in metric
+    # the JSON best is the first winner's score
+    _, doc, _ = run_cli(capsys, "query", str(path), "--m", "xx00", "--format", "json")
+    assert json.loads(doc)["best"] == {"q": "7/12", "d": "1", "mu_m_in_a": "1/4",
+                                       "mu_a_in_m": "1/2"}

@@ -255,3 +255,19 @@ def test_the_earliest_bad_line_is_the_one_reported(text, line):
     got = outcome(loaded, text)
     assert got == outcome(oracle_load, text)
     assert got[1].startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 0\n111\n", "111\n1 0\n",  # a space inside a row, first or last line
+        "+10\n111\n", "111\n10+\n", "11\n+1\n11\n", "-1\n11\n",  # a sign, at a column's ends
+        "1\x000\n111\n", "1٣0\n111\n",  # a NUL, a non-ASCII digit
+        "101\n1\u000b0\n",  # a vertical tab, which int() strips at a column's end
+    ],
+)
+def test_bytes_that_int_accepts_at_a_columns_ends_are_refused(text):
+    # the columns are read with int(), which allows a sign or a space at
+    # either end of its text, that is in the first or the last line
+    assert outcome(loaded, text) == outcome(oracle_load, text)
+    assert outcome(loaded, text)[0] is ParseError
