@@ -364,7 +364,7 @@ def _decode_record(data: bytes, pos: int, width):
             args.append(BitVector(width, raw >> pad))
         else:
             args.append(int.from_bytes(rec[6:8], "big"))
-    return cls._trusted(*args)  # every operand above passes its kind's check
+    return cls(*args)
 
 
 def program_from_bytes(data: bytes) -> Program:

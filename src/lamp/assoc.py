@@ -45,7 +45,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
-from operator import or_
+from operator import not_, or_
 from typing import Callable, Iterable, Optional, Union
 
 from .bitvec import BitVector
@@ -102,16 +102,7 @@ class AssocTable:
     def __init__(self, name: str, cols: int, codes: list[int], labels=None):
         if not codes:
             raise EmptyTable(f"table {name!r} has no rows")
-        if not labels:
-            labels = [None] * len(codes)
-        if len(labels) != len(codes):
-            raise ParseError(f"{len(labels)} labels for {len(codes)} rows")
-        check_codes(codes, cols)
-        named = [label for label in labels if label is not None]
-        if len(set(named)) != len(named):
-            seen = set()
-            label = next(lab for lab in named if lab in seen or seen.add(lab))
-            raise ParseError(f"duplicate row label {label!r}")
+        labels = _checked_labels(labels, len(codes), lambda: check_codes(codes, cols))
         self._set(name, _flip(codes, cols), labels, any_x(codes, cols))
 
     def _set(self, name, columns, labels, ternary) -> None:
@@ -125,15 +116,25 @@ class AssocTable:
 
     @classmethod
     def from_rows(cls, rows, labels=None, name="table") -> "AssocTable":
-        """Build from TernaryVector/BitVector rows or vector strings."""
-        parsed = [
-            TernaryVector.parse(row) if isinstance(row, str) else _as_ternary(row)
-            for row in rows
-        ]
-        if not parsed:
+        """Build from TernaryVector/BitVector rows or vector strings.
+
+        BitVectors of one width are transposed to columns from their bytes,
+        with no TernaryVector or code built for a row; other rows go through
+        their codes, whose checks name the first bad row.
+        """
+        rows = list(rows)
+        if not rows:
             raise EmptyTable(f"table {name!r} has no rows")
-        codes = [row.enc.value for row in parsed]
-        return cls(name, parsed[0].n, codes, list(labels) if labels else [])
+        labels = list(labels) if labels else []
+        if all(isinstance(row, BitVector) and row.n == rows[0].n for row in rows):
+            n, size = rows[0].n, (rows[0].n + 7) // 8
+            matrix = b"".join([row.value.to_bytes(size, "big") for row in rows])
+            table = cls.__new__(cls)
+            table._set(name, _columns(matrix, size, _BIT, n), _checked_labels(labels, len(rows)), False)
+            return table
+        vectors = [TernaryVector.parse(row) if isinstance(row, str) else _as_ternary(row)
+                   for row in rows]
+        return cls(name, vectors[0].n, [row.enc.value for row in vectors], labels)
 
     @property
     def codes(self) -> list[int]:
@@ -179,6 +180,23 @@ class AssocTable:
                 f"labels={self.labels!r}, mode={self.mode!r})")
 
 
+def _checked_labels(labels, count: int, check_rows=lambda: None) -> list:
+    """``labels`` for ``count`` rows, or None for each when there are none;
+    their number is checked, then ``check_rows`` runs, then the labels are
+    checked for a repeat."""
+    if not labels:
+        labels = [None] * count
+    if len(labels) != count:
+        raise ParseError(f"{len(labels)} labels for {count} rows")
+    check_rows()
+    named = [label for label in labels if label is not None]
+    if len(set(named)) != len(named):
+        seen = set()
+        label = next(lab for lab in named if lab in seen or seen.add(lab))
+        raise ParseError(f"duplicate row label {label!r}")
+    return labels
+
+
 def _bytes(values: Iterable[int], width: int) -> bytes:
     """Ints of ``width`` 2-bit pairs each, in (width + 3) // 4 bytes each."""
     return b"".join(map(int.to_bytes, values, repeat((width + 3) // 4), repeat("big")))
@@ -187,6 +205,9 @@ def _bytes(values: Iterable[int], width: int) -> bytes:
 # _FLIPPED[k] maps a byte to its pair k, from the most significant,
 # complemented, as a base-4 digit
 _FLIPPED = [bytes(ord("3") - (b >> 6 - 2 * k & 3) for b in range(256)) for k in range(4)]
+# _BIT[k] maps a byte to its bit k, from the most significant, as the
+# base-4 digit of that binary symbol's pair in a column: 0 -> 01, 1 -> 10
+_BIT = [bytes(ord("1") + (b >> 7 - k & 1) for b in range(256)) for k in range(8)]
 
 
 def _flipped(matrix: bytes, width: int, i: int) -> int:
@@ -203,23 +224,29 @@ def _flip(values: Iterable[int], width: int) -> list[int]:
     ``values`` hold ``width`` pairs each, and result i holds pair i of
     every value, as :func:`_flipped` reads it. The rows' codes flip to
     the table's columns, and back."""
-    size = (width + 3) // 4
-    matrix = _bytes(values, width)
-    flipped = []
-    for k in range(size):  # each byte of the values holds four of their pairs
+    return _columns(_bytes(values, width), (width + 3) // 4, _FLIPPED, width)
+
+
+def _columns(matrix: bytes, size: int, tables: list[bytes], width: int) -> list[int]:
+    """The columns of ``matrix``, whose values take ``size`` bytes each and
+    end in ``width`` symbols of len(tables) to a byte: column i is a base-4
+    int whose digit r is value r's symbol i, as ``tables`` map it. Table k
+    reads the k-th symbol of a byte, from the most significant."""
+    columns = []
+    for k in range(size):
         column = matrix[k::size]
-        flipped += [int(column.translate(table), 4) for table in _FLIPPED]
-    return flipped[4 * size - width:]
+        columns += [int(column.translate(table), 4) for table in tables]
+    return columns[len(tables) * size - width:]
 
 
 class _Deferred:
     """Per-row scores not computed yet: ``every()`` computes them all, and
-    ``one(i)`` row i's (0-based) alone."""
+    ``winners()`` the winners' alone."""
 
-    __slots__ = ("every", "one")
+    __slots__ = ("every", "winners")
 
-    def __init__(self, every: Callable[[], list[RowScore]], one: Callable[[int], RowScore]):
-        self.every, self.one = every, one
+    def __init__(self, every: Callable[[], list[RowScore]], winners: Callable[[], list[RowScore]]):
+        self.every, self.winners = every, winners
 
 
 class _PerRow:
@@ -245,7 +272,7 @@ class QueryResult:
     ``per_row`` holds one score per row: a :class:`QualityIndex` in
     binary mode, a :class:`QualityScoreNorm` in ternary mode.
     :func:`query` scores the rows on the first read of ``per_row`` and
-    then keeps the list; ``row_score`` reads one row's score without it.
+    then keeps the list; ``winner_scores`` reads the winners' without it.
     ``best_index`` is the winning score in the same convention and
     ``best_rows`` lists every optimal (1-based row, label) pair.
     """
@@ -255,11 +282,14 @@ class QueryResult:
     best_index: RowScore
     per_row: list[RowScore] = _PerRow()
 
-    def row_score(self, row: int) -> RowScore:
-        """The score of ``row`` (1-based), from ``per_row`` once it is built;
-        before that, :func:`query` reads this row's alone."""
+    def winner_scores(self) -> list[RowScore]:
+        """The score of each of ``best_rows``, in order, from ``per_row``
+        once it is built; before that, :func:`query` reads the winners'
+        alone. Tied ternary rows can differ in their mu components."""
         rows = self.__dict__["_per_row"]
-        return rows.one(row - 1) if isinstance(rows, _Deferred) else rows[row - 1]
+        if isinstance(rows, _Deferred):
+            return rows.winners()
+        return [rows[i - 1] for i, _ in self.best_rows]
 
 
 def load_table(source, name="table") -> AssocTable:
@@ -365,14 +395,7 @@ def _as_ternary(m) -> TernaryVector:
     raise NotAVector(f"expected a vector, got {type(m).__name__}")
 
 
-_SELECT = bytes.maketrans(b"01", b"\0\1")
 _CLEAR = bytes.maketrans(b"01", b"\1\0")  # a bit's text to a selector of its clear bits
-
-
-def _select(spread: int, n: int) -> bytes:
-    """A ``compress`` selector of n coordinates: byte j is 1 where the low
-    bit of pair j of ``spread``, counted from the most significant, is set."""
-    return format(spread, f"0{2 * n}b")[1::2].encode().translate(_SELECT)
 
 
 def _count(planes: list[int]) -> list[int]:
@@ -424,15 +447,17 @@ def _least(rows: int, counts: list[int]) -> tuple[int, int]:
     return rows, least
 
 
-def _min_max(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
-    """The per-row min and max of two bit-sliced counts."""
+def _min_max(p: list[int], q: list[int]) -> tuple[list[int], list[int], int]:
+    """The per-row min and max of two bit-sliced counts, and the rows
+    whose q is less than their p."""
     width = max(len(p), len(q))
     p, q = p + [0] * (width - len(p)), q + [0] * (width - len(q))
     swap, same = 0, -1  # the rows known to have q < p; those with equal bits so far
     for a, b in zip(reversed(p), reversed(q)):
         swap |= same & a & ~b
         same &= ~(a ^ b)
-    return [a ^ (a ^ b) & swap for a, b in zip(p, q)], [b ^ (a ^ b) & swap for a, b in zip(p, q)]
+    return ([a ^ (a ^ b) & swap for a, b in zip(p, q)],
+            [b ^ (a ^ b) & swap for a, b in zip(p, q)], swap)
 
 
 def _count_at(counts: list[int], at: int) -> int:
@@ -483,8 +508,9 @@ class _Search:
         # a probe 1 (code 01) conflicts with a row's 0, at the low bits, a
         # probe 0 (code 10) with a 1, at the high bits; an x (11) with neither
         pairs = format(mt.enc.value, f"0{2 * mt.n}b").encode()
-        lows = list(compress(table._zeros, pairs[0::2].translate(_CLEAR)))
-        highs = list(compress(table._ones, pairs[1::2].translate(_CLEAR)))
+        ones, zeros = pairs[0::2].translate(_CLEAR), pairs[1::2].translate(_CLEAR)
+        self._selectors = ones, zeros  # the coordinates where m is 1, where m is 0
+        lows, highs = list(compress(table._zeros, ones)), list(compress(table._ones, zeros))
         # a low and a high plane share one int, so each adder adds two columns
         counts = _count([*map(or_, lows, highs), *lows[len(highs):], *highs[len(lows):]])
         low = low_bits(len(table))
@@ -494,30 +520,31 @@ class _Search:
     def _pq(self) -> tuple[list[int], list[int]]:
         """The counter planes of p and q, counted on first use."""
         if self._pq_counts is None:
-            mv, n = self.mt.enc.value, self.table.cols
-            low = low_bits(len(self.table))
+            low, n = low_bits(len(self.table)), self.table.cols
             filled = [z | o >> 1 for z, o in zip(self.table._zeros, self.table._ones)]  # not x
-            p = _count([low ^ f for f in compress(filled, _select(mv ^ mv >> 1, n))])
-            q = _count(list(compress(filled, _select(mv & mv >> 1, n))))
+            ones, zeros = map(int.from_bytes, self._selectors)
+            known = (ones | zeros).to_bytes(n)  # where m is not x; bytes of 0 or 1 or bytewise
+            p = _count([low ^ f for f in compress(filled, known)])
+            q = _count(list(compress(filled, map(not_, known))))
             self._pq_counts = p, q
         return self._pq_counts
 
-    def best(self, rows: int) -> int:
-        """The rows of mask ``rows`` that score best."""
+    def best(self, rows: int) -> tuple[int, int]:
+        """(the rows of mask ``rows`` that score best, their e)."""
         rows, e = _least(rows, self.e)
         if e == 0 and not self.table.is_binary:
             if self._order_counts is None:
                 self._order_counts = _min_max(*self._pq())
-            for counts in self._order_counts:
+            for counts in self._order_counts[:2]:
                 rows = _least(rows, counts)[0]
-        return rows
+        return rows, e
 
     def order(self):
         """The 0-based rows, best first; tied rows in ascending order."""
         height = len(self.table)
         rows = low_bits(height)
         while rows:
-            best = self.best(rows)
+            best = self.best(rows)[0]
             yield from _indices(best, height)
             rows ^= best
 
@@ -534,6 +561,22 @@ class _Search:
         if e or self.table.is_binary:
             return self._scored(e, 0, 0)
         return self._scored(0, *(_count_at(counts, at) for counts in self._pq()))
+
+    def tied(self, rows: int, found: list[int], e: int, first: RowScore) -> list[RowScore]:
+        """The scores of the rows of mask ``rows``, which :meth:`best` gave
+        with their e; ``found`` lists them, and the first of them scores
+        ``first``. Such rows share e and the min and max of p and q, so each
+        scores ``first`` unless its p and q are the first row's swapped: at
+        most one more score is read, whatever the number of rows."""
+        if e or self.table.is_binary:
+            return [first] * len(found)
+        height, swap = len(self.table), self._order_counts[2]
+        other = rows & (swap ^ -(swap >> 2 * (height - 1 - found[0]) & 1))
+        if not other:
+            return [first] * len(found)
+        others = set(_indices(other, height))
+        second = self.score(min(others))
+        return [second if i in others else first for i in found]
 
     def scores(self) -> list[RowScore]:
         """Every row's score, read off the counter planes transposed;
@@ -565,10 +608,12 @@ def query(table: AssocTable, m) -> QueryResult:
     every row when it is read.
     """
     search = _Search(table, m)
-    best = search.best(low_bits(len(table)))
-    winners = [(i + 1, table.labels[i]) for i in _indices(best, len(table))]
-    scores = _Deferred(search.scores, search.score)
-    return QueryResult(table.mode, winners, search.criterion(winners[0][0] - 1), scores)
+    best, e = search.best(low_bits(len(table)))
+    found = _indices(best, len(table))
+    first = search.criterion(found[0])
+    scores = _Deferred(search.scores, lambda: search.tied(best, found, e, first))
+    winners = [(i + 1, table.labels[i]) for i in found]
+    return QueryResult(table.mode, winners, first, scores)
 
 
 def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:

@@ -231,10 +231,14 @@ def _run_table_query(args, response_mode: bool) -> int:
         f"query   {vec_text}",
     ]
     tsv, rows_json = [], []
-    for idx, label in result.best_rows:  # tied ternary rows can differ in mu_m_in_a and mu_a_in_m
-        score = result.row_score(idx)
-        text.append(f"winner  row {idx}" + (f"  {label}" if label else "") + "  " + _score_text(score))
-        tsv.append(["winner", idx, label or "", *_score_cells(score).values()])
+    if args.format == "text":
+        # tied rows share Q, so each winner's text is the first winner's
+        best = _score_text(result.best_index)
+        for idx, label in result.best_rows:
+            text.append(f"winner  row {idx}" + (f"  {label}" if label else "") + f"  {best}")
+    elif args.format == "tsv":  # tied ternary rows can differ in mu_m_in_a and mu_a_in_m
+        for (idx, label), score in zip(result.best_rows, result.winner_scores()):
+            tsv.append(["winner", idx, label or "", *_score_cells(score).values()])
     if args.top:
         ranked = rank(table, probe, args.top)
         text.append(_head(f"top {len(ranked)}"))

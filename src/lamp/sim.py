@@ -137,9 +137,7 @@ class Instruction:
     a frozen dataclass whose fields are annotated with their kinds, and
     gives it the check of every field as ``_check``, run by
     ``__post_init__`` on construction, so a wrong operand is an
-    InvalidArgument. The assembler, disassembler and codec read the same;
-    the LAMP1 decoder, whose operands pass the checks by construction,
-    builds with ``_trusted`` and does not run them again.
+    InvalidArgument. The assembler, disassembler and codec read the same.
     """
 
     MNEMONIC = ""
@@ -169,18 +167,6 @@ class Instruction:
         if checks and "__post_init__" not in cls.__dict__:  # none for IncRow and Halt
             cls.__post_init__ = check
         dataclass(frozen=True)(cls)
-
-    @classmethod
-    def _trusted(cls, *args) -> "Instruction":
-        """The instruction of ``args``, built without the operand checks: for
-        operands that pass them by construction, as the LAMP1 decoder's do."""
-        inst = object.__new__(cls)
-        inst.__dict__.update(zip(cls.__match_args__, args))
-        inst._normalize()
-        return inst
-
-    def _normalize(self) -> None:
-        """Give equal instructions equal fields (see Logic)."""
 
     def operands(self) -> tuple:
         """Field values in the order of OPERANDS."""
@@ -213,9 +199,6 @@ class Logic(Instruction):
 
     def __post_init__(self):
         self._check()
-        self._normalize()
-
-    def _normalize(self) -> None:
         if self.binop is BinOp.PASS and self.src_b is not self.src_a:
             # PASS has one operand; normalize so equal programs compare equal
             object.__setattr__(self, "src_b", self.src_a)

@@ -507,9 +507,8 @@ ARG16_CODES = (0, 1, 2, 255, 256, 4095, 32767, 32768, 65534, 65535)
 
 @pytest.mark.parametrize("cls", ISA, ids=lambda cls: cls.__name__)
 def test_every_valid_record_decodes_to_the_checked_instruction(cls):
-    """The decoder builds instructions without re-running the operand
-    checks; each valid code of each operand must give what the checked
-    constructor gives, enum operands in every combination."""
+    """Each valid code of each operand decodes without an error to what
+    the checked constructor gives, enum operands in every combination."""
     choices = []  # per operand: (where it is encoded, its code, the value it decodes to)
     for _, kind in cls.OPERANDS:
         accepts = OPERAND_KINDS[kind][0]

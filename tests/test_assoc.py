@@ -18,7 +18,7 @@ from lamp.errors import (
     WidthMismatch,
     ZeroLength,
 )
-from lamp.quality import quality_arith, quality_index
+from lamp.quality import QualityIndex, quality_arith, quality_index
 from lamp.ternary import TernaryVector
 
 bv = BitVector.parse
@@ -608,7 +608,7 @@ def search_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(search_cases())
 def test_column_search_matches_the_key_oracle(case):
-    from lamp.quality import QualityIndex, code_keys
+    from lamp.quality import code_keys
 
     rows, probe = case
     table = AssocTable.from_rows(rows, labels=[f"r{i}" for i in range(len(rows))])
@@ -634,9 +634,11 @@ def test_column_search_matches_the_key_oracle(case):
     assert res.best_rows == [(i + 1, f"r{i}") for i in winners]
     assert res.best_index == expect_scores[winners[0]]
     # each winner's own score, before per_row is built and after
-    assert [res.row_score(i + 1) for i in winners] == [expect_scores[i] for i in winners]
+    assert res.winner_scores() == [expect_scores[i] for i in winners]
+    if not table.is_binary:  # the text output prints the first winner's Q for each
+        assert {score.value for score in res.winner_scores()} == {res.best_index.value}
     assert res.per_row == expect_scores
-    assert [res.row_score(i + 1) for i in winners] == [expect_scores[i] for i in winners]
+    assert res.winner_scores() == [expect_scores[i] for i in winners]
     order = sorted(range(len(rows)), key=lambda i: -keys[i])  # stable: ties stay in row order
     full = rank(table, m, len(rows))
     assert full == [(i + 1, expect_scores[i]) for i in order]
@@ -653,7 +655,7 @@ def test_tied_ternary_winners_keep_their_own_components():
     assert expect[0].value == expect[1].value and expect[0] != expect[1]
     assert res.best_rows == [(1, None), (2, None)]
     assert res.best_index == expect[0]
-    assert [res.row_score(1), res.row_score(2)] == expect
+    assert res.winner_scores() == expect
     assert rank(table, m, 2) == [(1, expect[0]), (2, expect[1])]
 
 
@@ -686,3 +688,67 @@ def test_codes_are_built_from_the_columns_on_each_read():
     assert table.codes is not table.codes
     assert AssocTable("t", 3, table.codes).rows == [tv("0x1"), tv("1x0")]
     assert table._row(1) == tv("1x0")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 70).flatmap(
+    lambda n: st.lists(st.integers(0, 2**n - 1).map(lambda v: BitVector(n, v)), min_size=1, max_size=9)
+))
+def test_bitvector_rows_build_the_table_their_codes_build(bits):
+    codes = [TernaryVector.from_bitvector(b).enc.value for b in bits]
+    labels = [f"r{i}" for i in range(len(bits))]
+    table = AssocTable.from_rows(bits, labels, name="t")
+    assert table == AssocTable("t", bits[0].n, codes, labels)
+    assert table.mode is Mode.BINARY and table.codes == codes
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([BitVector(2, 1), BitVector(3, 1)], WidthMismatch),
+        ([BitVector(2, 1), "x1"], None),
+        (["x1", BitVector(2, 1)], None),
+        ([BitVector(2, 1), b"10"], NotAVector),
+    ],
+)
+def test_rows_not_all_bitvectors_of_one_width_go_through_their_codes(rows, error):
+    from lamp.assoc import _as_ternary
+
+    def by_codes():
+        vectors = [tv(r) if isinstance(r, str) else _as_ternary(r) for r in rows]
+        return AssocTable("table", vectors[0].n, [v.enc.value for v in vectors])
+
+    if error is None:
+        assert AssocTable.from_rows(rows) == by_codes()
+        return
+    with pytest.raises(error) as want:
+        by_codes()
+    with pytest.raises(error) as got:
+        AssocTable.from_rows(rows)
+    assert str(got.value) == str(want.value)
+
+
+def test_labels_of_bitvector_rows_are_checked():
+    with pytest.raises(ParseError, match="1 labels for 2 rows"):
+        AssocTable.from_rows([BitVector(2, 1), BitVector(2, 2)], ["a"])
+    with pytest.raises(ParseError, match="duplicate row label 'a'"):
+        AssocTable.from_rows([BitVector(2, 1), BitVector(2, 2), BitVector(2, 3)], ["a", "b", "a"])
+
+
+def test_tied_winners_are_scored_without_a_read_per_row(monkeypatch):
+    import lamp.assoc
+
+    reads = []
+    count_at = lamp.assoc._count_at
+    monkeypatch.setattr(lamp.assoc, "_count_at", lambda *args: reads.append(1) or count_at(*args))
+    # 20000 rows tie at Q = 7/12; every third has p and q swapped
+    rows = ["0xxx", "00x0", "0xxx"] * 6667
+    m = tv("xx00")
+    res = query(AssocTable.from_rows(rows), m)
+    assert len(res.best_rows) == len(rows)
+    expect = {r: quality_arith(m, tv(r)) for r in set(rows)}
+    assert res.winner_scores() == [expect[r] for r in rows]
+    assert len(reads) <= 3  # the e, p and q of one row of the second kind
+    table = AssocTable.from_rows(["0110"] * 20000)
+    assert query(table, bv("0100")).winner_scores() == [QualityIndex(1, 4)] * 20000
+    assert len(reads) <= 3
