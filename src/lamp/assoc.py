@@ -128,9 +128,10 @@ class AssocTable:
         labels = list(labels) if labels else []
         if all(isinstance(row, BitVector) and row.n == rows[0].n for row in rows):
             n, size = rows[0].n, (rows[0].n + 7) // 8
-            matrix = b"".join([row.value.to_bytes(size, "big") for row in rows])
+            columns = _columns(b"".join([row.value.to_bytes(size, "big") for row in rows]),
+                               size, _BIT, n)
             table = cls.__new__(cls)
-            table._set(name, _columns(matrix, size, _BIT, n), _checked_labels(labels, len(rows)), False)
+            table._set(name, columns, _checked_labels(labels, len(rows)), False)
             return table
         vectors = [TernaryVector.parse(row) if isinstance(row, str) else _as_ternary(row)
                    for row in rows]

@@ -232,7 +232,7 @@ def _run_table_query(args, response_mode: bool) -> int:
     ]
     tsv, rows_json = [], []
     if args.format == "text":
-        # tied rows share Q, so each winner's text is the first winner's
+        # tied rows share Q or k, so each winner's text is the first winner's
         best = _score_text(result.best_index)
         for idx, label in result.best_rows:
             text.append(f"winner  row {idx}" + (f"  {label}" if label else "") + f"  {best}")
