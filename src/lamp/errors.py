@@ -98,11 +98,11 @@ class EmptyIntersection(LampError, ValueError):
 
 
 class CoordinateOutOfRange(LampError, IndexError):
-    """A 1-based coordinate lies outside 1..n."""
+    """A coordinate lies outside its range: a vector's 1..n, or the grid's cells."""
 
 
 class NotAnInstruction(LampError, TypeError):
-    """A program holds an object that is not a machine instruction."""
+    """A program, or an object in it, is not what the grid can execute."""
 
 
 class SequencerHalted(LampError, RuntimeError):

@@ -18,10 +18,16 @@ bit-for-bit deterministic.
 
 A program is predecoded when it is loaded: each instruction becomes a
 tuple of plain ints (opcode, register indexes, the literal's value, the
-jump target), and one interpreter runs that code for ``Grid.run``,
-``Grid.step`` and ``Sequencer.step``. Registers are ``BitVector``s at
-the API edge, in ``Sequencer.regs``; inside a run they are ints, read
-when the run starts and written back when it returns or raises.
+jump target), which ``_run`` executes for one cell. Cells meet only at
+SEND and RECV, so an untraced ``Grid.run`` or ``Grid.step`` runs each
+cell on its own to its next exchange and settles the exchanges from the
+cycles at which the cells arrived (``_free_run``). The cycle loop
+(``_lockstep``) steps every cell one cycle at a time; it runs
+``Sequencer.step``, a traced grid, and a grid run that faults or
+deadlocks, so that the trace lines, the fault and the deadlock come out
+at their cycle. Registers are ``BitVector``s at the API edge, in
+``Sequencer.regs``; inside a run they are ints, read when the run starts
+and written back when it returns or raises.
 """
 
 from __future__ import annotations
@@ -31,11 +37,13 @@ from dataclasses import dataclass, field
 
 from .bitvec import BitVector
 from .errors import (
+    CoordinateOutOfRange,
     DeadlockDetected,
     InvalidArgument,
     InvalidRowIndex,
     LampError,
     NotAnInstruction,
+    NotAVector,
     PcOutOfRange,
     SequencerHalted,
     WidthMismatch,
@@ -289,7 +297,8 @@ class Program:
     @classmethod
     def single_cell(cls, instructions, width=None, at=(0, 0)) -> "Program":
         prog = cls(width=width)
-        prog.cells[at[0]][at[1]] = list(instructions)
+        r, c = _place(at)
+        prog.cells[r][c] = list(instructions)
         return prog
 
     @classmethod
@@ -299,6 +308,19 @@ class Program:
             for c in range(GRID_SIZE):
                 prog.cells[r][c] = list(instructions)
         return prog
+
+
+def _place(at) -> tuple[int, int]:
+    """The (row, column) ``at``, checked to name a cell of the grid."""
+    r, c = at
+    if r not in range(GRID_SIZE) or c not in range(GRID_SIZE):
+        raise CoordinateOutOfRange(f"cell ({r},{c}) is outside the {GRID_SIZE}x{GRID_SIZE} grid")
+    return r, c
+
+
+def _check_vector(value) -> None:
+    if not isinstance(value, BitVector):
+        raise NotAVector(f"expected a BitVector, got {type(value).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -372,6 +394,208 @@ def _row_error(row: int, matrix: list) -> InvalidRowIndex:
     return InvalidRowIndex(f"row {row} outside matrix of {len(matrix)} rows")
 
 
+def _load(seqs: list, width: int, where: list) -> tuple:
+    """Read the non-halted cells of ``seqs`` into ints for a run.
+
+    Returns ``(loaded, code, regs, rows, pcs, row_idx, flags)``: the
+    indexes of those cells, and per index its code, its ports (MA..MD,
+    then the ROW port, None past the matrix), its matrix rows, pc, row
+    counter and flag. Raises WidthMismatch for a register of another
+    width.
+    """
+    count = len(seqs)
+    code, regs, rows = [None] * count, [None] * count, [None] * count
+    pcs, row_idx, flags = [0] * count, [0] * count, [0] * count
+    loaded = [i for i, seq in enumerate(seqs) if not seq.halted]
+    for i in loaded:
+        seq = seqs[i]
+        values = []
+        for reg in M_REGS:
+            value = seq.regs[reg]
+            if value.n != width:
+                raise WidthMismatch(
+                    f"{where[i]}register {reg.name} width {value.n} != machine width {width}"
+                )
+            values.append(value.value)
+        matrix = rows[i] = [row.value for row in seq.a_matrix]
+        row = row_idx[i] = seq.row_idx
+        values.append(matrix[row] if 0 <= row < len(matrix) else None)
+        regs[i] = values
+        code[i], pcs[i], flags[i] = seq._code, seq.pc, seq.flag
+    return loaded, code, regs, rows, pcs, row_idx, flags
+
+
+def _store(seqs, width, first, loaded, ended, ends, pcs, row_idx, flags, regs) -> None:
+    """Write a run's state back to the cells it loaded.
+
+    ``ended`` holds each cell's HALT cycle, None if it did not halt, and
+    ``ends`` the cycle at which a cell that did not halt stopped; a cell
+    spent the cycles from ``first`` to either. A register gets a new
+    BitVector only when its value changed.
+    """
+    for j in loaded:
+        seq = seqs[j]
+        end = ended[j]
+        seq.halted = end is not None
+        seq.cycles += (ends[j] if end is None else end) - first
+        seq.pc, seq.row_idx, seq.flag = pcs[j], row_idx[j], flags[j]
+        for reg, value in zip(M_REGS, regs[j]):
+            if value != seq.regs[reg].value:
+                seq.regs[reg] = BitVector(width, value)
+
+
+def _run(code, ports, matrix, pc, flag, row, t, last, width):
+    """Run one cell's code from ``pc``, after cycle ``t``, to cycle ``last`` at most.
+
+    One instruction per cycle. Stops after HALT, or after an instruction
+    whose stop code is _LOOK: its next pc holds an exchange, which is the
+    caller's to settle, or lies outside the program. Returns ``(pc,
+    flag, row, t, stop)``: the state reached, the last cycle run and the
+    last instruction's stop code, or _HALT when it halted. ``ports`` is
+    updated in place. A faulting instruction raises with the cell's state
+    as it was before it.
+    """
+    mask = (1 << width) - 1
+    stop = _GO
+    for t in range(t + 1, last + 1):
+        inst = code[pc]
+        op = inst[0]
+        # each branch leaves the next pc in pc and its stop code in stop
+        if op == _LOGIC:
+            _, bop, a, b, uop, dst, reads_row, stop = inst
+            if reads_row and ports[_ROW] is None:
+                raise _row_error(row, matrix)
+            v = ports[a]
+            if bop == _XOR:
+                v ^= ports[b]
+            elif bop == _AND:
+                v &= ports[b]
+            elif bop == _OR:
+                v |= ports[b]
+            if uop == _SLC:
+                k = v.bit_count()
+                v = ((1 << k) - 1) << (width - k)
+            elif uop == _NOT:
+                v ^= mask
+            ports[dst] = v
+            pc += 1
+        elif op == _JUMP:
+            _, cond, target, taken, stop = inst
+            if cond == _IF_NOT_FLAG:
+                go = not flag
+            elif cond == _IF_ROW:
+                go = ports[_ROW] is not None
+            elif cond == _IF_FLAG:
+                go = flag
+            else:
+                go = True
+            if not go:
+                pc += 1
+            elif taken == _BAD:
+                raise PcOutOfRange(f"jump target {target} outside program")
+            else:
+                pc, stop = target, taken
+        elif op == _ORF:
+            _, src, reads_row, stop = inst
+            if reads_row and ports[_ROW] is None:
+                raise _row_error(row, matrix)
+            flag = 1 if ports[src] else 0
+            pc += 1
+        elif op == _INCROW:
+            _, stop = inst
+            size = len(matrix)
+            if row >= size:
+                raise InvalidRowIndex(f"INCROW past matrix of {size} rows")
+            row += 1
+            ports[_ROW] = matrix[row] if row < size else None
+            pc += 1
+        elif op == _SETROW:
+            _, index, stop = inst
+            size = len(matrix)
+            if index > size:
+                raise InvalidRowIndex(f"SETROW {index} outside matrix of {size} rows")
+            row = index
+            ports[_ROW] = matrix[row] if row < size else None
+            pc += 1
+        elif op == _LOADM:
+            _, dst, value, stop = inst
+            ports[dst] = value
+            pc += 1
+        elif op == _HALT:
+            return pc, flag, row, t, _HALT
+        else:  # _BADWIDTH
+            raise WidthMismatch(f"literal width {inst[1]} != machine width {width}")
+        if stop:
+            break
+    return pc, flag, row, t, stop
+
+
+def _free_run(seqs: list, width: int, budget: int, grid) -> bool:
+    """Run a grid's cells each on its own to its next exchange.
+
+    Cells meet only at SEND and RECV, so each active cell runs its code
+    alone until it reaches one, halts, or runs the budget's last cycle.
+    A SEND at a cell that waits from cycle t and the facing RECV at its
+    partner that waits from cycle u then complete together in cycle
+    max(t, u) + 1, the receiver taking the sender's register, and both
+    run on; the cycles a cell waits are its stalls. Returns True with the
+    run's state written back, which is the state ``_lockstep`` reaches
+    over the same cycles. A run that faults or deadlocks returns False
+    and writes nothing, so that ``_lockstep`` runs it again from the
+    same state and reports it as it happens.
+    """
+    first = grid.global_cycle
+    last = first + max(budget, 0)
+    loaded, code, regs, rows, pcs, row_idx, flags = _load(seqs, width, _WHERE)
+    ended = [None] * len(seqs)
+    waiting = {}  # cell -> (the cycle after which it waits, its exchange)
+    latest = first  # the last cycle in which a cell ran, halted or began to wait
+    todo = [(i, first) for i in loaded]  # cells to run on, each after a cycle
+    while todo:
+        i, t = todo.pop()
+        cell_code = code[i]
+        while t < last:
+            pc = pcs[i]
+            if not 0 <= pc < len(cell_code):
+                return False  # PcOutOfRange
+            inst = cell_code[pc]
+            op = inst[0]
+            if op == _SEND or op == _RECV:
+                partner = _PARTNER[i][inst[1]]
+                u, facing = waiting.get(partner, (None, None))
+                # a RECV faces one neighbour only, so it has at most one sender
+                if facing is None or facing[0] == op or facing[1] != _FACING[inst[1]]:
+                    waiting[i] = t, inst
+                    latest = max(latest, t)
+                    break
+                del waiting[partner]
+                if op == _SEND:
+                    regs[partner][facing[2]] = regs[i][inst[2]]
+                else:
+                    regs[i][inst[2]] = regs[partner][facing[2]]
+                pcs[i] += 1
+                pcs[partner] += 1
+                t = max(t, u) + 1  # both waited before, so this is within the budget
+                todo.append((partner, t))
+                continue
+            try:
+                pcs[i], flags[i], row_idx[i], t, stop = _run(
+                    cell_code, regs[i], rows[i], pc, flags[i], row_idx[i], t, last, width)
+            except (InvalidRowIndex, PcOutOfRange, WidthMismatch):
+                return False
+            if stop == _HALT:
+                ended[i] = t
+                latest = max(latest, t)
+                break
+        else:  # stopped by the budget
+            latest = last
+    if waiting and latest < last:
+        return False  # every cell left waits, and no exchange can complete
+    grid.global_cycle = latest
+    _store(seqs, width, first, loaded, ended, [latest] * len(seqs), pcs, row_idx, flags, regs)
+    return True
+
+
 def _rendezvous(active, code, pcs, regs, where, paired):
     """Check the cells before a cycle and match its exchanges.
 
@@ -416,40 +640,24 @@ def _lockstep(seqs: list, width: int, budget: int, grid=None) -> None:
     """Run cells in lockstep, one instruction per active cell per cycle.
 
     ``seqs`` are a grid's sixteen cells in row-major order, or with
-    ``grid`` None one standalone sequencer. This is the one interpreter:
-    ``Grid.run``, ``Grid.step`` and ``Sequencer.step`` all call it. It
+    ``grid`` None one standalone sequencer. This cycle loop runs
+    ``Sequencer.step``, a traced grid, and a grid run that ``_free_run``
+    hands back because it faults or deadlocks: before each cycle it
+    checks every pc and matches the exchanges, so a fault or a deadlock
+    is raised at its cycle with every cell's state as it stands then. It
     runs at most ``budget`` cycles and stops early when every cell has
-    halted. Registers, counters and matrix rows are read into ints on
-    entry; the state reached is written back on return or raise, with a
-    new BitVector only for each register whose value changed.
+    halted; the state reached is written back on return or raise.
     """
-    mask = (1 << width) - 1
     cycle = first = grid.global_cycle if grid is not None else 0
     last = first + budget
     trace = grid.trace if grid is not None and grid.tracing else None
     where = _WHERE if grid is not None else [""]
-    count = len(seqs)
-    code, regs, rows, texts = [None] * count, [None] * count, [None] * count, [None] * count
-    pcs, row_idx, flags, ended = [0] * count, [0] * count, [0] * count, [None] * count
-    active = [i for i, seq in enumerate(seqs) if not seq.halted]
-    for i in active:
-        seq = seqs[i]
-        values = []
-        for reg in M_REGS:
-            value = seq.regs[reg]
-            if value.n != width:
-                raise WidthMismatch(
-                    f"{where[i]}register {reg.name} width {value.n} != machine width {width}"
-                )
-            values.append(value.value)
-        matrix = rows[i] = [row.value for row in seq.a_matrix]
-        row = row_idx[i] = seq.row_idx
-        values.append(matrix[row] if 0 <= row < len(matrix) else None)  # the ROW port
-        regs[i] = values
-        code[i], pcs[i], flags[i] = seq._code, seq.pc, seq.flag
-        if trace is not None:
-            texts[i] = seq._trace_text({})
-    loaded = active
+    loaded, code, regs, rows, pcs, row_idx, flags = _load(seqs, width, where)
+    active = loaded
+    ended = [None] * len(seqs)
+    if trace is not None:  # each cell's trace line for each pc, all but the cycle
+        texts = {i: [f"\t{_POSITION[i]}\t{pc}\t{text}" for pc, text in
+                     enumerate(seqs[i]._trace_text({}))] for i in active}
     look = True  # the first cycle checks every pc and exchange
     matched, stalled = {}, set()
     i = None
@@ -461,94 +669,28 @@ def _lockstep(seqs: list, width: int, budget: int, grid=None) -> None:
                 matched, stalled = _rendezvous(active, code, pcs, regs, where, grid is not None)
                 look = False
             cycle += 1
+            now = str(cycle)
             halted = False
             for i in active:
-                ports = regs[i]
                 pc = pcs[i]
                 inst = code[i][pc]
                 op = inst[0]
                 if trace is not None:
-                    line = f"{cycle}\t{_POSITION[i]}\t{pc}\t{texts[i][pc]}"
+                    line = now + texts[i][pc]
                     trace.append(line + "\t(stall)" if i in stalled else line)
-                # each branch leaves the cell's next pc in pc and its stop code in stop
-                if op == _LOGIC:
-                    _, bop, a, b, uop, dst, reads_row, stop = inst
-                    if reads_row and ports[_ROW] is None:
-                        raise _row_error(row_idx[i], rows[i])
-                    v = ports[a]
-                    if bop == _XOR:
-                        v ^= ports[b]
-                    elif bop == _AND:
-                        v &= ports[b]
-                    elif bop == _OR:
-                        v |= ports[b]
-                    if uop == _SLC:
-                        k = v.bit_count()
-                        v = ((1 << k) - 1) << (width - k)
-                    elif uop == _NOT:
-                        v ^= mask
-                    ports[dst] = v
-                    pc += 1
-                elif op == _JUMP:
-                    _, cond, target, taken, stop = inst
-                    if cond == _IF_NOT_FLAG:
-                        go = not flags[i]
-                    elif cond == _IF_ROW:
-                        go = ports[_ROW] is not None
-                    elif cond == _IF_FLAG:
-                        go = flags[i]
-                    else:
-                        go = True
-                    if not go:
-                        pc += 1
-                    elif taken == _BAD:
-                        raise PcOutOfRange(f"jump target {target} outside program")
-                    else:
-                        pc, stop = target, taken
-                elif op == _ORF:
-                    _, src, reads_row, stop = inst
-                    if reads_row and ports[_ROW] is None:
-                        raise _row_error(row_idx[i], rows[i])
-                    flags[i] = 1 if ports[src] else 0
-                    pc += 1
-                elif op == _INCROW:
-                    _, stop = inst
-                    matrix = rows[i]
-                    row, size = row_idx[i] + 1, len(matrix)
-                    if row > size:
-                        raise InvalidRowIndex(f"INCROW past matrix of {size} rows")
-                    row_idx[i] = row
-                    ports[_ROW] = matrix[row] if row < size else None
-                    pc += 1
-                elif op == _SEND or op == _RECV:
-                    _, _d, reg, stop = inst
-                    if i not in matched:
-                        stop = _LOOK  # still waiting next cycle
-                    else:
+                if op == _SEND or op == _RECV:
+                    if i in matched:
                         if op == _RECV:
-                            ports[reg] = matched[i]
-                        pc += 1
-                elif op == _SETROW:
-                    _, row, stop = inst
-                    matrix = rows[i]
-                    size = len(matrix)
-                    if row > size:
-                        raise InvalidRowIndex(f"SETROW {row} outside matrix of {size} rows")
-                    row_idx[i] = row
-                    ports[_ROW] = matrix[row] if row < size else None
-                    pc += 1
-                elif op == _LOADM:
-                    _, dst, value, stop = inst
-                    ports[dst] = value
-                    pc += 1
-                elif op == _HALT:
+                            regs[i][inst[2]] = matched[i]
+                        pcs[i] = pc + 1
+                    look = True  # the next pc's stop code, or still waiting next cycle
+                    continue
+                pcs[i], flags[i], row_idx[i], _, stop = _run(
+                    code[i], regs[i], rows[i], pc, flags[i], row_idx[i], cycle - 1, cycle, width)
+                if stop == _HALT:
                     ended[i] = cycle
                     halted = True
-                    stop = _GO
-                else:  # _BADWIDTH
-                    raise WidthMismatch(f"literal width {inst[1]} != machine width {width}")
-                pcs[i] = pc
-                if stop:
+                elif stop:
                     look = True
             if halted:
                 active = [i for i in active if ended[i] is None]
@@ -563,17 +705,8 @@ def _lockstep(seqs: list, width: int, budget: int, grid=None) -> None:
         failed = None if completed else i
         if grid is not None:
             grid.global_cycle = cycle if failed is None else cycle - 1
-        for j in loaded:
-            seq = seqs[j]
-            end = ended[j]
-            if end is None:
-                end = cycle if failed is None or j <= failed else cycle - 1
-            seq.cycles += end - first
-            seq.halted = ended[j] is not None
-            seq.pc, seq.row_idx, seq.flag = pcs[j], row_idx[j], flags[j]
-            for reg, value in zip(M_REGS, regs[j]):
-                if value != seq.regs[reg].value:
-                    seq.regs[reg] = BitVector(width, value)
+        ends = [cycle if failed is None or j <= failed else cycle - 1 for j in range(len(seqs))]
+        _store(seqs, width, first, loaded, ended, ends, pcs, row_idx, flags, regs)
 
 
 # --------------------------------------------------------------------------
@@ -624,7 +757,8 @@ class Sequencer:
     def set_matrix(self, rows) -> None:
         rows = list(rows)
         for row in rows:
-            if row.n != self.width:
+            if not isinstance(row, BitVector) or row.n != self.width:
+                _check_vector(row)
                 raise WidthMismatch(f"matrix row width {row.n} != {self.width}")
         self.a_matrix = rows
 
@@ -666,9 +800,12 @@ class Grid:
         self.trace: list[str] = []
 
     def cell(self, r: int, c: int) -> Sequencer:
+        r, c = _place((r, c))
         return self.cells[r][c]
 
     def load_program(self, program: Program) -> None:
+        if not isinstance(program, Program):
+            raise NotAnInstruction(f"expected a Program, got {type(program).__name__}")
         if program.width is not None and program.width != self.width:
             raise WidthMismatch(
                 f"program width {program.width} != grid width {self.width}"
@@ -698,9 +835,7 @@ class Grid:
         """The cell at ``at``, or every cell when ``at`` is None."""
         if not at:
             return [seq for row in self.cells for seq in row]
-        r, c = at
-        if not (0 <= r < GRID_SIZE and 0 <= c < GRID_SIZE):
-            raise LampError(f"cell ({r},{c}) is outside the {GRID_SIZE}x{GRID_SIZE} grid")
+        r, c = _place(at)
         return [self.cells[r][c]]
 
     def set_table(self, rows, at=None) -> None:
@@ -712,7 +847,9 @@ class Grid:
 
     def set_register(self, reg: Reg, value: BitVector, at=None) -> None:
         if reg not in M_REGS:
-            raise LampError(f"cannot set {reg.name}: only MA, MB, MC and MD hold values")
+            shown = reg.name if isinstance(reg, Reg) else repr(reg)
+            raise LampError(f"cannot set {shown}: only MA, MB, MC and MD hold values")
+        _check_vector(value)
         if value.n != self.width:
             raise WidthMismatch(f"value width {value.n} != grid width {self.width}")
         for seq in self._targets(at):
@@ -722,8 +859,10 @@ class Grid:
     def all_halted(self) -> bool:
         return all(seq.halted for row in self.cells for seq in row)
 
-    def _lockstep(self, budget: int) -> None:
-        _lockstep([seq for row in self.cells for seq in row], self.width, budget, self)
+    def _advance(self, budget: int) -> None:
+        seqs = [seq for row in self.cells for seq in row]
+        if self.tracing or not _free_run(seqs, self.width, budget, self):
+            _lockstep(seqs, self.width, budget, self)
 
     def step(self) -> "Grid":
         """Advance every non-halted cell by one cycle, row-major order.
@@ -733,7 +872,7 @@ class Grid:
         the receiver taking the sender's start-of-cycle register value.
         Unmatched exchange partners stall for the cycle.
         """
-        self._lockstep(1)
+        self._advance(1)
         return self
 
     def run(self, max_cycles: int) -> RunResult:
@@ -741,7 +880,7 @@ class Grid:
         if max_cycles < 1:
             raise InvalidArgument(f"max_cycles must be positive, got {max_cycles}")
         try:
-            self._lockstep(max_cycles - self.global_cycle)
+            self._advance(max_cycles - self.global_cycle)
         except DeadlockDetected as exc:
             return RunResult(RunOutcome.DEADLOCK, self.global_cycle, exc.cells)
         if self.all_halted:

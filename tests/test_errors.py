@@ -16,6 +16,7 @@ from lamp import (
     Dir,
     EmptyIntersection,
     Grid,
+    Halt,
     InvalidArgument,
     Jump,
     LampError,
@@ -100,6 +101,20 @@ CASES = [
      InvalidArgument, ValueError, "jump target must be an int, got 'x'"),
     (lambda: SetRow("3"),
      InvalidArgument, ValueError, "row index must be nonnegative, got '3'"),
+    (lambda: Grid(8).set_register(Reg.MA, 5),
+     NotAVector, TypeError, "expected a BitVector, got int"),
+    (lambda: Grid(8).set_register("MA", BitVector(8, 5)),
+     LampError, Exception, "cannot set 'MA': only MA, MB, MC and MD hold values"),
+    (lambda: Grid(8).set_table([1, 2]),
+     NotAVector, TypeError, "expected a BitVector, got int"),
+    (lambda: Grid(8).cell(5, 5),
+     CoordinateOutOfRange, IndexError, "cell (5,5) is outside the 4x4 grid"),
+    (lambda: Grid(8).cell(-1, -1),
+     CoordinateOutOfRange, IndexError, "cell (-1,-1) is outside the 4x4 grid"),
+    (lambda: Program.single_cell([Halt()], at=(7, 7)),
+     CoordinateOutOfRange, IndexError, "cell (7,7) is outside the 4x4 grid"),
+    (lambda: Grid(8).load_program([Halt()]),
+     NotAnInstruction, TypeError, "expected a Program, got list"),
 ]
 
 
@@ -110,7 +125,8 @@ CASES = [
          "builtin_rows", "decode", "halted_step", "table_bytes", "table_binary_file",
          "table_byte_lines", "table_none", "table_int", "table_not_utf8", "orf_str",
          "send_dir_str", "logic_binop_str", "loadm_literal_str", "jump_target_str",
-         "setrow_str"],
+         "setrow_str", "set_register_int", "set_register_str", "set_table_ints",
+         "cell_outside", "cell_negative", "single_cell_outside", "load_program_list"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:

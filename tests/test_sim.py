@@ -657,3 +657,47 @@ def test_grid_rejects_a_literal_of_another_width_at_its_first_cell():
     with pytest.raises(WidthMismatch) as exc:
         g.load_program(p)
     assert str(exc.value) == "cell (1,2): literal width 2 != grid width 4"
+
+
+def test_untraced_runs_that_halt_or_reach_the_budget_skip_the_cycle_loop(monkeypatch):
+    import lamp.sim
+    from lamp.sim import RunResult
+    from sim_reference import grid_state
+    from test_sim_reference import _check_golden_sharded_run, _sharded_run
+
+    tie = [bv("1100"), bv("0110"), bv("0011"), bv("0101")]
+    waits = Program()
+    waits.cells[0][0] = [Send(Dir.E, Reg.MA), Halt()]
+    waits.cells[0][1] = [LoadImm(Reg.MB, bv("0001"))] * 5 + [Recv(Dir.W, Reg.MB), Halt()]
+    waits.cells[1][1] = [Send(Dir.S, Reg.MC), Halt()]
+    waits.cells[2][1] = [Jump(0)]  # never takes (1,1)'s value
+
+    def builtin(tracing):
+        g = Grid(4, tracing=tracing)
+        g.load_program(Program.single_cell(builtin_query_program(len(tie))))
+        g.set_table(tie)
+        g.set_register(Reg.MA, bv("0111"))
+        return g.run(100), grid_state(g)
+
+    def waiting(tracing):
+        g = Grid(4, tracing=tracing)
+        g.load_program(waits)
+        g.set_register(Reg.MA, bv("1010"))
+        seen = [g.run(5), grid_state(g)]
+        g.step()  # (0,0) and (0,1) exchange in cycle 6
+        return seen + [grid_state(g), g.run(9), grid_state(g)]
+
+    expected = builtin(True), waiting(True)  # a traced grid runs the cycle loop
+    monkeypatch.setattr(lamp.sim, "_lockstep", lambda *args: pytest.fail("the cycle loop ran"))
+    assert (builtin(False), waiting(False)) == expected
+    (result, state), seen = expected
+    assert result == RunResult(RunOutcome.ALL_HALTED, 29)
+    assert state[1][0][5][2:] == (0b0110, 0b1000)  # cell (0,0)'s MC and MD
+    # cell state: pc, flag, row, cycles, halted, registers
+    assert seen[0] == RunResult(RunOutcome.CYCLE_BUDGET_EXHAUSTED, 5)
+    assert [cell[:5] for cell in seen[1][1][:2]] == [(0, 0, 0, 5, False), (5, 0, 0, 5, False)]
+    assert seen[3] == RunResult(RunOutcome.CYCLE_BUDGET_EXHAUSTED, 9)
+    cells = seen[4][1]
+    assert cells[0][:5] == (1, 0, 0, 7, True) and cells[1][5][1] == 0b1010
+    assert cells[5][:5] == (0, 0, 0, 9, False)  # (1,1) still waits
+    _check_golden_sharded_run(*_sharded_run(False, tracing=False))
