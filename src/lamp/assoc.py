@@ -113,6 +113,7 @@ class AssocTable:
         for j, zeros in enumerate(self._zeros):
             columns[j] ^= zeros
         self.mode = Mode.TERNARY if ternary else Mode.BINARY
+        self._search = None  # the last query's, which rank reuses for the same probe
 
     @classmethod
     def from_rows(cls, rows, labels=None, name="table") -> "AssocTable":
@@ -299,41 +300,17 @@ def load_table(source, name="table") -> AssocTable:
     A string and a file's ``read()`` are one text, whose lines end at
     ``\\n``, ``\\r\\n`` or ``\\r`` only (universal newlines, PEP 278), so a
     string and a text-mode file are read alike; each item of an iterable
-    is one line. Each line that holds a ``#`` is cut there. The lines are
-    not parsed one by one: every line is stripped and split at its first
-    tab by ``map``, and :func:`lamp.ternary.parse_columns` reads all
-    vectors with one encode and translate, and one ``int`` per column.
-    Only when a check of the whole table fails are the lines read one by
-    one, to raise the error of the earliest bad line with its line number. A source that gives no text,
-    such as bytes, a binary file or None, is a :class:`NotAVector` error,
-    and a file whose bytes its encoding cannot decode an
-    :class:`InvalidArgument`.
+    is one line. A ``#`` cuts its line there. A text is read whole: its
+    comments are cut (:func:`_uncommented`), its two ends are stripped, and
+    :func:`_parsed` hands it to :func:`lamp.ternary.parse_columns`, which
+    reads all vectors with one encode and translate, and one ``int`` per
+    column, building no object per line. That read refuses a line that is
+    not a row as it stands (padded, blank, or a comment alone), and only
+    then, or for an iterable, are the lines stripped one by one
+    (:func:`_by_line`). A source that gives no text, such as bytes, a
+    binary file or None, is a :class:`NotAVector` error, and a file whose
+    bytes its encoding cannot decode an :class:`InvalidArgument`.
     """
-    lines = _lines(source)
-    rows = list(filter(None, map(str.strip, lines)))
-    if not rows:
-        raise EmptyTable(f"table {name!r} has no rows")
-    labels = [None] * len(rows)
-    repeated = False
-    text = "\n".join(rows)
-    if "\t" in text:
-        heads, tabs, tails = zip(*map(str.partition, rows, repeat("\t")))
-        labels = [h if t else None for h, t in zip(map(str.strip, heads), tabs)]
-        text = "\n".join([v if t else h for h, t, v in zip(heads, tabs, map(str.strip, tails))])
-        named = set(labels)
-        named.discard(None)
-        repeated = len(named) != len(labels) - labels.count(None)
-    parsed = parse_columns(text)
-    # a count other than len(rows) means an item of an iterable held a newline
-    if parsed is None or parsed[1] != len(rows) or repeated:
-        _raise_first_fault(lines)
-    table = AssocTable.__new__(AssocTable)
-    table._set(name, parsed[0], labels, parsed[2])
-    return table
-
-
-def _lines(source) -> list[str]:
-    """The lines of a table source, each cut at its first ``#``."""
     if hasattr(source, "read"):
         try:
             source = source.read()
@@ -342,18 +319,74 @@ def _lines(source) -> list[str]:
     if isinstance(source, str):
         if "\r" in source:
             source = source.replace("\r\n", "\n").replace("\r", "\n")
-        lines = source.split("\n")
-    elif isinstance(source, (bytes, bytearray)):
-        raise _not_text(source)
+        source = _uncommented(source)
+        parsed = _parsed(source.strip()) or _by_line(source.split("\n"), name)
     else:
-        try:
-            items = iter(source)
-        except TypeError:
-            raise _not_text(source) from None
-        lines = list(items)
-        for line in lines:
-            if not isinstance(line, str):
-                raise _not_text(line)
+        parsed = _by_line(_lines(source), name)
+    table = AssocTable.__new__(AssocTable)
+    table._set(name, *parsed)
+    return table
+
+
+def _uncommented(text: str) -> str:
+    """``text`` with each comment cut, from its ``#`` to the end of its line.
+
+    ``str.find`` jumps from one ``#`` or newline to the next, so a text
+    with few comments is cut in about the time of one copy."""
+    pieces, start, at = [], 0, text.find("#")
+    while at >= 0:
+        pieces.append(text[start:at])
+        start = text.find("\n", at) % (len(text) + 1)  # the text's end after its last line
+        at = text.find("#", start)
+    pieces.append(text[start:])
+    return "".join(pieces)
+
+
+def _parsed(text: str) -> tuple[list[int], list, bool] | None:
+    """(columns, labels, whether some symbol is x) of a table text each of
+    whose lines is one row: a vector, or a label, a tab and a vector, the
+    label and that vector stripped; None when some line is not (a padded
+    bare vector, a blank line, an empty label) or a label repeats."""
+    if "\t" not in text:
+        parsed = parse_columns(text)
+        return parsed and (parsed[0], [None] * parsed[1], parsed[2])
+    heads, tabs, tails = zip(*map(str.partition, text.split("\n"), repeat("\t")))
+    labels = [h if t else None for h, t in zip(map(str.strip, heads), tabs)]
+    named = set(labels)
+    named.discard(None)
+    if "" in named or len(named) != len(labels) - labels.count(None):
+        return None
+    vectors = [v if t else h for h, t, v in zip(heads, tabs, map(str.strip, tails))]
+    parsed = parse_columns("\n".join(vectors))
+    return parsed and (parsed[0], labels, parsed[2])
+
+
+def _by_line(lines: list[str], name: str) -> tuple[list[int], list, bool]:
+    """:func:`_parsed` of the rows of ``lines``, each line stripped and the
+    blank ones dropped; when that fails, the lines are read one by one to
+    raise the error of the earliest bad line with its line number."""
+    rows = list(filter(None, map(str.strip, lines)))
+    if not rows:
+        raise EmptyTable(f"table {name!r} has no rows")
+    parsed = _parsed("\n".join(rows))
+    # labels for other than len(rows) rows: an item of an iterable held a newline
+    if parsed is None or len(parsed[1]) != len(rows):
+        _raise_first_fault(lines)
+    return parsed
+
+
+def _lines(source) -> list[str]:
+    """The items of an iterable table source, each cut at its first ``#``."""
+    if isinstance(source, (bytes, bytearray)):
+        raise _not_text(source)
+    try:
+        items = iter(source)
+    except TypeError:
+        raise _not_text(source) from None
+    lines = list(items)
+    for line in lines:
+        if not isinstance(line, str):
+            raise _not_text(line)
     # a line without a comment stays the same object
     return [line.partition("#")[0] if "#" in line else line for line in lines]
 
@@ -608,7 +641,7 @@ def query(table: AssocTable, m) -> QueryResult:
     first of them is scored for ``best_index``, and ``per_row`` scores
     every row when it is read.
     """
-    search = _Search(table, m)
+    search = table._search = _Search(table, m)
     best, e = search.best(low_bits(len(table)))
     found = _indices(best, len(table))
     first = search.criterion(found[0])
@@ -621,11 +654,14 @@ def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:
     """First k rows best-first; ties broken by ascending row index.
 
     The rows are found by repeated min searches, and only the k rows
-    returned are scored.
+    returned are scored. After a :func:`query` of the same probe object
+    on the table, its counts are reused, so ``--top`` searches once.
     """
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
-    search = _Search(table, m)
+    search = table._search
+    if search is None or search.m is not m:
+        search = _Search(table, m)
     return [(i + 1, search.criterion(i)) for i in islice(search.order(), k)]
 
 

@@ -62,7 +62,7 @@ def _indented(value, out: list[str], pad: str = "") -> list[str]:
     writes the same text: dicts, lists and tuples by recursion, the types
     of ``_SCALARS`` directly, and the rest (floats, subclasses, other
     objects, ``{}`` and ``[]``) by the C encoder, which writes them alike
-    with or without an indent.
+    with or without an indent. A :class:`_PerRow` writes its own list.
     """
     write = _SCALARS.get(type(value))
     if write is not None:
@@ -87,6 +87,8 @@ def _indented(value, out: list[str], pad: str = "") -> list[str]:
             _indented(item, out, inner)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
+    elif isinstance(value, _PerRow):
+        out.append(value.json(pad))
     else:
         out.append(json.dumps(value, default=str))
     return out
@@ -215,6 +217,33 @@ def _score_cells(score) -> dict:
     }
 
 
+class _PerRow:
+    """The ``per_row`` list of a table report, one ``{"row": i, "label":
+    label, **_score_cells(score)}`` per row, written by :func:`_indented`
+    with one format for every row: the row's number and label are filled
+    in, and its score cells are the text of its score object, written once
+    for each distinct object (rows with the same counts share one)."""
+
+    __slots__ = ("labels", "scores")
+
+    def __init__(self, labels: list, scores: list):
+        self.labels, self.scores = labels, scores
+
+    def json(self, pad: str) -> str:
+        """The list as ``_indented`` writes a list at indent ``pad``."""
+        item, field = pad + "  ", pad + "    "
+        cells = {id(score): score for score in self.scores}
+        for key, score in cells.items():
+            cells[key] = (",\n" + field).join(
+                [f"{_quote(name)}: {''.join(_indented(value, [], field))}"
+                 for name, value in _score_cells(score).items()])
+        row = f'{{\n{field}"row": %d,\n{field}"label": %s,\n{field}%s\n{item}}}'
+        labels = ["null" if label is None else _quote(label) for label in self.labels]
+        rows = [row % (i, label, cells[id(score)])
+                for i, (label, score) in enumerate(zip(labels, self.scores), 1)]
+        return "[\n" + item + (",\n" + item).join(rows) + "\n" + pad + "]"
+
+
 def _run_table_query(args, response_mode: bool) -> int:
     table = _read_table(args.table)
     vec_text = args.response if response_mode else args.m
@@ -258,10 +287,7 @@ def _run_table_query(args, response_mode: bool) -> int:
         "best": _score_cells(result.best_index),
     }
     if args.format == "json":  # only JSON prints per-row scores
-        report["per_row"] = [
-            {"row": i + 1, "label": table.labels[i], **_score_cells(s)}
-            for i, s in enumerate(result.per_row)
-        ]
+        report["per_row"] = _PerRow(table.labels, result.per_row)
     if args.top:
         report["ranked"] = rows_json
     _emit(report, text, tsv, args.format)

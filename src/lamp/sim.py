@@ -313,6 +313,8 @@ class Program:
 def _place(at) -> tuple[int, int]:
     """The (row, column) ``at``, checked to name a cell of the grid."""
     r, c = at
+    if not (isinstance(r, int) and isinstance(c, int)):
+        raise InvalidArgument(f"cell coordinates must be ints, got ({r!r}, {c!r})")
     if r not in range(GRID_SIZE) or c not in range(GRID_SIZE):
         raise CoordinateOutOfRange(f"cell ({r},{c}) is outside the {GRID_SIZE}x{GRID_SIZE} grid")
     return r, c
@@ -400,8 +402,8 @@ def _load(seqs: list, width: int, where: list) -> tuple:
     Returns ``(loaded, code, regs, rows, pcs, row_idx, flags)``: the
     indexes of those cells, and per index its code, its ports (MA..MD,
     then the ROW port, None past the matrix), its matrix rows, pc, row
-    counter and flag. Raises WidthMismatch for a register of another
-    width.
+    counter and flag. Raises NotAVector for a register or matrix row that
+    is not a BitVector, and WidthMismatch for a register of another width.
     """
     count = len(seqs)
     code, regs, rows = [None] * count, [None] * count, [None] * count
@@ -412,12 +414,21 @@ def _load(seqs: list, width: int, where: list) -> tuple:
         values = []
         for reg in M_REGS:
             value = seq.regs[reg]
+            if not isinstance(value, BitVector):
+                raise NotAVector(f"{where[i]}register {reg.name} holds "
+                                 f"{type(value).__name__}, not a BitVector")
             if value.n != width:
                 raise WidthMismatch(
                     f"{where[i]}register {reg.name} width {value.n} != machine width {width}"
                 )
             values.append(value.value)
-        matrix = rows[i] = [row.value for row in seq.a_matrix]
+        try:
+            matrix = rows[i] = [row.value for row in seq.a_matrix]
+        except AttributeError:  # a row assigned to a_matrix, past set_matrix's check
+            k, row = next((k, row) for k, row in enumerate(seq.a_matrix)
+                          if not isinstance(row, BitVector))
+            raise NotAVector(f"{where[i]}matrix row {k} is "
+                             f"{type(row).__name__}, not a BitVector") from None
         row = row_idx[i] = seq.row_idx
         values.append(matrix[row] if 0 <= row < len(matrix) else None)
         regs[i] = values

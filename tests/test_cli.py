@@ -1,11 +1,19 @@
 import enum
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lamp.assoc import diagnose, load_table, query, rank
+from lamp.bitvec import BitVector
 from lamp.cli import _indented, main
+from lamp.quality import QualityIndex
+from lamp.ternary import TernaryVector
 
 WORKED_TABLE = "000011110101\n110011001100\n"
 FAULT_DICT = "F1\t1100\nF2\t0011\n"
@@ -163,6 +171,108 @@ def test_query_text_and_tsv_never_score_every_row(capsys, tmp_path, monkeypatch,
                              "--format", fmt)
     assert (code, err) == (0, "")
     assert shown in out
+
+
+def test_diag_top_searches_the_table_once(capsys, tmp_path, monkeypatch):
+    import lamp.assoc
+
+    made = []
+
+    class Counted(lamp.assoc._Search):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lamp.assoc, "_Search", Counted)
+    path = tmp_path / "faults.tbl"
+    path.write_text("".join(f"F{i}\t{i:04b}\n" for i in range(16)))
+    code, out, err = run_cli(capsys, "diag", str(path), "--response", "0110", "--top", "5",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert [r["row"] for r in json.loads(out)["ranked"]] == [7, 3, 5, 8, 15]
+    assert len(made) == 1  # rank reuses the search of diagnose
+
+
+# the parent's report, one dict per row, printed by json.dumps
+
+
+def _oracle_cells(score) -> dict:
+    if isinstance(score, QualityIndex):
+        return {"k": score.k, "n": score.n}
+    return {"q": str(score.value), "d": str(score.d),
+            "mu_m_in_a": str(score.mu_m_in_a), "mu_a_in_m": str(score.mu_a_in_m)}
+
+
+def _oracle_report(command: str, path: str, text: str, vector: str, top) -> dict:
+    table = load_table(text, name=os.path.basename(path))
+    if command == "diag":
+        probe = BitVector.parse(vector)
+        result = diagnose(table, probe)
+    else:
+        probe = TernaryVector.parse(vector)
+        result = query(table, probe)
+    report = {
+        "command": command,
+        "inputs": {"table": path, "vector": vector, "top": top},
+        "mode": result.mode.value,
+        "best_rows": [{"row": idx, "label": label} for idx, label in result.best_rows],
+        "best": _oracle_cells(result.best_index),
+        "per_row": [{"row": i + 1, "label": table.labels[i], **_oracle_cells(s)}
+                    for i, s in enumerate(result.per_row)],
+    }
+    if top:
+        report["ranked"] = [{"row": idx, "label": table.labels[idx - 1], **_oracle_cells(s)}
+                            for idx, s in rank(table, probe, top)]
+    return report
+
+
+_LABELS = [None, None, "%", "%s", "%d%%", '"', "\\", "a\\\"b", "é€", "ß", "F1", "{row}"]
+
+
+@st.composite
+def _labelled_tables(draw):
+    """(text, probe, binary) of a table whose rows, drawn from a small
+    pool, repeat and tie; a ternary pool holds rows whose p and q swap."""
+    binary = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    symbols = "01" if binary else "01xx"
+    vector = st.text(st.sampled_from(symbols), min_size=n, max_size=n)
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    if not binary and n >= 4:
+        pool += ["0xxx" + "0" * (n - 4), "00x0" + "0" * (n - 4)]  # tie on xx00.. swapped
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    labels, seen = [], set()
+    for label in draw(st.lists(st.sampled_from(_LABELS), min_size=len(rows),
+                               max_size=len(rows))):
+        labels.append(None if label in seen else label)
+        seen.add(label)
+    text = "# header\n" + "".join(row + "\n" if label is None else f"{label}\t{row}\n"
+                                   for label, row in zip(labels, rows))
+    swapped = not binary and n >= 4 and draw(st.booleans())
+    probe = "xx00" + "0" * (n - 4) if swapped else draw(vector)
+    if "x" not in "".join(rows):  # a binary table takes only binary probes
+        probe = probe.replace("x", "0")
+    return text, probe, binary
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_labelled_tables(), top=st.sampled_from([None, 1, 3, 20]))
+@example(case=("# h\n%s\t0xxx\n\"\t00x0\n\\\t0xxx\n", "xx00", False), top=3)
+@example(case=("é\t01\n%\t10\n01\n", "01", True), top=None)
+def test_per_row_json_is_what_json_dumps_prints_of_the_row_dicts(case, top):
+    text, probe, binary = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tbl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("query", "diag") if binary else ("query",):
+            flag = "--response" if command == "diag" else "--m"
+            argv = [command, path, flag, probe, "--format", "json"]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(argv + (["--top", str(top)] if top else [])) == 0
+            expect = _oracle_report(command, path, text, probe, top)
+            assert out.getvalue() == json.dumps(expect, indent=2) + "\n"
 
 
 def test_diag_exact_signature(capsys, fault_dict):

@@ -44,6 +44,15 @@ from lamp.ternary import TernaryVector, intersect
 
 tv = TernaryVector.parse
 
+
+def _run_after(change):
+    """Run a grid whose cell (0,0) holds a program, after ``change(cell)``."""
+    grid = Grid(4)
+    grid.load_program(Program.single_cell([Halt()]))
+    change(grid.cell(0, 0))
+    grid.run(10)
+
+
 CASES = [
     (lambda: rank(AssocTable.from_rows(["10"]), BitVector.parse("10"), 0),
      InvalidArgument, ValueError, "k must be >= 1, got 0"),
@@ -115,6 +124,12 @@ CASES = [
      CoordinateOutOfRange, IndexError, "cell (7,7) is outside the 4x4 grid"),
     (lambda: Grid(8).load_program([Halt()]),
      NotAnInstruction, TypeError, "expected a Program, got list"),
+    (lambda: Grid(4).cell(1.0, 2),
+     InvalidArgument, ValueError, "cell coordinates must be ints, got (1.0, 2)"),
+    (lambda: _run_after(lambda seq: seq.regs.__setitem__(Reg.MB, 5)),
+     NotAVector, TypeError, "cell (0,0): register MB holds int, not a BitVector"),
+    (lambda: _run_after(lambda seq: setattr(seq, "a_matrix", [BitVector(4, 1), 1])),
+     NotAVector, TypeError, "cell (0,0): matrix row 1 is int, not a BitVector"),
 ]
 
 
@@ -126,7 +141,8 @@ CASES = [
          "table_byte_lines", "table_none", "table_int", "table_not_utf8", "orf_str",
          "send_dir_str", "logic_binop_str", "loadm_literal_str", "jump_target_str",
          "setrow_str", "set_register_int", "set_register_str", "set_table_ints",
-         "cell_outside", "cell_negative", "single_cell_outside", "load_program_list"],
+         "cell_outside", "cell_negative", "single_cell_outside", "load_program_list",
+         "cell_float", "register_int", "matrix_row_int"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:

@@ -105,20 +105,32 @@ def vector_texts(draw, n):
     return "".join(draw(runs) + s for s in symbols) + draw(runs)
 
 
+# str.isspace characters that str.strip removes and that end no line here
+SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000"]
+
+
 @st.composite
 def table_texts(draw):
+    """Tables of labelled and unlabelled rows, clean or padded, between a
+    header comment and blank lines, with lines ending in \\n or \\r\\n."""
     n = draw(st.integers(1, 6))
-    label = st.sampled_from([None, "F1", "F2", " F3 ", ""])
-    comment = st.sampled_from(["", "  # note", "#", "\t# tab"])
+    label = st.sampled_from([None, None, "F1", "F2", " F3 ", ""])
+    comment = st.sampled_from(["", "", "  # note", "#", "\t# tab"])
+    pad = st.sampled_from(["", "", "", " ", *SPACES])
 
     @st.composite
     def good_line(draw):
         lab = draw(label)
         vec = draw(vector_texts(n))
-        return (vec if lab is None else f"{lab}\t{vec}") + draw(comment)
+        line = vec if lab is None else f"{lab}\t{vec}"
+        return draw(pad) + line + draw(pad) + draw(comment)
 
-    lines = draw(st.lists(st.one_of(good_line(), good_line(), noise), max_size=6))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    blank = st.sampled_from(["", "# a comment line", " ", *SPACES, "\x1c\u3000 \x85"])
+    lines = draw(st.lists(st.one_of(good_line(), good_line(), good_line(), noise, blank),
+                          max_size=6))
+    head = draw(st.sampled_from([[], [], ["# header"], [""], ["", "\x85"]]))
+    tail = draw(st.sampled_from([[], [""], ["", ""], [" ", "\u3000"]]))  # [""]: a final newline
+    return draw(st.sampled_from(["\n", "\r\n"])).join(head + lines + tail)
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,6 +158,9 @@ def test_parse_matches_the_symbol_oracle(text):
 @example(text="# only a comment\n")
 @example(text="1\ud800\n")
 @example(text="Ｘ1\n")
+@example(text="# header\r\n\r\nF1\t1x\r\n0_1\r\n\r\n")
+@example(text="\x1c10\x1f\n\u3000\n01\x85\n")
+@example(text="F1\t10\n01\t\n")
 def test_load_table_matches_the_line_oracle(text):
     assert outcome(loaded, text) == outcome(oracle_load, text)
 
@@ -216,6 +231,35 @@ def test_each_item_of_an_iterable_is_one_line():
     assert outcome(loaded, ["0", "1\n10"]) == (
         ParseError, "line 2: invalid symbol '\\n' in vector literal '1\\n10'", 2
     )
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("# ternary patterns, 25% x\n0x1\n1X0\n_xx1\n",
+         (["0x1", "1x0", "xx1"], [None] * 3, 3, False)),
+        ("# labelled binary fault dictionary\nF0001\t0101\nF0002\t1100\n",
+         (["0101", "1100"], ["F0001", "F0002"], 4, True)),
+        ("\n#a\n# b\n10# c\n01\n\n", (["10", "01"], [None] * 2, 2, True)),
+        ("F1\t10\n01\r\n", (["10", "01"], ["F1", None], 2, True)),
+    ],
+    ids=["benchmark-query", "benchmark-diag", "comments", "mixed-crlf"],
+)
+def test_a_text_of_clean_rows_is_read_whole(monkeypatch, text, expect):
+    # comments are cut and the ends stripped over the whole text; every
+    # line left is then a row as it stands, so no line is stripped alone
+    import lamp.assoc
+
+    def by_line(*args):
+        raise AssertionError("the text was read line by line")
+
+    monkeypatch.setattr(lamp.assoc, "_by_line", by_line)
+    assert loaded(text) == expect == oracle_load(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert query_report(path, expect[0][0])[0] == 0
 
 
 @settings(max_examples=200, deadline=None)
