@@ -5,7 +5,8 @@ by columns (:class:`AssocTable`): one int per coordinate, whose pair r
 holds row r's symbol. :func:`load_table` reads a whole table text in one
 pass, with one byte translation for all rows and one base-4 ``int`` per
 column (:func:`lamp.ternary.parse_columns`), and builds no object per
-row; it reads the lines one by one only to name the first bad line.
+row; it strips the lines one by one only when some line is not a row as
+it stands, and reads them one by one only to name the first bad line.
 
 A query is answered word-parallel, as an associative memory answers it:
 each operation acts on one coordinate of every row at once, as in the

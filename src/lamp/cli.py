@@ -62,7 +62,7 @@ def _indented(value, out: list[str], pad: str = "") -> list[str]:
     writes the same text: dicts, lists and tuples by recursion, the types
     of ``_SCALARS`` directly, and the rest (floats, subclasses, other
     objects, ``{}`` and ``[]``) by the C encoder, which writes them alike
-    with or without an indent. A :class:`_PerRow` writes its own list.
+    with or without an indent. A :class:`_PerRowJson` writes its own list.
     """
     write = _SCALARS.get(type(value))
     if write is not None:
@@ -87,7 +87,7 @@ def _indented(value, out: list[str], pad: str = "") -> list[str]:
             _indented(item, out, inner)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
-    elif isinstance(value, _PerRow):
+    elif isinstance(value, _PerRowJson):
         out.append(value.json(pad))
     else:
         out.append(json.dumps(value, default=str))
@@ -217,7 +217,7 @@ def _score_cells(score) -> dict:
     }
 
 
-class _PerRow:
+class _PerRowJson:
     """The ``per_row`` list of a table report, one ``{"row": i, "label":
     label, **_score_cells(score)}`` per row, written by :func:`_indented`
     with one format for every row: the row's number and label are filled
@@ -287,7 +287,7 @@ def _run_table_query(args, response_mode: bool) -> int:
         "best": _score_cells(result.best_index),
     }
     if args.format == "json":  # only JSON prints per-row scores
-        report["per_row"] = _PerRow(table.labels, result.per_row)
+        report["per_row"] = _PerRowJson(table.labels, result.per_row)
     if args.top:
         report["ranked"] = rows_json
     _emit(report, text, tsv, args.format)

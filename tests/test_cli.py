@@ -193,7 +193,7 @@ def test_diag_top_searches_the_table_once(capsys, tmp_path, monkeypatch):
     assert len(made) == 1  # rank reuses the search of diagnose
 
 
-# the parent's report, one dict per row, printed by json.dumps
+# an oracle of the JSON report: one dict per row, printed by json.dumps
 
 
 def _oracle_cells(score) -> dict:
@@ -239,7 +239,8 @@ def _labelled_tables(draw):
     vector = st.text(st.sampled_from(symbols), min_size=n, max_size=n)
     pool = draw(st.lists(vector, min_size=1, max_size=4))
     if not binary and n >= 4:
-        pool += ["0xxx" + "0" * (n - 4), "00x0" + "0" * (n - 4)]  # tie on xx00.. swapped
+        # tied on the probe xx00..., with their p and q swapped
+        pool += ["0xxx" + "0" * (n - 4), "00x0" + "0" * (n - 4)]
     rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     labels, seen = [], set()
     for label in draw(st.lists(st.sampled_from(_LABELS), min_size=len(rows),
