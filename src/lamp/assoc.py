@@ -1,29 +1,27 @@
 """Associative tables and the search / recognition / decision procedures.
 
 A table is an ordered list of associator rows, optionally labeled, held
-by columns (:class:`AssocTable`): one int per coordinate, whose pair r
-holds row r's symbol. :func:`load_table` reads a whole table text in one
-pass, with one byte translation for all rows and one base-4 ``int`` per
-column (:func:`lamp.ternary.parse_columns`), and builds no object per
-row; it strips the lines one by one only when some line is not a row as
-it stands, and reads them one by one only to name the first bad line.
+by columns (:class:`AssocTable`). :func:`load_table` checks a whole table
+text with one byte translation (:func:`lamp.ternary.parse_columns`) and
+keeps it as lanes, one byte per symbol; it strips the lines one by one
+only when some line is not a row as it stands, and reads them one by one
+only to name the first bad line. Its bit planes, one int per coordinate,
+are built by a second search or a read of its rows.
 
 A query is answered word-parallel, as an associative memory answers it:
-each operation acts on one coordinate of every row at once, as in the
-bit-serial, word-parallel search and min search of Foster's
-*Content-Addressable Parallel Processors* (1976). For each coordinate
-the probe m does not leave open, the rows whose symbol conflicts with
-m's (a 1 against a 0) form one bit plane. A carry-save adder tree, the
-Harley-Seal population count, adds those planes into about log2 n
-counter planes that hold each row's count e of empty coordinates, and a
-min search from the top counter plane down gives the rows with the
-least e. On binary rows e is k = popcount(m XOR a), the quality index,
-so both modes share this search. When some rows of a ternary table have
-e = 0, the same count and min search run on them over p, the x of the
-row where m has none, and q, the x of m where the row has none, and rank
-them by (min(p, q), max(p, q)), the order of :func:`lamp.quality.arith_keys`.
-``rank`` repeats the min search on the rows left, and ``per_row`` reads
-every row's counts back from the counter planes.
+each operation acts on one coordinate of every row at once (Foster,
+*Content-Addressable Parallel Processors*, 1976). A row's count e of
+empty coordinates, where its symbol conflicts with m's (a 1 against a
+0), is k = popcount(m XOR a) on binary rows, so both modes share one
+search. The first search of a table read from text adds its columns as
+ints with a byte lane per row (Lamport, "Multiple Byte Processing with
+Full-Word Instructions", CACM, 1975), whose bytes are then every row's e.
+Any other adds the conflicting bit planes with a carry-save adder tree,
+the Harley-Seal population count, and a min search from the top counter
+plane down gives the rows with the least e. Ternary rows with e = 0 rank
+by (min(p, q), max(p, q)), the order of :func:`lamp.quality.arith_keys`:
+p counts the x of the row where m has none, q the x of m where the row
+has none. ``rank`` and ``per_row`` read every count as one per row.
 
 The paper's and/xor/or selection of the winner is
 :func:`lamp.quality.decide`, and the grid machine runs it
@@ -43,11 +41,12 @@ Table file format (UTF-8 text):
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import not_, or_
-from typing import Callable, Iterable, Optional, Union
+from itertools import compress, repeat
+from operator import not_, or_, setitem
+from typing import Iterable, Optional, Union
 
 from .bitvec import BitVector
 from .errors import (
@@ -93,11 +92,12 @@ class AssocTable:
     significant. Pair r holds the bits of row r's symbol j that a probe
     symbol can conflict with: 01 for a 0, which conflicts with a probe 1,
     10 for a 1, which conflicts with a probe 0, and 00 for an x; it is
-    the complement of the symbol's 2-bit code (:mod:`lamp.ternary`). The
-    table keeps each column in two: ``_zeros[j]``, its pairs' low bits,
-    and ``_ones[j]``, their high bits. ``codes`` and ``rows`` are built
-    from them on each read. The mode is decided once, at construction;
-    the rows must not change afterwards.
+    the complement of the symbol's 2-bit code (:mod:`lamp.ternary`), and
+    the hex digits of its lane byte. Each column is kept in two lists,
+    built on first read when the table holds lanes: ``_zeros[j]``, its
+    pairs' low bits, and ``_ones[j]``, their high bits. ``codes`` and
+    ``rows`` are built from them on each read. The mode is decided once,
+    at construction; the rows must not change afterwards.
     """
 
     def __init__(self, name: str, cols: int, codes: list[int], labels=None):
@@ -107,14 +107,26 @@ class AssocTable:
         self._set(name, _flip(codes, cols), labels, any_x(codes, cols))
 
     def _set(self, name, columns, labels, ternary) -> None:
-        self.name, self.cols, self.labels = name, len(columns), labels
-        low = low_bits(len(labels))
+        self.name, self.labels = name, labels
+        self.mode = Mode.TERNARY if ternary else Mode.BINARY
+        self._search = None  # the last search, which rank reuses for the same probe
+        if not isinstance(columns, list):  # lane text, whose planes are built on first read
+            self._lanes, self.cols = columns, (len(columns) + 1) // len(labels) - 1
+            return
+        self.cols, low = len(columns), low_bits(len(labels))
         self._zeros = [column & low for column in columns]
         self._ones = columns  # their high bits, cut in place so that no third list is held
         for j, zeros in enumerate(self._zeros):
             columns[j] ^= zeros
-        self.mode = Mode.TERNARY if ternary else Mode.BINARY
-        self._search = None  # the last query's, which rank reuses for the same probe
+
+    def __getattr__(self, name):
+        """``_zeros`` and ``_ones`` of a table read from text, built on first read."""
+        if name not in ("_zeros", "_ones") or "_lanes" not in self.__dict__:
+            raise AttributeError(name)
+        lanes, n = self.__dict__.pop("_lanes"), self.cols
+        self._set(self.name, [int(lanes[j::n + 1].hex(), 2) for j in range(n)], self.labels,
+                  self.mode is Mode.TERNARY)
+        return self.__dict__[name]
 
     @classmethod
     def from_rows(cls, rows, labels=None, name="table") -> "AssocTable":
@@ -156,8 +168,11 @@ class AssocTable:
 
     def _row(self, i: int) -> TernaryVector:
         """Row i, 0-based, as a TernaryVector."""
-        code = _flipped(self._column_bytes, len(self), i)
-        return TernaryVector._of_code(code, self.cols)
+        n, lanes, at = self.cols, self.__dict__.get("_lanes"), i * (self.cols + 1)
+        if lanes is None:
+            return TernaryVector._of_code(_flipped(self._column_bytes, len(self), i), n)
+        # the hex digits of the row's lane bytes spell its code's pairs, complemented
+        return TernaryVector._of_code(low_bits(n) * 3 ^ int(lanes[at:at + n].hex(), 2), n)
 
     @property
     def is_binary(self) -> bool:
@@ -242,26 +257,16 @@ def _columns(matrix: bytes, size: int, tables: list[bytes], width: int) -> list[
     return columns[len(tables) * size - width:]
 
 
-class _Deferred:
-    """Per-row scores not computed yet: ``every()`` computes them all, and
-    ``winners()`` the winners' alone."""
-
-    __slots__ = ("every", "winners")
-
-    def __init__(self, every: Callable[[], list[RowScore]], winners: Callable[[], list[RowScore]]):
-        self.every, self.winners = every, winners
-
-
 class _PerRow:
-    """The ``per_row`` field: a list, or a :class:`_Deferred` that is
-    computed on first read and replaced by its list."""
+    """The ``per_row`` field: a list, or the :class:`_Search` of the query,
+    which scores every row on first read and is replaced by the list."""
 
     def __get__(self, obj, owner=None):
         if obj is None:
             raise AttributeError("per_row")  # so @dataclass gives the field no default
         rows = obj.__dict__["_per_row"]
-        if isinstance(rows, _Deferred):
-            rows = obj.__dict__["_per_row"] = rows.every()
+        if isinstance(rows, _Search):
+            rows = obj.__dict__["_per_row"] = rows.scores()
         return rows
 
     def __set__(self, obj, rows) -> None:
@@ -290,8 +295,8 @@ class QueryResult:
         once it is built; before that, :func:`query` reads the winners'
         alone. Tied ternary rows can differ in their mu components."""
         rows = self.__dict__["_per_row"]
-        if isinstance(rows, _Deferred):
-            return rows.winners()
+        if isinstance(rows, _Search):
+            return rows.winner_scores()
         return [rows[i - 1] for i, _ in self.best_rows]
 
 
@@ -304,13 +309,14 @@ def load_table(source, name="table") -> AssocTable:
     is one line. A ``#`` cuts its line there. A text is read whole: its
     comments are cut (:func:`_uncommented`), its two ends are stripped, and
     :func:`_parsed` hands it to :func:`lamp.ternary.parse_columns`, which
-    reads all vectors with one encode and translate, and one ``int`` per
-    column, building no object per line. That read refuses a line that is
-    not a row as it stands (padded, blank, or a comment alone), and only
-    then, or for an iterable, are the lines stripped one by one
-    (:func:`_by_line`). A source that gives no text, such as bytes, a
-    binary file or None, is a :class:`NotAVector` error, and a file whose
-    bytes its encoding cannot decode an :class:`InvalidArgument`.
+    checks all vectors with one encode and translate to the lanes that the
+    first search reads, building no object per line and parsing no int.
+    That read refuses a line that is not a row as it stands (padded,
+    blank, or a comment alone), and only then, or for an iterable, are the
+    lines stripped one by one (:func:`_by_line`). A source that gives no
+    text, such as bytes, a binary file or None, is a :class:`NotAVector`
+    error, and a file whose bytes its encoding cannot decode an
+    :class:`InvalidArgument`.
     """
     if hasattr(source, "read"):
         try:
@@ -343,8 +349,8 @@ def _uncommented(text: str) -> str:
     return "".join(pieces)
 
 
-def _parsed(text: str) -> tuple[list[int], list, bool] | None:
-    """(columns, labels, whether some symbol is x) of a table text each of
+def _parsed(text: str) -> tuple[bytearray, list, bool] | None:
+    """(lane text, labels, whether some symbol is x) of a table text each of
     whose lines is one row: a vector, or a label, a tab and a vector, the
     label and that vector stripped; None when some line is not (a padded
     bare vector, a blank line, an empty label) or a label repeats."""
@@ -362,7 +368,7 @@ def _parsed(text: str) -> tuple[list[int], list, bool] | None:
     return parsed and (parsed[0], labels, parsed[2])
 
 
-def _by_line(lines: list[str], name: str) -> tuple[list[int], list, bool]:
+def _by_line(lines: list[str], name: str) -> tuple[bytearray, list, bool]:
     """:func:`_parsed` of the rows of ``lines``, each line stripped and the
     blank ones dropped; when that fails, the lines are read one by one to
     raise the error of the earliest bad line with its line number."""
@@ -482,54 +488,17 @@ def _least(rows: int, counts: list[int]) -> tuple[int, int]:
     return rows, least
 
 
-def _min_max(p: list[int], q: list[int]) -> tuple[list[int], list[int], int]:
-    """The per-row min and max of two bit-sliced counts, and the rows
-    whose q is less than their p."""
-    width = max(len(p), len(q))
-    p, q = p + [0] * (width - len(p)), q + [0] * (width - len(q))
-    swap, same = 0, -1  # the rows known to have q < p; those with equal bits so far
-    for a, b in zip(reversed(p), reversed(q)):
-        swap |= same & a & ~b
-        same &= ~(a ^ b)
-    return ([a ^ (a ^ b) & swap for a, b in zip(p, q)],
-            [b ^ (a ^ b) & swap for a, b in zip(p, q)], swap)
-
-
-def _count_at(counts: list[int], at: int) -> int:
-    """The count of the row at bit ``at`` of bit-sliced ``counts``."""
-    return sum((plane >> at & 1) << i for i, plane in enumerate(counts))
-
-
-def _transpose(planes: list[int], height: int) -> list[int]:
-    """One int per row of ``height``: row r reads bit 2(height-1-r) of each
-    plane, the first plane as its most significant bit."""
-    text = "".join([format(plane, f"0{2 * height}b")[1::2] for plane in planes])
-    return [int(text[r::height] or "0", 2) for r in range(height)]
-
-
-def _indices(rows: int, height: int) -> list[int]:
-    """The 0-based rows of mask ``rows`` over ``height`` rows, ascending."""
-    text = format(rows, f"0{2 * height}b")
-    found, at = [], text.find("1")
-    while at >= 0:
-        found.append(at // 2)
-        at = text.find("1", at + 2)
-    return found
+def _where(counts, value: int) -> list[int]:
+    """The indices of ``value`` in ``counts``, ascending."""
+    at = -1
+    return [at := counts.index(value, at + 1) for _ in range(counts.count(value))]
 
 
 class _Search:
-    """The counts of one probe m against every row of one table.
-
-    ``e`` counts each row's empty coordinates, where m is 0 and the row is
-    1 or the reverse: on binary rows it is the quality index k. For the
-    rows with e = 0 of a ternary table, ``_pq`` counts p, the x of the row
-    where m has none, and q, the x of m where the row has none; such rows
-    score better as (min(p, q), max(p, q)) is less
-    (:func:`lamp.quality.arith_keys` derives it), so rows are ranked by
-    (e, min(p, q), max(p, q)). Every count is bit-sliced, its planes over
-    the columns' pairs: a row's bit is the low bit of its pair, and the
-    high bits hold nothing of use.
-    """
+    """The counts e, p and q, as the module describes them, of one probe m
+    against every row of one table, which rank rows by (e, min(p, q),
+    max(p, q)). They are counted in lanes (:meth:`_tally`) or bit planes,
+    a row's bit at the low bit of its pair, and read one per row."""
 
     def __init__(self, table: AssocTable, m):
         mt = _as_ternary(m)
@@ -545,43 +514,91 @@ class _Search:
         pairs = format(mt.enc.value, f"0{2 * mt.n}b").encode()
         ones, zeros = pairs[0::2].translate(_CLEAR), pairs[1::2].translate(_CLEAR)
         self._selectors = ones, zeros  # the coordinates where m is 1, where m is 0
-        lows, highs = list(compress(table._zeros, ones)), list(compress(table._ones, zeros))
-        # a low and a high plane share one int, so each adder adds two columns
-        counts = _count([*map(or_, lows, highs), *lows[len(highs):], *highs[len(lows):]])
-        low = low_bits(len(table))
-        self.e = _add([c & low for c in counts], [c >> 1 & low for c in counts])
-        self._pq_counts = self._order_counts = None
+        self._wide = table.cols > 255  # 4-byte lanes, as a count can pass 255
+        self._text = None if table._search else table.__dict__.get("_lanes")
+        if self._text is None:
+            lows, highs = list(compress(table._zeros, ones)), list(compress(table._ones, zeros))
+            # a low and a high plane share one int, so each adder adds two columns
+            counts = _count([*map(or_, lows, highs), *lows[len(highs):], *highs[len(lows):]])
+            low = low_bits(len(table))
+            self.e = _add([c & low for c in counts], [c >> 1 & low for c in counts])
+        else:  # a row's e sums its 0s where m is 1 and its 1s where m is 0
+            self._unit = int.from_bytes((b"\0\0\0\1" if self._wide else b"\1") * len(table), "big")
+            (e, matched), (same, conflicts) = self._tally(ones), self._tally(zeros)
+            self._e, self._matched = e + conflicts, matched + same
+        table._search = self
 
-    def _pq(self) -> tuple[list[int], list[int]]:
-        """The counter planes of p and q, counted on first use."""
-        if self._pq_counts is None:
-            low, n = low_bits(len(self.table)), self.table.cols
-            filled = [z | o >> 1 for z, o in zip(self.table._zeros, self.table._ones)]  # not x
-            ones, zeros = map(int.from_bytes, self._selectors)
-            known = (ones | zeros).to_bytes(n)  # where m is not x; bytes of 0 or 1 or bytewise
-            p = _count([low ^ f for f in compress(filled, known)])
-            q = _count(list(compress(filled, map(not_, known))))
-            self._pq_counts = p, q
-        return self._pq_counts
+    def _tally(self, selector) -> tuple[int, int]:
+        """(each row's 0s, its 1s) where ``selector`` marks, as lanes: the
+        text's columns summed 15 at a time, so that no nibble carries."""
+        text, n, nibble = self._text, self.table.cols, 15 * self._unit
+        columns = (text[j::n + 1] for j in compress(range(n), selector))
+        if self._wide:  # each column's bytes to the low bytes of 4-byte lanes
+            lanes = bytearray(4 * len(self.table))
+            columns = (setitem(lanes, slice(3, None, 4), c) or lanes for c in columns)
+        columns = list(map(int.from_bytes, columns, repeat("big")))
+        zeros = ones = 0
+        for at in range(0, len(columns), 15):
+            total = sum(columns[at:at + 15])
+            zeros += total & nibble
+            ones += total >> 4 & nibble
+        return zeros, ones
 
-    def best(self, rows: int) -> tuple[int, int]:
-        """(the rows of mask ``rows`` that score best, their e)."""
-        rows, e = _least(rows, self.e)
-        if e == 0 and not self.table.is_binary:
-            if self._order_counts is None:
-                self._order_counts = _min_max(*self._pq())
-            for counts in self._order_counts[:2]:
-                rows = _least(rows, counts)[0]
-        return rows, e
+    def _rows(self, lanes):
+        """One count per row: the bytes of ``lanes``, or its 4-byte lanes. Bit
+        planes (a list) are read as lanes first, their pairs as hex digits."""
+        height, spread = len(self.table), lambda plane: int(format(plane, "b"), 16)
+        if isinstance(lanes, list):  # spread twice, a pair fills four bytes
+            lanes = sum((spread(spread(c)) if self._wide else spread(c)) << i
+                        for i, c in enumerate(lanes))
+        if self._wide:
+            return struct.unpack(f">{height}I", lanes.to_bytes(4 * height, "big"))
+        return lanes.to_bytes(height, "big")
 
-    def order(self):
-        """The 0-based rows, best first; tied rows in ascending order."""
-        height = len(self.table)
-        rows = low_bits(height)
-        while rows:
-            best = self.best(rows)[0]
-            yield from _indices(best, height)
-            rows ^= best
+    @cached_property
+    def counts(self):
+        """Each row's e."""
+        return self._rows(self.e if self._text is None else self._e)
+
+    @cached_property
+    def pq(self) -> tuple:
+        """Each row's p and each row's q."""
+        known = bytes(map(or_, *self._selectors))  # where m is not x
+        if self._text is not None:
+            p = known.count(1) * self._unit - self._e - self._matched
+            return self._rows(p), self._rows(sum(self._tally(map(not_, known))))
+        low = low_bits(len(self.table))
+        filled = [z | o >> 1 for z, o in zip(self.table._zeros, self.table._ones)]  # not x
+        p = _count([low ^ f for f in compress(filled, known)])
+        q = _count(list(compress(filled, map(not_, known))))
+        return self._rows(p), self._rows(q)
+
+    def _pq_key(self, i: int) -> tuple[int, int]:
+        p, q = self.pq
+        return min(p[i], q[i]), max(p[i], q[i])
+
+    def winners(self) -> tuple[list[int], int, RowScore]:
+        """``best``: (the 0-based rows that score best, ascending; their e;
+        the first one's score, from the criterion itself)."""
+        if self._text is None:  # a min search from the top counter plane down
+            rows, e = _least(low_bits(len(self.table)), self.e)
+            found = _where(int(format(rows, "b"), 16).to_bytes(len(self.table), "big"), 1)
+        else:
+            e = min(self.counts)
+            found = _where(self.counts, e)
+        if e == 0 and len(found) > 1 and not self.table.is_binary:
+            keys = list(map(self._pq_key, found))
+            found = list(compress(found, map(min(keys).__eq__, keys)))
+        self.best = found, e, self.criterion(found[0])
+        return self.best
+
+    def order(self, k: int) -> list[int]:
+        """The first k rows (0-based), best first; tied rows in ascending order."""
+        e = self.counts
+        zeros = 0 if self.table.is_binary else e.count(0)
+        rows = sorted(range(len(e)), key=e.__getitem__)[:max(k, zeros)]
+        rows[:zeros] = sorted(rows[:zeros], key=self._pq_key)
+        return rows[:k]
 
     def _scored(self, e: int, p: int, q: int) -> RowScore:
         n = self.table.cols
@@ -589,42 +606,23 @@ class _Search:
             return QualityIndex(e, n)
         return _score_norm(n, e, 0, 0) if e else _score_norm(n, 0, p, q)
 
-    def score(self, i: int) -> RowScore:
-        """Row i's score (0-based), read off the counter planes."""
-        at = 2 * (len(self.table) - 1 - i)
-        e = _count_at(self.e, at)
-        if e or self.table.is_binary:
-            return self._scored(e, 0, 0)
-        return self._scored(0, *(_count_at(counts, at) for counts in self._pq()))
+    def scores(self, rows=None) -> list[RowScore]:
+        """The scores of ``rows`` (0-based), or of every row, read off the
+        counts per row; rows with the same counts share one score."""
+        e = self.counts
+        p, q = self.pq if not self.table.is_binary and 0 in e else (None, None)
+        keys = [(e[i], 0, 0) if e[i] or p is None else (0, p[i], q[i])
+                for i in (range(len(e)) if rows is None else rows)]
+        built = {key: self._scored(*key) for key in set(keys)}
+        return [built[key] for key in keys]
 
-    def tied(self, rows: int, found: list[int], e: int, first: RowScore) -> list[RowScore]:
-        """The scores of the rows of mask ``rows``, which :meth:`best` gave
-        with their e; ``found`` lists them, and the first of them scores
-        ``first``. Such rows share e and the min and max of p and q, so each
-        scores ``first`` unless its p and q are the first row's swapped: at
-        most one more score is read, whatever the number of rows."""
-        if e or self.table.is_binary:
+    def winner_scores(self) -> list[RowScore]:
+        """The scores of the rows that score best: the first's, unless they
+        are ternary, e = 0 and have p and q swapped."""
+        found, e, first = self.best
+        if e or self.table.is_binary or len(found) == 1:
             return [first] * len(found)
-        height, swap = len(self.table), self._order_counts[2]
-        other = rows & (swap ^ -(swap >> 2 * (height - 1 - found[0]) & 1))
-        if not other:
-            return [first] * len(found)
-        others = set(_indices(other, height))
-        second = self.score(min(others))
-        return [second if i in others else first for i in found]
-
-    def scores(self) -> list[RowScore]:
-        """Every row's score, read off the counter planes transposed;
-        rows with the same counts share one score."""
-        height = len(self.table)
-        es = _transpose(self.e[::-1], height)
-        if self.table.is_binary or 0 not in es:
-            keys = [(e, 0, 0) for e in es]
-        else:
-            ps, qs = (_transpose(counts[::-1], height) for counts in self._pq())
-            keys = [(e, 0, 0) if e else (0, p, q) for e, p, q in zip(es, ps, qs)]
-        built: dict[tuple[int, int, int], RowScore] = {}
-        return [built.get(key) or built.setdefault(key, self._scored(*key)) for key in keys]
+        return self.scores(found)
 
     def criterion(self, i: int) -> RowScore:
         """Row i's score (0-based) from the criterion itself, on the row."""
@@ -642,28 +640,25 @@ def query(table: AssocTable, m) -> QueryResult:
     first of them is scored for ``best_index``, and ``per_row`` scores
     every row when it is read.
     """
-    search = table._search = _Search(table, m)
-    best, e = search.best(low_bits(len(table)))
-    found = _indices(best, len(table))
-    first = search.criterion(found[0])
-    scores = _Deferred(search.scores, lambda: search.tied(best, found, e, first))
+    search = _Search(table, m)
+    found, _, first = search.winners()
     winners = [(i + 1, table.labels[i]) for i in found]
-    return QueryResult(table.mode, winners, first, scores)
+    return QueryResult(table.mode, winners, first, search)
 
 
 def rank(table: AssocTable, m, k: int) -> list[tuple[int, RowScore]]:
     """First k rows best-first; ties broken by ascending row index.
 
-    The rows are found by repeated min searches, and only the k rows
-    returned are scored. After a :func:`query` of the same probe object
-    on the table, its counts are reused, so ``--top`` searches once.
+    The rows are sorted by their counts per row, and only the k rows
+    returned are scored. After a search of the same probe object on the
+    table, its counts are reused, so ``--top`` searches once.
     """
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
     search = table._search
     if search is None or search.m is not m:
         search = _Search(table, m)
-    return [(i + 1, search.criterion(i)) for i in islice(search.order(), k)]
+    return [(i + 1, search.criterion(i)) for i in search.order(k)]
 
 
 def diagnose(dictionary: AssocTable, response: BitVector) -> QueryResult:

@@ -645,7 +645,15 @@ def main(argv=None) -> int:
         print("error: run needs a program file or --builtin-query", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a reader that has gone shows here, not at exit
+        return status
+    except BrokenPipeError as exc:  # as the signal docs' note on SIGPIPE advises,
+        try:  # quietly, with stdout at devnull so that the exit flushes nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # no file descriptor, as in a StringIO
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (LampError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,11 +13,10 @@ string is rendered for display only.
 
 Read as a base-4 digit, a symbol's code is 0 -> 2, 1 -> 1, x -> 3, so
 :func:`parse_code` turns a whole symbol string into its code with one
-byte translation and one ``int(digits, 4)``. :func:`parse_columns` reads
-the lines of a whole table with one translation, to the complement of
-each symbol's code, and one ``int(digits, 4)`` per column: the table's
-transpose, which :class:`lamp.assoc.AssocTable` keeps and searches. A
-:class:`TernaryVector` is built only for a row that a caller reads.
+byte translation and one ``int(digits, 4)``. :func:`parse_columns` checks
+a whole table with one translation, to the lane text that
+:class:`lamp.assoc.AssocTable` keeps and first searches, and parses no
+int. A :class:`TernaryVector` is built only for a row that a caller reads.
 """
 
 from __future__ import annotations
@@ -44,7 +43,8 @@ _DROP_SYMBOLS = str.maketrans("", "", "01x")
 # each symbol byte to its code as a base-4 digit, every other digit byte
 # to a non-digit, so that isdigit() accepts exactly the symbol strings
 _CODE = bytes.maketrans(b"0123456789xX", b"21!!!!!!!!33")
-_COLUMN = bytes.maketrans(b"0123456789xX", b"12!!!!!!!!00")  # 3 minus _CODE's digit
+# each symbol byte to its lane byte, every other byte to 0xFF
+_LANE = bytes({48: 1, 49: 16, 88: 0, 120: 0}.get(b, 255) for b in range(256))
 
 
 @functools.cache
@@ -70,30 +70,26 @@ def parse_code(text: str) -> tuple[int, int]:
     raise ParseError(f"invalid symbol {bad[0]!r} in vector literal {text!r}")
 
 
-def parse_columns(text: str) -> tuple[list[int], int, bool] | None:
-    """(columns, rows, whether some symbol is x) of the lines of ``text``,
+def parse_columns(text: str) -> tuple[bytearray, int, bool] | None:
+    """(lanes, rows, whether some symbol is x) of the lines of ``text``,
     split at ``\\n`` only, when each is a {0,1,x} string of n symbols,
     read as :func:`parse_code` reads it; None when some line is not, and
     :func:`parse_code` then names the fault.
 
-    The text is translated to one base-4 digit per symbol, the complement
-    of its code (0 -> 01, 1 -> 10, x -> 00), and column j is
-    ``int(digits[j::n+1], 4)``: its pair r, counted from the most
-    significant, is that of line r's symbol j. The whole text is checked
-    at once: a newline must be at every (n+1)-th byte, and ``int`` refuses
-    any other byte inside a column. At a column's ends it would allow a
-    sign or a space, so the first and the last line are checked for digits.
+    ``lanes`` is the text with each symbol translated to one byte, x -> 0,
+    0 -> 1 and 1 -> 16, so ``lanes[j::n+1]`` holds column j, one byte per
+    row; the bytes between rows hold 1. The whole text is checked at once:
+    once each (n+1)-th byte is found to be a newline and set to a symbol,
+    any byte that is not a symbol translates to 0xFF.
     """
-    digits = text.encode("utf-8", "surrogatepass").translate(_COLUMN, b"_")
-    n = digits.find(b"\n") % (len(digits) + 1)  # the whole text when it has one line
-    rows, rest = divmod(len(digits) + 1, n + 1)
-    if (not n or rest or digits[n::n + 1].strip(b"\n")
-            or not (digits[:n] + digits[-n:]).isdigit()):
+    lanes = bytearray(text.encode("utf-8", "surrogatepass").replace(b"_", b""))
+    n = lanes.find(b"\n") % (len(lanes) + 1)  # the whole text when it has one line
+    rows, rest = divmod(len(lanes) + 1, n + 1)
+    if not n or rest or lanes[n::n + 1].strip(b"\n"):
         return None
-    try:
-        return [int(digits[j::n + 1], 4) for j in range(n)], rows, b"0" in digits
-    except ValueError:
-        return None
+    lanes[n::n + 1] = b"0" * (rows - 1)
+    lanes = lanes.translate(_LANE)
+    return None if b"\xff" in lanes else (lanes, rows, b"\0" in lanes)
 
 
 def check_codes(codes: list[int], n: int) -> None:

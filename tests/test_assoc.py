@@ -575,14 +575,14 @@ def code_scores(m, codes):
 
 
 @st.composite
-def search_cases(draw):
+def search_cases(draw, widths=st.integers(1, 70)):
     """(rows, probe): a table of 1, 63, 64 or 65 rows (or a few), drawn
     from a small pool so that rows repeat and tie. The probe is a fresh
     vector or all x. With x in play, the pool may hold all x and the
     probe, and it holds two rows that meet the probe everywhere with p
     and q swapped (p, the x of the row where the probe has none, and q,
     the reverse), which tie with different mu components."""
-    n = draw(st.integers(1, 70))
+    n = draw(widths)
     alphabet = draw(st.sampled_from(["01", "01x", "0x", "1x", "x"]))
     vec = st.lists(st.sampled_from(alphabet), min_size=n, max_size=n).map("".join)
     probe = draw(vec) if alphabet == "01" else draw(st.sampled_from([draw(vec), "x" * n]))
@@ -605,45 +605,73 @@ def search_cases(draw):
     return rows, probe
 
 
-@settings(max_examples=120, deadline=None)
-@given(search_cases())
-def test_column_search_matches_the_key_oracle(case):
+def expected(rows, probe):
+    """(the probe as query() takes it, the 0-based winners, every row's
+    score, the rows best first) by the per-row key oracle."""
     from lamp.quality import code_keys
 
-    rows, probe = case
-    table = AssocTable.from_rows(rows, labels=[f"r{i}" for i in range(len(rows))])
-    m = tv(probe)
-    if table.is_binary and not m.is_binary:
-        with pytest.raises(ModeMismatch):
-            query(table, m)
-        return
-    if table.is_binary:
-        m = m.to_bitvector()  # a binary probe as a BitVector, as diag passes it
     mt = tv(probe)
     codes = [tv(r).enc.value for r in rows]
     keys = code_keys(mt, codes)
     n = mt.n
-    if table.is_binary:  # k is n - key, or 0 for an exact row
-        expect_scores = [QualityIndex(max(n - key, 0), n) for key in keys]
+    if all(set(r) <= set("01") for r in rows):  # k is n - key, or 0 for an exact row
+        m = mt.to_bitvector()  # a binary probe as a BitVector, as diag passes it
+        scores = [QualityIndex(max(n - key, 0), n) for key in keys]
     else:
-        expect_scores = code_scores(mt, codes)
-    best = max(keys)
-    winners = [i for i, key in enumerate(keys) if key == best]
+        m, scores = mt, code_scores(mt, codes)
+    winners = [i for i, key in enumerate(keys) if key == max(keys)]
+    order = sorted(range(len(rows)), key=lambda i: -keys[i])  # stable: ties stay in row order
+    return m, winners, scores, order
 
+
+def check_search(table, m, labels, winners, scores, order):
     res = query(table, m)
-    assert res.best_rows == [(i + 1, f"r{i}") for i in winners]
-    assert res.best_index == expect_scores[winners[0]]
+    assert res.best_rows == [(i + 1, labels[i]) for i in winners]
+    assert res.best_index == scores[winners[0]]
     # each winner's own score, before per_row is built and after
-    assert res.winner_scores() == [expect_scores[i] for i in winners]
+    assert res.winner_scores() == [scores[i] for i in winners]
     if not table.is_binary:  # the text output prints the first winner's Q for each
         assert {score.value for score in res.winner_scores()} == {res.best_index.value}
-    assert res.per_row == expect_scores
-    assert res.winner_scores() == [expect_scores[i] for i in winners]
-    order = sorted(range(len(rows)), key=lambda i: -keys[i])  # stable: ties stay in row order
-    full = rank(table, m, len(rows))
-    assert full == [(i + 1, expect_scores[i]) for i in order]
-    for k in range(1, len(rows)):
+    assert res.per_row == scores
+    assert res.winner_scores() == [scores[i] for i in winners]
+    full = rank(table, m, len(scores))  # rank reuses the search of query
+    assert full == [(i + 1, scores[i]) for i in order]
+    for k in range(1, len(scores)):
         assert rank(table, m, k) == full[:k]
+
+
+@settings(max_examples=120, deadline=None)
+@given(search_cases())
+def test_column_search_matches_the_key_oracle(case):
+    rows, probe = case
+    table = AssocTable.from_rows(rows, labels=[f"r{i}" for i in range(len(rows))])
+    if table.is_binary and not tv(probe).is_binary:
+        with pytest.raises(ModeMismatch):
+            query(table, tv(probe))
+        return
+    m, winners, scores, order = expected(rows, probe)
+    check_search(table, m, table.labels, winners, scores, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(st.integers(1, 70) | st.sampled_from([254, 255, 256, 300])), st.booleans())
+def test_lane_search_matches_the_plane_search_and_the_key_oracle(case, labelled):
+    # the first query of a table read from text counts in lanes, 4-byte
+    # lanes past 255 columns; the second builds the planes and searches them
+    rows, probe = case
+    labels = [f"r{i}" for i in range(len(rows))] if labelled else [None] * len(rows)
+    table = load_table("".join(f"{label}\t{row}\n" if label else row + "\n"
+                               for label, row in zip(labels, rows)))
+    if table.is_binary and not tv(probe).is_binary:
+        with pytest.raises(ModeMismatch):
+            query(table, tv(probe))
+        return
+    m, winners, scores, order = expected(rows, probe)
+    check_search(table, m, labels, winners, scores, order)
+    assert "_lanes" in table.__dict__  # no plane was built
+    check_search(table, m, labels, winners, scores, order)
+    assert "_lanes" not in table.__dict__
+    assert table == AssocTable.from_rows(rows, labels if labelled else None)
 
 
 def test_tied_ternary_winners_keep_their_own_components():
@@ -667,19 +695,44 @@ def test_tied_ternary_winners_keep_their_own_components():
         (["x" * 70], "x" * 70),
         (["1" * 70], "0" * 70),
         (["x0", "x0", "0x"], "xx"),
+        (["1" * 255, "0" * 255], "0" * 255),  # a count of 255 fills a byte lane
+        (["1" * 256, "x" * 256], "0" * 256),  # one of 256 takes a 4-byte lane
+        (["0" * 300, "1x" * 150], "1" * 300),
+        (["01" * 15 + "x", "10" * 15 + "x"], "1" * 31),  # 16 columns of one probe symbol
     ],
 )
 def test_column_search_edge_shapes(rows, probe):
-    table = AssocTable.from_rows(rows)
     m = tv(probe)
-    if table.is_binary:
+    if m.is_binary and all(set(r) <= set("01") for r in rows):
         m = m.to_bitvector()
         scores = [quality_index(m, tv(r).to_bitvector()) for r in rows]
     else:
         scores = [quality_arith(m, tv(r)) for r in rows]
-    res = query(table, m)
-    assert res.per_row == scores
-    assert rank(table, m, len(rows))[0] == (res.best_rows[0][0], res.best_index)
+    for table in AssocTable.from_rows(rows), load_table("\n".join(rows)):  # planes, lanes
+        res = query(table, m)
+        assert res.per_row == scores
+        assert rank(table, m, len(rows))[0] == (res.best_rows[0][0], res.best_index)
+
+
+def test_a_table_read_from_text_builds_its_planes_once(monkeypatch):
+    built = []
+    real = AssocTable._set  # which a list of plane columns builds the planes
+
+    def counted(self, name, columns, *rest):
+        built.append(isinstance(columns, list))
+        real(self, name, columns, *rest)
+
+    monkeypatch.setattr(AssocTable, "_set", counted)
+    text = "a\t0x1\nb\t1x0\nc\t011\n"
+    table = load_table(text)
+    for probe in "0x1", "111", "xx0", "111":
+        m = tv(probe)
+        query(table, m)
+        rank(table, m, 2)
+    assert built == [False, True]  # read as lanes; planes by the second query
+    built.clear()
+    assert load_table(text) == AssocTable.from_rows(["0x1", "1x0", "011"], list("abc"))
+    assert built.count(True) == 2  # one for each side of ==
 
 
 def test_codes_are_built_from_the_columns_on_each_read():
@@ -738,17 +791,20 @@ def test_labels_of_bitvector_rows_are_checked():
 def test_tied_winners_are_scored_without_a_read_per_row(monkeypatch):
     import lamp.assoc
 
-    reads = []
-    count_at = lamp.assoc._count_at
-    monkeypatch.setattr(lamp.assoc, "_count_at", lambda *args: reads.append(1) or count_at(*args))
+    built = []
+    scored = lamp.assoc._Search._scored
+    monkeypatch.setattr(lamp.assoc._Search, "_scored",
+                        lambda *args: built.append(1) or scored(*args))
     # 20000 rows tie at Q = 7/12; every third has p and q swapped
     rows = ["0xxx", "00x0", "0xxx"] * 6667
     m = tv("xx00")
-    res = query(AssocTable.from_rows(rows), m)
-    assert len(res.best_rows) == len(rows)
     expect = {r: quality_arith(m, tv(r)) for r in set(rows)}
-    assert res.winner_scores() == [expect[r] for r in rows]
-    assert len(reads) <= 3  # the e, p and q of one row of the second kind
+    for table in AssocTable.from_rows(rows), load_table("\n".join(rows)):  # planes, lanes
+        res = query(table, m)
+        assert len(res.best_rows) == len(rows)
+        assert res.winner_scores() == [expect[r] for r in rows]
+        assert len(built) <= 2  # one score for each kind of row
+        built.clear()
     table = AssocTable.from_rows(["0110"] * 20000)
     assert query(table, bv("0100")).winner_scores() == [QualityIndex(1, 4)] * 20000
-    assert len(reads) <= 3
+    assert not built

@@ -2,6 +2,8 @@ import enum
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 
@@ -171,6 +173,40 @@ def test_query_text_and_tsv_never_score_every_row(capsys, tmp_path, monkeypatch,
                              "--format", fmt)
     assert (code, err) == (0, "")
     assert shown in out
+
+
+def test_one_shot_table_commands_build_no_planes(capsys, tmp_path, monkeypatch):
+    import lamp.assoc
+
+    real = lamp.assoc.AssocTable._set  # which a list of plane columns builds the planes
+
+    def lanes_only(self, name, columns, *rest):
+        assert not isinstance(columns, list), "planes built"
+        real(self, name, columns, *rest)
+
+    monkeypatch.setattr(lamp.assoc.AssocTable, "_set", lanes_only)
+    faults, patterns = tmp_path / "faults.tbl", tmp_path / "patterns.tbl"
+    faults.write_text("".join(f"F{i}\t{i:04b}\n" for i in range(16)))
+    patterns.write_text("1x0x\n10xx\n0x01\n1x0x\n")
+    for argv in (["diag", str(faults), "--response", "0110", "--top", "5", "--format", "json"],
+                 ["query", str(patterns), "--m", "1x01", "--format", "tsv"]):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_a_reader_that_has_gone_ends_the_command_quietly(tmp_path):
+    path = tmp_path / "faults.tbl"
+    path.write_text(FAULT_DICT)
+    read, write = os.pipe()
+    os.close(read)  # as `| head` does once it has its lines, here before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamp", "diag", str(path), "--response", "1000",
+             "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_diag_top_searches_the_table_once(capsys, tmp_path, monkeypatch):
