@@ -695,10 +695,10 @@ def test_tied_ternary_winners_keep_their_own_components():
         (["x" * 70], "x" * 70),
         (["1" * 70], "0" * 70),
         (["x0", "x0", "0x"], "xx"),
-        (["1" * 255, "0" * 255], "0" * 255),  # a count of 255 fills a byte lane
-        (["1" * 256, "x" * 256], "0" * 256),  # one of 256 takes a 4-byte lane
-        (["0" * 300, "1x" * 150], "1" * 300),
-        (["01" * 15 + "x", "10" * 15 + "x"], "1" * 31),  # 16 columns of one probe symbol
+        pytest.param(["1" * 255, "0" * 255], "0" * 255, id="e255-fills-a-byte-lane"),
+        pytest.param(["1" * 256, "x" * 256], "0" * 256, id="e256-takes-a-4-byte-lane"),
+        pytest.param(["0" * 300, "1x" * 150], "1" * 300, id="width300"),
+        pytest.param(["01" * 15 + "x", "10" * 15 + "x"], "1" * 31, id="16-columns-of-one-symbol"),
     ],
 )
 def test_column_search_edge_shapes(rows, probe):
