@@ -545,8 +545,7 @@ class _Search:
         return zeros, ones
 
     def _rows(self, lanes):
-        """One count per row: the bytes of ``lanes``, or its 4-byte lanes. Bit
-        planes (a list) are read as lanes first, their pairs as hex digits."""
+        """One count per row, of lanes or of bit planes (a list) read as lanes."""
         height, spread = len(self.table), lambda plane: int(format(plane, "b"), 16)
         if isinstance(lanes, list):  # spread twice, a pair fills four bytes
             lanes = sum((spread(spread(c)) if self._wide else spread(c)) << i
@@ -600,21 +599,23 @@ class _Search:
         rows[:zeros] = sorted(rows[:zeros], key=self._pq_key)
         return rows[:k]
 
-    def _scored(self, e: int, p: int, q: int) -> RowScore:
+    def _scored(self, key) -> RowScore:
+        """The score of a row's e, or of the (p, q) of a ternary row with e = 0."""
         n = self.table.cols
         if self.table.is_binary:
-            return QualityIndex(e, n)
-        return _score_norm(n, e, 0, 0) if e else _score_norm(n, 0, p, q)
+            return QualityIndex(key, n)
+        return _score_norm(n, 0, *key) if isinstance(key, tuple) else _score_norm(n, key, 0, 0)
 
     def scores(self, rows=None) -> list[RowScore]:
         """The scores of ``rows`` (0-based), or of every row, read off the
         counts per row; rows with the same counts share one score."""
         e = self.counts
-        p, q = self.pq if not self.table.is_binary and 0 in e else (None, None)
-        keys = [(e[i], 0, 0) if e[i] or p is None else (0, p[i], q[i])
-                for i in (range(len(e)) if rows is None else rows)]
-        built = {key: self._scored(*key) for key in set(keys)}
-        return [built[key] for key in keys]
+        keys = list(e) if rows is None else [e[i] for i in rows]
+        if not self.table.is_binary and 0 in keys:
+            p, q = self.pq
+            keys = [k or (p[i], q[i]) for k, i in zip(keys, rows or range(len(e)))]
+        built = {key: self._scored(key) for key in set(keys)}
+        return list(map(built.__getitem__, keys))
 
     def winner_scores(self) -> list[RowScore]:
         """The scores of the rows that score best: the first's, unless they
