@@ -45,7 +45,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from operator import not_, or_, setitem
+from operator import not_, or_
 from typing import Iterable, Optional, Union
 
 from .bitvec import BitVector
@@ -124,8 +124,8 @@ class AssocTable:
         if name not in ("_zeros", "_ones") or "_lanes" not in self.__dict__:
             raise AttributeError(name)
         lanes, n = self.__dict__.pop("_lanes"), self.cols
-        self._set(self.name, [int(lanes[j::n + 1].hex(), 2) for j in range(n)], self.labels,
-                  self.mode is Mode.TERNARY)
+        self._set(self.name, [int(lanes[j::n + 1].translate(_PAIR), 4) for j in range(n)],
+                  self.labels, self.mode is Mode.TERNARY)
         return self.__dict__[name]
 
     @classmethod
@@ -226,6 +226,7 @@ _FLIPPED = [bytes(ord("3") - (b >> 6 - 2 * k & 3) for b in range(256)) for k in 
 # _BIT[k] maps a byte to its bit k, from the most significant, as the
 # base-4 digit of that binary symbol's pair in a column: 0 -> 01, 1 -> 10
 _BIT = [bytes(ord("1") + (b >> 7 - k & 1) for b in range(256)) for k in range(8)]
+_PAIR = bytes.maketrans(b"\0\1\x10", b"012")  # a lane byte to its pair, as a base-4 digit
 
 
 def _flipped(matrix: bytes, width: int, i: int) -> int:
@@ -497,8 +498,9 @@ def _where(counts, value: int) -> list[int]:
 class _Search:
     """The counts e, p and q, as the module describes them, of one probe m
     against every row of one table, which rank rows by (e, min(p, q),
-    max(p, q)). They are counted in lanes (:meth:`_tally`) or bit planes,
-    a row's bit at the low bit of its pair, and read one per row."""
+    max(p, q)). They are counted in byte lanes (:meth:`_tally`) while a
+    count fits in a byte, or in bit planes, a row's bit at the low bit of
+    its pair, and read one per row."""
 
     def __init__(self, table: AssocTable, m):
         mt = _as_ternary(m)
@@ -515,7 +517,7 @@ class _Search:
         ones, zeros = pairs[0::2].translate(_CLEAR), pairs[1::2].translate(_CLEAR)
         self._selectors = ones, zeros  # the coordinates where m is 1, where m is 0
         self._wide = table.cols > 255  # 4-byte lanes, as a count can pass 255
-        self._text = None if table._search else table.__dict__.get("_lanes")
+        self._text = None if table._search or self._wide else table.__dict__.get("_lanes")
         if self._text is None:
             lows, highs = list(compress(table._zeros, ones)), list(compress(table._ones, zeros))
             # a low and a high plane share one int, so each adder adds two columns
@@ -523,7 +525,7 @@ class _Search:
             low = low_bits(len(table))
             self.e = _add([c & low for c in counts], [c >> 1 & low for c in counts])
         else:  # a row's e sums its 0s where m is 1 and its 1s where m is 0
-            self._unit = int.from_bytes((b"\0\0\0\1" if self._wide else b"\1") * len(table), "big")
+            self._unit = int.from_bytes(b"\1" * len(table), "big")  # 1 in each lane
             (e, matched), (same, conflicts) = self._tally(ones), self._tally(zeros)
             self._e, self._matched = e + conflicts, matched + same
         table._search = self
@@ -532,11 +534,7 @@ class _Search:
         """(each row's 0s, its 1s) where ``selector`` marks, as lanes: the
         text's columns summed 15 at a time, so that no nibble carries."""
         text, n, nibble = self._text, self.table.cols, 15 * self._unit
-        columns = (text[j::n + 1] for j in compress(range(n), selector))
-        if self._wide:  # each column's bytes to the low bytes of 4-byte lanes
-            lanes = bytearray(4 * len(self.table))
-            columns = (setitem(lanes, slice(3, None, 4), c) or lanes for c in columns)
-        columns = list(map(int.from_bytes, columns, repeat("big")))
+        columns = [int.from_bytes(text[j::n + 1], "big") for j in compress(range(n), selector)]
         zeros = ones = 0
         for at in range(0, len(columns), 15):
             total = sum(columns[at:at + 15])

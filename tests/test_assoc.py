@@ -656,8 +656,9 @@ def test_column_search_matches_the_key_oracle(case):
 @settings(max_examples=100, deadline=None)
 @given(search_cases(st.integers(1, 70) | st.sampled_from([254, 255, 256, 300])), st.booleans())
 def test_lane_search_matches_the_plane_search_and_the_key_oracle(case, labelled):
-    # the first query of a table read from text counts in lanes, 4-byte
-    # lanes past 255 columns; the second builds the planes and searches them
+    # the first query of a table read from text counts in byte lanes, up to
+    # 255 columns; the second, or a first past 255, builds the planes and
+    # searches them, and per-row reads past 255 columns use 4-byte lanes
     rows, probe = case
     labels = [f"r{i}" for i in range(len(rows))] if labelled else [None] * len(rows)
     table = load_table("".join(f"{label}\t{row}\n" if label else row + "\n"
@@ -668,7 +669,7 @@ def test_lane_search_matches_the_plane_search_and_the_key_oracle(case, labelled)
         return
     m, winners, scores, order = expected(rows, probe)
     check_search(table, m, labels, winners, scores, order)
-    assert "_lanes" in table.__dict__  # no plane was built
+    assert ("_lanes" in table.__dict__) == (len(probe) <= 255)  # no plane was built
     check_search(table, m, labels, winners, scores, order)
     assert "_lanes" not in table.__dict__
     assert table == AssocTable.from_rows(rows, labels if labelled else None)
@@ -696,7 +697,7 @@ def test_tied_ternary_winners_keep_their_own_components():
         (["1" * 70], "0" * 70),
         (["x0", "x0", "0x"], "xx"),
         pytest.param(["1" * 255, "0" * 255], "0" * 255, id="e255-fills-a-byte-lane"),
-        pytest.param(["1" * 256, "x" * 256], "0" * 256, id="e256-takes-a-4-byte-lane"),
+        pytest.param(["1" * 256, "x" * 256], "0" * 256, id="e256-is-read-in-4-byte-lanes"),
         pytest.param(["0" * 300, "1x" * 150], "1" * 300, id="width300"),
         pytest.param(["01" * 15 + "x", "10" * 15 + "x"], "1" * 31, id="16-columns-of-one-symbol"),
     ],
