@@ -13,9 +13,10 @@ each operation acts on one coordinate of every row at once (Foster,
 *Content-Addressable Parallel Processors*, 1976). A row's count e of
 empty coordinates, where its symbol conflicts with m's (a 1 against a
 0), is k = popcount(m XOR a) on binary rows, so both modes share one
-search. The first search of a table read from text adds its columns as
-ints with a byte lane per row (Lamport, "Multiple Byte Processing with
-Full-Word Instructions", CACM, 1975), whose bytes are then every row's e.
+search. The first search of a table read from text, at most 255 wide,
+adds its columns as ints with a byte lane per row (Lamport, "Multiple
+Byte Processing with Full-Word Instructions", CACM, 1975), whose bytes
+are then every row's e.
 Any other adds the conflicting bit planes with a carry-save adder tree,
 the Harley-Seal population count, and a min search from the top counter
 plane down gives the rows with the least e. Ternary rows with e = 0 rank
@@ -545,7 +546,7 @@ class _Search:
     def _rows(self, lanes):
         """One count per row, of lanes or of bit planes (a list) read as lanes."""
         height, spread = len(self.table), lambda plane: int(format(plane, "b"), 16)
-        if isinstance(lanes, list):  # spread twice, a pair fills four bytes
+        if isinstance(lanes, list):  # a pair read as hex digits fills a byte; spread twice, four
             lanes = sum((spread(spread(c)) if self._wide else spread(c)) << i
                         for i, c in enumerate(lanes))
         if self._wide:
