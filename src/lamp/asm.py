@@ -19,8 +19,15 @@ A line ends at "\\n", "\\r\\n" or "\\r" only, as in a text-mode file (PEP
 278), so a form feed or U+2028 is whitespace. ``.cell r,c`` routes the
 following instructions to one grid cell; a source with no ``.cell`` at
 all is broadcast to every cell. ``.width`` fixes the width of every
-LOADM literal, before or after it. A stray character is an error, and
-INT and every name but a label are ASCII.
+LOADM literal, before or after it, and is 1..65535 (``sim.MAX_WIDTH``,
+what LAMP1 can state). A stray character is an error, and INT and every
+name but a label are ASCII.
+
+Equal lines share one parse: each distinct comment-stripped line is
+tokenized once, and each distinct instruction text without a label
+operand (labels before it aside) is parsed once, so all its lines hold
+one frozen instruction. A jump is parsed on each of its lines, since its
+label resolves in its own cell. The memos live for one ``assemble`` call.
 
 Binary format (all integers big-endian): magic ``LAMP1``, u16 width
 (0 = unspecified, so a set width must be 1..65535), sixteen u32
@@ -29,7 +36,12 @@ instructions as 8-byte records ``kind f1 f2 f3 f4 f5 arg16``. ``kind`` is the in
 ``sim.ISA``; its enum operands fill f1.. in field order, with each
 member's position in its kind's members as its code, and a jump target
 or row index fills arg16. A LOADM record is followed by its literal
-packed MSB-first into ceil(width/8) bytes with zero padding.
+packed MSB-first into ceil(width/8) bytes with zero padding. A field
+the kind leaves unused (the f-bytes past its enum operands, and arg16
+of a kind with no row index or jump target) is zero, and a LOGIC PASS
+repeats its source in f3, so a program has one encoding: the decoder
+refuses any other record with the field and the record's offset.
+``program_to_bytes`` encodes each distinct instruction object once.
 
 An instruction class in ``sim`` states its shape once, as OPERANDS
 ``(field name, kind)`` pairs, and ``sim.OPERAND_KINDS`` is the one table
@@ -53,7 +65,7 @@ from .errors import (
     UnresolvedLabel,
     WidthMismatch,
 )
-from .sim import GRID_SIZE, ISA, JUMPS, OPERAND_KINDS, LoadImm, Program
+from .sim import GRID_SIZE, ISA, JUMPS, MAX_WIDTH, OPERAND_KINDS, LoadImm, Program
 
 _TOKEN_RE = re.compile(r"\.?\w+|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
@@ -116,7 +128,11 @@ class _Cursor:
         tok, col = self.next(what)
         if not (tok.isascii() and tok.isdigit()):
             raise AsmSyntaxError(f"expected {what}, got {tok!r}", self.lineno, col)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's limit on digits converted
+            raise AsmSyntaxError(f"{what} has too many digits ({len(tok)})", self.lineno,
+                                 col) from None
 
     def ident(self, what="label"):
         tok, col = self.next(what)
@@ -174,21 +190,31 @@ def _parse_instr(cur: _Cursor, width, labels, stream):
 
 
 def assemble(source: str) -> Program:
-    """Assemble source text into a program (two passes)."""
-    lines = []  # (lineno, tokens) of each line that holds a token
+    """Assemble source text into a program (two passes).
+
+    Each distinct comment-stripped line is tokenized once, and each distinct
+    instruction text with no label operand is parsed once, so equal lines
+    share one instruction. A jump is parsed on its own line and resolved
+    against its own cell's labels.
+    """
+    tokenized: dict = {}  # comment-stripped line -> its tokens
+    lines = []  # (lineno, text, tokens) of each line that holds a token
     for lineno, raw in enumerate(io.StringIO(source, newline=None), start=1):
-        tokens = _tokenize(raw.split(";", 1)[0])
+        text = raw.split(";", 1)[0]
+        tokens = tokenized.get(text)
+        if tokens is None:
+            tokens = tokenized[text] = _tokenize(text)
         if tokens:
-            lines.append((lineno, tokens))
-    has_cell = any(_name(tokens[0][0]) == ".CELL" for _, tokens in lines)
+            lines.append((lineno, text, tokens))
+    has_cell = any(_name(tokens[0][0]) == ".CELL" for _, _, tokens in lines)
 
     width = None
     stream = None if has_cell else "broadcast"
     streams: dict = {}  # stream key -> list of pending instructions
     labels: dict = {}  # label -> (stream key, address)
-    pending = []  # (stream, lineno, cursor-tokens) in program order
+    pending = []  # (stream, address, cursor, text from the mnemonic on) in program order
 
-    for lineno, tokens in lines:
+    for lineno, text, tokens in lines:
         cur = _Cursor(tokens, lineno)
         first = cur.peek()
         if first.startswith("."):
@@ -200,6 +226,8 @@ def assemble(source: str) -> Program:
                 width = cur.integer("width")
                 if width < 1:
                     raise AsmSyntaxError("width must be positive", lineno, col)
+                if width > MAX_WIDTH:  # the text program_to_bytes would give
+                    raise AsmSyntaxError(f"width {width} does not fit in 16 bits", lineno, col)
                 cur.end()
             elif directive == ".CELL":
                 r = cur.integer("cell row")
@@ -240,10 +268,18 @@ def assemble(source: str) -> Program:
                 raise DuplicateLabel(f"duplicate label {label!r}", lineno, label_col)
             labels[label] = (stream, addr)
         streams[stream].append(None)  # reserve the address
-        pending.append((stream, addr, cur))
+        pending.append((stream, addr, cur, text[tokens[cur.i][1] - 1:]))
 
-    for stream, addr, cur in pending:
-        streams[stream][addr] = _parse_instr(cur, width, labels, stream)
+    # Equal texts hold equal tokens, and all but a jump parse the same on every
+    # line; the first line of a text parses first, so its error is the first.
+    parsed: dict = {}
+    for stream, addr, cur, body in pending:
+        inst = parsed.get(body)
+        if inst is None:
+            inst = _parse_instr(cur, width, labels, stream)
+            if not isinstance(inst, JUMPS):
+                parsed[body] = inst
+        streams[stream][addr] = inst
 
     if "broadcast" in streams:  # then it is the only stream, and not empty
         return Program.broadcast(streams["broadcast"], width=width)
@@ -320,7 +356,7 @@ def program_to_bytes(program: Program) -> bytes:
     width = program.width
     if width is not None and width < 1:  # LAMP1 reads width 0 as unspecified
         raise MalformedBinary(f"width {width} is not positive")
-    if (width or 0) > 0xFFFF:
+    if (width or 0) > MAX_WIDTH:
         raise MalformedBinary(f"width {width} does not fit in 16 bits")
     chunks = [MAGIC, (width or 0).to_bytes(2, "big")]
     flat = [
@@ -328,9 +364,13 @@ def program_to_bytes(program: Program) -> bytes:
     ]
     for code in flat:
         chunks.append(len(code).to_bytes(4, "big"))
+    records: dict = {}  # id of an instruction -> its record; the program keeps it alive
     for code in flat:
         for inst in code:
-            chunks.append(_encode_instr(inst, width))
+            record = records.get(id(inst))
+            if record is None:
+                record = records[id(inst)] = _encode_instr(inst, width)
+            chunks.append(record)
     return b"".join(chunks)
 
 
@@ -340,7 +380,29 @@ def _take(data: bytes, pos: int, count: int) -> bytes:
     return data[pos : pos + count]
 
 
+def _field(i: int) -> str:
+    """The name of the field that holds byte ``i`` of a record."""
+    return f"f{i}" if i < 6 else "arg16"
+
+
+def _fields(cls) -> list[str]:
+    """The field that holds each operand of ``cls``: enum operands fill f1..
+    in field order, and a jump target or row index fills arg16."""
+    enums = (f"f{i}" for i in range(1, 6))
+    return [next(enums) if kind in _NAMES else "literal" if kind == "literal" else "arg16"
+            for _, kind in cls.OPERANDS]
+
+
+_FIELDS = [_fields(cls) for cls in ISA]
+# per kind: the bits of a record, read as a big-endian int, in fields that the kind
+# leaves unused and the encoder writes as zero
+_UNUSED = [sum(0xFF << 8 * (7 - i) for i in range(1, 8) if _field(i) not in fields)
+           for fields in _FIELDS]
+
+
 def _decode_record(data: bytes, pos: int, width):
+    """The instruction of the record at ``pos``, which must be the record
+    ``_encode_instr`` writes for it."""
     rec = _take(data, pos, 8)
     if rec[0] >= len(ISA):
         raise MalformedBinary(f"invalid instruction kind {rec[0]}")
@@ -364,7 +426,16 @@ def _decode_record(data: bytes, pos: int, width):
             args.append(BitVector(width, raw >> pad))
         else:
             args.append(int.from_bytes(rec[6:8], "big"))
-    return cls(*args)
+    unused = int.from_bytes(rec, "big") & _UNUSED[rec[0]]
+    if unused:
+        first = _field(7 - (unused.bit_length() - 1) // 8)
+        raise MalformedBinary(f"nonzero unused field {first} in the record at offset {pos}")
+    inst = cls(*args)
+    kept = [*vars(inst).values()]
+    if kept != args:  # the constructor normalized an operand, as LOGIC PASS does its src_b
+        field = next(f for f, a, k in zip(_FIELDS[rec[0]], args, kept) if a is not k)
+        raise MalformedBinary(f"non-canonical field {field} in the record at offset {pos}")
+    return inst
 
 
 def program_from_bytes(data: bytes) -> Program:

@@ -50,6 +50,7 @@ from .errors import (
 )
 
 GRID_SIZE = 4
+MAX_WIDTH = 0xFFFF  # the widest vector LAMP1's u16 width field can state
 
 
 class Reg(enum.Enum):
@@ -729,10 +730,13 @@ class Sequencer:
 
     Registers are BitVectors here, at the API edge: set them before a
     step or a run and read them after. Assigning ``program`` decodes it
-    once into the int code that runs execute.
+    once into the int code that runs execute. The width is 1..MAX_WIDTH,
+    the widths a LAMP1 binary can state.
     """
 
     def __init__(self, width: int, program=None, a_matrix=None):
+        if type(width) is not int or not 1 <= width <= MAX_WIDTH:
+            raise InvalidArgument(f"machine width must be an int in 1..{MAX_WIDTH}, got {width!r}")
         self.width = width
         self.regs = dict.fromkeys(M_REGS, BitVector.zeros(width))  # BitVectors are immutable
         self.set_matrix(a_matrix or [])

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -22,6 +23,7 @@ from lamp.errors import (
 from lamp.sim import (
     GRID_SIZE,
     ISA,
+    JUMPS,
     OPERAND_KINDS,
     BinOp,
     Dir,
@@ -42,6 +44,9 @@ from lamp.sim import (
     UnOp,
     builtin_query_program,
 )
+from test_sim_reference import sharded
+
+import lamp.asm
 
 bv = BitVector.parse
 
@@ -150,6 +155,12 @@ def test_error_column_points_at_offending_token():
         ("\u017fend \u017f, MA\n", UnknownMnemonic, 1, 1),  # LATIN SMALL LETTER LONG S
         ("SEND \u017f, MA\n", AsmSyntaxError, 1, 6),
         (".w\u0131dth 4\n", AsmSyntaxError, 1, 1),  # LATIN SMALL LETTER DOTLESS I
+        (".width 65536\nHALT\n", AsmSyntaxError, 1, 1),
+        ("HALT\n  .width 99999999999999999999\n", AsmSyntaxError, 2, 3),
+        pytest.param(".width " + "9" * 5000 + "\nHALT\n", AsmSyntaxError, 1, 8,
+                     id="width-of-5000-digits"),
+        pytest.param("SETROW " + "1" * 5000 + "\n", AsmSyntaxError, 1, 8,
+                     id="row-index-of-5000-digits"),
     ],
 )
 def test_every_character_is_accounted_for(src, exc, line, column):
@@ -177,6 +188,26 @@ def test_error_line_is_the_line_of_a_text_mode_file(tmp_path, src, line):
     assert str(err.value) == f"line {line}: col 1: unknown mnemonic 'FOO'"
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (".width 65536\nHALT\n", "line 1: col 1: width 65536 does not fit in 16 bits"),
+        ("HALT\n  .width 99999999999999999999\n",
+         "line 2: col 3: width 99999999999999999999 does not fit in 16 bits"),
+        pytest.param(".width " + "9" * 5000 + "\nHALT\n",
+                     "line 1: col 8: width has too many digits (5000)", id="width-of-5000-digits"),
+        pytest.param("SETROW " + "1" * 5000 + "\n",
+                     "line 1: col 8: row index has too many digits (5000)",
+                     id="row-index-of-5000-digits"),
+    ],
+)
+def test_a_width_past_16_bits_or_an_overlong_number_is_refused_where_it_stands(src, message):
+    with pytest.raises(AsmSyntaxError) as err:
+        assemble(src)
+    assert str(err.value) == message
+    assert assemble(".width 65535\nHALT\n").width == 65535
+
+
 def test_a_cell_prefixed_word_is_an_unknown_directive():
     with pytest.raises(AsmSyntaxError, match=r"^line 2: col 1: unknown directive '\.cell0'$"):
         assemble("HALT\n.cell0,0\n")
@@ -191,6 +222,89 @@ def test_width_may_follow_the_loadm_it_sizes():
     after = assemble(".cell 0,0\nLOADM MA, 0101\nHALT\n.width 4\n")
     assert after == assemble(".width 4\n.cell 0,0\nLOADM MA, 0101\nHALT\n")
     assert after.width == 4
+
+
+# --- equal lines share one parse -------------------------------------------------
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of ``lamp.asm.<name>`` while the test runs."""
+    calls = []
+    real = getattr(lamp.asm, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lamp.asm, name, counted)
+    return calls
+
+
+def test_each_distinct_line_is_tokenized_and_parsed_once(monkeypatch):
+    source = sharded.sharded_source(256)
+    tokenize, parse = _counted(monkeypatch, "_tokenize"), _counted(monkeypatch, "_parse_instr")
+    program = assemble(source)
+    monkeypatch.undo()
+    assert program == assemble(source)
+    lines = [raw.split(";", 1)[0] for raw in source.splitlines()]
+    assert len(tokenize) == len(set(lines)) < len(lines)
+    code = [inst for row in program.cells for cell in row for inst in cell]
+    jumps = [inst for inst in code if isinstance(inst, JUMPS)]
+    plain = [inst for inst in code if not isinstance(inst, JUMPS)]
+    bodies = {inst.text() for inst in plain}  # the instructions' texts, labels aside
+    assert len(parse) <= len(bodies) + len(jumps) < len(code)
+    assert len({id(inst) for inst in plain}) == len(bodies)
+
+
+def test_a_repeated_jump_resolves_against_its_own_cell():
+    src = ".cell 0,0\nx: HALT\n    JNF x\n.cell 0,1\n    JNF x\n"
+    with pytest.raises(UnresolvedLabel) as err:
+        assemble(src)
+    assert str(err.value) == "line 5: col 9: label 'x' not defined in this cell"
+    p = assemble(".cell 0,0\nx: HALT\n    JNF x\n.cell 0,1\n    HALT\nx2: JNF x2\n")
+    assert (p.cells[0][0][1], p.cells[0][1][1]) == (JumpIfNotFlag(0), JumpIfNotFlag(1))
+
+
+def test_a_repeated_faulty_line_is_reported_at_its_first_line():
+    with pytest.raises(AsmSyntaxError) as err:
+        assemble("HALT\n  ORF MA MB\n  ORF MA MB\n")
+    assert str(err.value) == "line 2: col 10: unexpected 'MB'"
+
+
+# a few instructions, so that generated cells repeat lines within and across cells
+POOL = [
+    Halt(), IncRow(), Orf(Reg.MD), SetRow(1), LoadImm(Reg.MA, bv("0110")),
+    Logic(BinOp.XOR, Reg.MA, Reg.ROW, UnOp.SLC, Reg.MD),
+    Logic(BinOp.PASS, Reg.ROW, Reg.ROW, UnOp.NOPU, Reg.MC),
+    Send(Dir.E, Reg.MD), Recv(Dir.W, Reg.MB),
+]
+
+
+@st.composite
+def repetitive_programs(draw):
+    program = Program(width=4)
+    for row in program.cells:
+        for c in range(GRID_SIZE):
+            n = draw(st.integers(0, 6))
+            target = st.integers(0, max(n - 1, 0))
+            pick = st.sampled_from(POOL) | st.builds(Jump, target) | st.builds(JumpIfNotFlag, target)
+            row[c] = draw(st.lists(pick, min_size=n, max_size=n))
+    return program
+
+
+@settings(max_examples=60, deadline=None)
+@given(repetitive_programs())
+def test_equal_lines_share_one_instruction_and_encode_alike(p):
+    q = assemble(disassemble(p))
+    assert q == p
+    code = [inst for row in q.cells for cell in row for inst in cell]
+    plain = [inst for inst in code if not isinstance(inst, JUMPS)]
+    assert len({id(inst) for inst in plain}) == len(set(plain))  # one object per text
+    apart = Program(width=q.width, cells=[[[copy.copy(inst) for inst in cell] for cell in row]
+                                          for row in q.cells])
+    assert not {id(inst) for row in apart.cells for cell in row for inst in cell} & set(
+        map(id, code))
+    assert program_to_bytes(q) == program_to_bytes(apart)
 
 
 def test_loadm_width_mismatch():
@@ -321,7 +435,7 @@ def test_bytes_round_trip_width_unset():
 
 
 def test_width_outside_u16_field_is_malformed_binary():
-    program = assemble(".width 70000\nHALT\n")
+    program = Program.single_cell([Halt()], width=70000)  # the assembler refuses .width 70000
     with pytest.raises(MalformedBinary, match=r"^width 70000 does not fit in 16 bits$"):
         program_to_bytes(program)
     program_to_bytes(Program.single_cell([Halt()], width=0xFFFF))
@@ -422,6 +536,22 @@ MALFORMED = {
         _blob(["08 01 00 00 00 00 0000 abcd", "08 01 00 00 00 00 0000 ab"], width=16),
         "truncated: wanted 2 bytes at offset 89"),
     "same-record-cut": (_blob([HALT], [HALT[:8]]), "truncated: wanted 8 bytes at offset 79"),
+    # a field the record's kind leaves unused holds zero, so each program has one encoding
+    "unused-f2": (_blob(["01 03 01 00 00 00 0000"]),
+                  "nonzero unused field f2 in the record at offset 71"),
+    "unused-f1-of-a-jump": (_blob(["02 01 00 00 00 00 0003"]),
+                            "nonzero unused field f1 in the record at offset 71"),
+    "unused-f5-and-arg16": (_blob(["0b 00 00 00 00 07 0001"]),
+                            "nonzero unused field f5 in the record at offset 71"),
+    "unused-arg16": (_blob(["00 00 00 00 00 01 0100"]),
+                     "nonzero unused field arg16 in the record at offset 71"),
+    "unused-arg16-of-a-loadm": (_blob(["08 01 00 00 00 00 0001 b0"], width=5),
+                                "nonzero unused field arg16 in the record at offset 71"),
+    "unused-in-second-record": (_blob([HALT, "06 00 00 00 00 00 8000"]),
+                                "nonzero unused field arg16 in the record at offset 79"),
+    "bad-code-and-unused": (_blob(["09 08 00 00 00 01 0000"]), "invalid direction code 8"),
+    "pass-second-source": (_blob(["00 03 00 01 02 00 0000"]),
+                           "non-canonical field f3 in the record at offset 71"),
 }
 
 
@@ -501,6 +631,35 @@ def test_generated_program_round_trips(p):
     assert program_from_bytes(program_to_bytes(p)) == p
 
 
+@settings(max_examples=200, deadline=None)
+@given(programs(), st.data())
+def test_a_one_byte_mutant_is_refused_or_re_encodes_to_itself(p, data):
+    blob = program_to_bytes(p)
+    at = data.draw(st.integers(0, len(blob) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+    mutant = blob[:at] + bytes([byte]) + blob[at + 1 :]
+    try:
+        decoded = program_from_bytes(mutant)
+    except MalformedBinary:
+        return
+    assert program_to_bytes(decoded) == mutant
+
+
+def test_every_accepted_mutant_of_the_builtin_query_re_encodes_to_itself():
+    blob = program_to_bytes(Program.single_cell(builtin_query_program(8), width=8))
+    accepted = 0
+    for at, old in enumerate(blob):
+        for byte in {old ^ 0x01, old ^ 0x02, old ^ 0x10, old ^ 0x80, 0x00, 0xFF} - {old}:
+            mutant = blob[:at] + bytes([byte]) + blob[at + 1 :]
+            try:
+                decoded = program_from_bytes(mutant)
+            except MalformedBinary:
+                continue
+            accepted += 1
+            assert program_to_bytes(decoded) == mutant, (at, byte)
+    assert accepted  # a program without LOADM takes any width, and a jump any target
+
+
 # every valid row index or jump target is a u16; these span the field
 ARG16_CODES = (0, 1, 2, 255, 256, 4095, 32767, 32768, 65534, 65535)
 
@@ -508,7 +667,8 @@ ARG16_CODES = (0, 1, 2, 255, 256, 4095, 32767, 32768, 65534, 65535)
 @pytest.mark.parametrize("cls", ISA, ids=lambda cls: cls.__name__)
 def test_every_valid_record_decodes_to_the_checked_instruction(cls):
     """Each valid code of each operand decodes without an error to what
-    the checked constructor gives, enum operands in every combination."""
+    the checked constructor gives, enum operands in every combination but
+    a LOGIC PASS whose second source is not its first."""
     choices = []  # per operand: (where it is encoded, its code, the value it decodes to)
     for _, kind in cls.OPERANDS:
         accepts = OPERAND_KINDS[kind][0]
@@ -524,6 +684,12 @@ def test_every_valid_record_decodes_to_the_checked_instruction(cls):
         literal = bytes(code for where, code, _ in combo if where == "literal")
         record = bytes([ISA.index(cls), *fields, *[0] * (5 - len(fields))])
         record += arg16.to_bytes(2, "big") + literal
-        inst = program_from_bytes(_blob([record.hex()], width=5)).cells[0][0][0]
         expect = cls(*(value for _, _, value in combo))
+        if expect.operands() != tuple(value for _, _, value in combo):
+            # a PASS's second source is its first: LAMP1 holds only the normalized record
+            with pytest.raises(MalformedBinary, match=r"^non-canonical field f3 in the "
+                                                      r"record at offset 71$"):
+                program_from_bytes(_blob([record.hex()], width=5))
+            continue
+        inst = program_from_bytes(_blob([record.hex()], width=5)).cells[0][0][0]
         assert type(inst) is cls and inst == expect and hash(inst) == hash(expect)

@@ -379,8 +379,26 @@ def test_asm_build_width_past_16_bits_is_one_error_line(capsys, tmp_path):
     src.write_text(".width 70000\nHALT\n")
     code, out, err = run_cli(capsys, "asm", "build", str(src))
     assert code == 1
-    assert (out, err) == ("", "error: width 70000 does not fit in 16 bits\n")
+    assert (out, err) == ("", "error: line 1: col 1: width 70000 does not fit in 16 bits\n")
     assert not (tmp_path / "wide.lprog").exists()
+
+
+@pytest.mark.parametrize(
+    "source, argv, message",
+    [
+        (".width 99999999999999999999\nHALT\n", [],
+         "line 1: col 1: width 99999999999999999999 does not fit in 16 bits"),
+        (".width 70000\nHALT\n", [], "line 1: col 1: width 70000 does not fit in 16 bits"),
+        ("HALT\n", ["--width", "99999999999999999999"],
+         "machine width must be an int in 1..65535, got 99999999999999999999"),
+        ("HALT\n", ["--width", "65536"], "machine width must be an int in 1..65535, got 65536"),
+    ],
+)
+def test_run_of_a_width_past_16_bits_is_one_error_line(capsys, tmp_path, source, argv, message):
+    src = tmp_path / "wide.lasm"
+    src.write_text(source)
+    code, out, err = run_cli(capsys, "run", str(src), *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_run_assembly_source_directly(capsys, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamp import (
+    AsmSyntaxError,
     BinOp,
     CoordinateOutOfRange,
     Dir,
@@ -34,6 +35,7 @@ from lamp import (
     SequencerHalted,
     SetRow,
     UnOp,
+    assemble,
     builtin_query_program,
     program_to_bytes,
 )
@@ -130,6 +132,18 @@ CASES = [
      NotAVector, TypeError, "cell (0,0): register MB holds int, not a BitVector"),
     (lambda: _run_after(lambda seq: setattr(seq, "a_matrix", [BitVector(4, 1), 1])),
      NotAVector, TypeError, "cell (0,0): matrix row 1 is int, not a BitVector"),
+    (lambda: Grid(10**20),
+     InvalidArgument, ValueError,
+     "machine width must be an int in 1..65535, got 100000000000000000000"),
+    (lambda: Grid(65536),
+     InvalidArgument, ValueError, "machine width must be an int in 1..65535, got 65536"),
+    (lambda: Grid(0),
+     InvalidArgument, ValueError, "machine width must be an int in 1..65535, got 0"),
+    (lambda: Sequencer(4.0),
+     InvalidArgument, ValueError, "machine width must be an int in 1..65535, got 4.0"),
+    (lambda: assemble(".width 99999999999999999999\nHALT\n"),
+     AsmSyntaxError, Exception,
+     "line 1: col 1: width 99999999999999999999 does not fit in 16 bits"),
 ]
 
 
@@ -142,7 +156,9 @@ CASES = [
          "send_dir_str", "logic_binop_str", "loadm_literal_str", "jump_target_str",
          "setrow_str", "set_register_int", "set_register_str", "set_table_ints",
          "cell_outside", "cell_negative", "single_cell_outside", "load_program_list",
-         "cell_float", "register_int", "matrix_row_int"],
+         "cell_float", "register_int", "matrix_row_int", "grid_width_huge",
+         "grid_width_past_u16", "grid_width_zero", "sequencer_width_float",
+         "asm_width_huge"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:
