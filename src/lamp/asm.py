@@ -380,7 +380,7 @@ def _take(data: bytes, pos: int, count: int) -> bytes:
     return data[pos : pos + count]
 
 
-def _field(i: int) -> str:
+def _field_of_byte(i: int) -> str:
     """The name of the field that holds byte ``i`` of a record."""
     return f"f{i}" if i < 6 else "arg16"
 
@@ -393,11 +393,10 @@ def _fields(cls) -> list[str]:
             for _, kind in cls.OPERANDS]
 
 
-_FIELDS = [_fields(cls) for cls in ISA]
 # per kind: the bits of a record, read as a big-endian int, in fields that the kind
 # leaves unused and the encoder writes as zero
-_UNUSED = [sum(0xFF << 8 * (7 - i) for i in range(1, 8) if _field(i) not in fields)
-           for fields in _FIELDS]
+_UNUSED = [sum(0xFF << 8 * (7 - i) for i in range(1, 8)
+               if _field_of_byte(i) not in _fields(cls)) for cls in ISA]
 
 
 def _decode_record(data: bytes, pos: int, width):
@@ -428,12 +427,12 @@ def _decode_record(data: bytes, pos: int, width):
             args.append(int.from_bytes(rec[6:8], "big"))
     unused = int.from_bytes(rec, "big") & _UNUSED[rec[0]]
     if unused:
-        first = _field(7 - (unused.bit_length() - 1) // 8)
+        first = _field_of_byte(7 - (unused.bit_length() - 1) // 8)
         raise MalformedBinary(f"nonzero unused field {first} in the record at offset {pos}")
     inst = cls(*args)
-    kept = [*vars(inst).values()]
+    kept = [*vars(inst).values()]  # its fields, in field order
     if kept != args:  # the constructor normalized an operand, as LOGIC PASS does its src_b
-        field = next(f for f, a, k in zip(_FIELDS[rec[0]], args, kept) if a is not k)
+        field = next(f for f, a, k in zip(_fields(cls), args, kept) if a is not k)
         raise MalformedBinary(f"non-canonical field {field} in the record at offset {pos}")
     return inst
 

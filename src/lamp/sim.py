@@ -736,7 +736,9 @@ class Sequencer:
 
     def __init__(self, width: int, program=None, a_matrix=None):
         if type(width) is not int or not 1 <= width <= MAX_WIDTH:
-            raise InvalidArgument(f"machine width must be an int in 1..{MAX_WIDTH}, got {width!r}")
+            huge = type(width) is int and width.bit_length() > 9999  # too long for str()
+            got = f"an int of {width.bit_length()} bits" if huge else repr(width)
+            raise InvalidArgument(f"machine width must be an int in 1..{MAX_WIDTH}, got {got}")
         self.width = width
         self.regs = dict.fromkeys(M_REGS, BitVector.zeros(width))  # BitVectors are immutable
         self.set_matrix(a_matrix or [])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lamp.asm
 from lamp.asm import (
     assemble,
     disassemble,
@@ -15,6 +16,7 @@ from lamp.bitvec import BitVector
 from lamp.errors import (
     AsmSyntaxError,
     DuplicateLabel,
+    LampError,
     MalformedBinary,
     UnknownMnemonic,
     UnresolvedLabel,
@@ -27,6 +29,7 @@ from lamp.sim import (
     OPERAND_KINDS,
     BinOp,
     Dir,
+    Grid,
     Halt,
     IncRow,
     Jump,
@@ -45,8 +48,6 @@ from lamp.sim import (
     builtin_query_program,
 )
 from test_sim_reference import sharded
-
-import lamp.asm
 
 bv = BitVector.parse
 
@@ -257,10 +258,10 @@ def test_each_distinct_line_is_tokenized_and_parsed_once(monkeypatch):
 
 
 def test_a_repeated_jump_resolves_against_its_own_cell():
-    src = ".cell 0,0\nx: HALT\n    JNF x\n.cell 0,1\n    JNF x\n"
+    src = ".cell 0,0\nx: HALT\n    JNF x\n.cell 0,1\nJNF x\n"
     with pytest.raises(UnresolvedLabel) as err:
         assemble(src)
-    assert str(err.value) == "line 5: col 9: label 'x' not defined in this cell"
+    assert str(err.value) == "line 5: col 5: label 'x' not defined in this cell"
     p = assemble(".cell 0,0\nx: HALT\n    JNF x\n.cell 0,1\n    HALT\nx2: JNF x2\n")
     assert (p.cells[0][0][1], p.cells[0][1][1]) == (JumpIfNotFlag(0), JumpIfNotFlag(1))
 
@@ -287,8 +288,8 @@ def repetitive_programs(draw):
         for c in range(GRID_SIZE):
             n = draw(st.integers(0, 6))
             target = st.integers(0, max(n - 1, 0))
-            pick = st.sampled_from(POOL) | st.builds(Jump, target) | st.builds(JumpIfNotFlag, target)
-            row[c] = draw(st.lists(pick, min_size=n, max_size=n))
+            jumps = st.builds(Jump, target) | st.builds(JumpIfNotFlag, target)
+            row[c] = draw(st.lists(st.sampled_from(POOL) | jumps, min_size=n, max_size=n))
     return program
 
 
@@ -643,6 +644,12 @@ def test_a_one_byte_mutant_is_refused_or_re_encodes_to_itself(p, data):
     except MalformedBinary:
         return
     assert program_to_bytes(decoded) == mutant
+    grid = Grid(decoded.width or 4)  # what decodes runs, or fails only as a LampError
+    try:
+        grid.load_program(decoded)
+        grid.run(64)
+    except LampError:
+        pass
 
 
 def test_every_accepted_mutant_of_the_builtin_query_re_encodes_to_itself():

@@ -135,6 +135,9 @@ CASES = [
     (lambda: Grid(10**20),
      InvalidArgument, ValueError,
      "machine width must be an int in 1..65535, got 100000000000000000000"),
+    (lambda: Grid(1 << 20000),
+     InvalidArgument, ValueError,
+     "machine width must be an int in 1..65535, got an int of 20001 bits"),
     (lambda: Grid(65536),
      InvalidArgument, ValueError, "machine width must be an int in 1..65535, got 65536"),
     (lambda: Grid(0),
@@ -157,8 +160,8 @@ CASES = [
          "setrow_str", "set_register_int", "set_register_str", "set_table_ints",
          "cell_outside", "cell_negative", "single_cell_outside", "load_program_list",
          "cell_float", "register_int", "matrix_row_int", "grid_width_huge",
-         "grid_width_past_u16", "grid_width_zero", "sequencer_width_float",
-         "asm_width_huge"],
+         "grid_width_past_digit_limit", "grid_width_past_u16", "grid_width_zero",
+         "sequencer_width_float", "asm_width_huge"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:
