@@ -156,12 +156,6 @@ def test_error_column_points_at_offending_token():
         ("\u017fend \u017f, MA\n", UnknownMnemonic, 1, 1),  # LATIN SMALL LETTER LONG S
         ("SEND \u017f, MA\n", AsmSyntaxError, 1, 6),
         (".w\u0131dth 4\n", AsmSyntaxError, 1, 1),  # LATIN SMALL LETTER DOTLESS I
-        (".width 65536\nHALT\n", AsmSyntaxError, 1, 1),
-        ("HALT\n  .width 99999999999999999999\n", AsmSyntaxError, 2, 3),
-        pytest.param(".width " + "9" * 5000 + "\nHALT\n", AsmSyntaxError, 1, 8,
-                     id="width-of-5000-digits"),
-        pytest.param("SETROW " + "1" * 5000 + "\n", AsmSyntaxError, 1, 8,
-                     id="row-index-of-5000-digits"),
     ],
 )
 def test_every_character_is_accounted_for(src, exc, line, column):
@@ -205,7 +199,7 @@ def test_error_line_is_the_line_of_a_text_mode_file(tmp_path, src, line):
 def test_a_width_past_16_bits_or_an_overlong_number_is_refused_where_it_stands(src, message):
     with pytest.raises(AsmSyntaxError) as err:
         assemble(src)
-    assert str(err.value) == message
+    assert type(err.value) is AsmSyntaxError and str(err.value) == message
     assert assemble(".width 65535\nHALT\n").width == 65535
 
 
@@ -262,8 +256,6 @@ def test_a_repeated_jump_resolves_against_its_own_cell():
     with pytest.raises(UnresolvedLabel) as err:
         assemble(src)
     assert str(err.value) == "line 5: col 5: label 'x' not defined in this cell"
-    p = assemble(".cell 0,0\nx: HALT\n    JNF x\n.cell 0,1\n    HALT\nx2: JNF x2\n")
-    assert (p.cells[0][0][1], p.cells[0][1][1]) == (JumpIfNotFlag(0), JumpIfNotFlag(1))
 
 
 def test_a_repeated_faulty_line_is_reported_at_its_first_line():
