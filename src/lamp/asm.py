@@ -65,7 +65,7 @@ from .errors import (
     UnresolvedLabel,
     WidthMismatch,
 )
-from .sim import GRID_SIZE, ISA, JUMPS, MAX_WIDTH, OPERAND_KINDS, LoadImm, Program
+from .sim import GRID_SIZE, ISA, JUMPS, MAX_ARG, MAX_WIDTH, OPERAND_KINDS, LoadImm, Program
 
 _TOKEN_RE = re.compile(r"\.?\w+|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
@@ -124,15 +124,18 @@ class _Cursor:
             raise AsmSyntaxError(f"expected {what}, got {tok!r}", self.lineno, col)
         return member
 
-    def integer(self, what="integer"):
+    def integer(self, what="integer", u16=False):
         tok, col = self.next(what)
         if not (tok.isascii() and tok.isdigit()):
             raise AsmSyntaxError(f"expected {what}, got {tok!r}", self.lineno, col)
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:  # past the interpreter's limit on digits converted
             raise AsmSyntaxError(f"{what} has too many digits ({len(tok)})", self.lineno,
                                  col) from None
+        if u16 and value > MAX_ARG:  # the text program_to_bytes would give
+            raise AsmSyntaxError(f"{what} {value} does not fit in 16 bits", self.lineno, col)
+        return value
 
     def ident(self, what="label"):
         tok, col = self.next(what)
@@ -163,7 +166,7 @@ def _parse_instr(cur: _Cursor, width, labels, stream):
         if kind in _NAMES:
             args.append(cur.member(kind))
         elif kind == "index":
-            args.append(cur.integer("row index"))
+            args.append(cur.integer("row index", u16=True))
         else:  # a label or literal is checked once the whole line has parsed
             args.append(cur.ident() if kind == "target" else cur.bits())
     cur.end()
@@ -175,6 +178,9 @@ def _parse_instr(cur: _Cursor, width, labels, stream):
                     f"label {label!r} not defined in this cell", cur.lineno, col
                 )
             args[i] = labels[label][1]
+            if args[i] > MAX_ARG:
+                raise AsmSyntaxError(f"jump target {args[i]} does not fit in 16 bits",
+                                     cur.lineno, col)
         elif kind == "literal":
             literal, col = args[i]
             if width is None:

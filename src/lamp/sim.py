@@ -18,14 +18,21 @@ bit-for-bit deterministic.
 
 A program is predecoded when it is loaded: each instruction becomes a
 tuple of plain ints (opcode, register indexes, the literal's value, the
-jump target), which ``_run`` executes for one cell. Cells meet only at
-SEND and RECV, so an untraced ``Grid.run`` or ``Grid.step`` runs each
-cell on its own to its next exchange and settles the exchanges from the
-cycles at which the cells arrived (``_free_run``). The cycle loop
-(``_lockstep``) steps every cell one cycle at a time; it runs
-``Sequencer.step``, a traced grid, and a grid run that faults or
-deadlocks, so that the trace lines, the fault and the deadlock come out
-at their cycle. Registers are ``BitVector``s at the API edge, in
+jump target), which ``_run`` executes for one cell, one instruction per
+cycle. Cells meet only at SEND and RECV, so an untraced ``Grid.run`` or
+``Grid.step`` runs each cell on its own to its next exchange and settles
+the exchanges from the cycles at which the cells arrived (``_free_run``).
+There each loop of a cell's code (the pcs from a backward jump's target
+to the jump) runs as one Python function translated from its tuples, in
+which every basic block is straight-line int code; straight-line code
+runs on ``_run``, and ``_decode`` marks each loop head with a stop code,
+at which ``_run`` hands over. Translations are cached by value, up to a
+fixed bound, so cells and later loads with the same loop share one. The
+cycle loop (``_lockstep``) steps every cell one cycle at a time on
+``_run``; it runs ``Sequencer.step``, a traced grid, and a grid run that
+faults or deadlocks, so that the trace lines, the fault and the deadlock
+come out at their cycle. ``_run`` is thus the oracle of the
+translations. Registers are ``BitVector``s at the API edge, in
 ``Sequencer.regs``; inside a run they are ints, read when the run starts
 and written back when it returns or raises.
 """
@@ -51,6 +58,7 @@ from .errors import (
 
 GRID_SIZE = 4
 MAX_WIDTH = 0xFFFF  # the widest vector LAMP1's u16 width field can state
+MAX_ARG = 0xFFFF  # the largest row index or jump target its u16 arg16 field can state
 
 
 class Reg(enum.Enum):
@@ -126,11 +134,22 @@ OPERAND_KINDS = {
     "unop": (tuple(UnOp), "unary op", "a UnOp"),
     "mreg": (M_REGS, "m-register", "an m-register"),
     "dir": (tuple(Dir), "direction", "a Dir"),
-    "target": (lambda value: type(value) is int, "jump target", "an int"),  # not a bool
-    "index": (lambda value: type(value) is int and value >= 0, "row index", "nonnegative"),
+    "target": (lambda value: type(value) is int and -MAX_ARG <= value <= MAX_ARG,  # not a bool
+               "jump target", f"an int in -{MAX_ARG}..{MAX_ARG}"),
+    "index": (lambda value: type(value) is int and 0 <= value <= MAX_ARG,
+              "row index", f"an int in 0..{MAX_ARG}"),
     "literal": (lambda value: isinstance(value, BitVector), "bit literal", "a BitVector"),
 }
-_RANGED = ("mreg", "index")  # the kinds that refuse some values of their type
+_RANGED = ("mreg", "target", "index")  # the kinds that refuse some values of their type
+
+
+def _shown(value) -> str:
+    """``value`` in an error: Reg.ROW, an int too long for str() by its size, or its repr."""
+    if isinstance(value, enum.Enum):
+        return str(value)
+    if type(value) is int and value.bit_length() > 9999:
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
 
 
 class Instruction:
@@ -151,7 +170,7 @@ class Instruction:
 
     MNEMONIC = ""
     OPERANDS: tuple[tuple[str, str], ...] = ()
-    ROLE = ""  # what errors call the class's one mreg or index operand
+    ROLE = ""  # what errors call the class's one mreg, target or index operand
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -168,9 +187,8 @@ class Instruction:
         def check(inst) -> None:
             for name, test, error in checks:
                 value = getattr(inst, name)
-                if not test(value):  # an enum member shows as Reg.ROW, any other value by repr
-                    shown = str(value) if isinstance(value, enum.Enum) else repr(value)
-                    raise InvalidArgument(error + shown)
+                if not test(value):
+                    raise InvalidArgument(error + _shown(value))
 
         cls._check = check
         if checks and "__post_init__" not in cls.__dict__:  # none for IncRow and Halt
@@ -334,11 +352,17 @@ def _check_vector(value) -> None:
 # registers. The last field of a tuple is the stop code of the pc it
 # falls through to: _LOOK when that pc holds an exchange or lies past the
 # end of the program, which the next cycle must inspect before any cell
-# executes, and _GO otherwise. A jump carries a second stop code for its
-# target, _BAD when the target lies outside the program.
+# executes, _LOOP when it is the head of a loop, and _GO otherwise. A jump
+# carries a second stop code for its target, _BAD when the target lies
+# outside the program. A loop is the pcs from the target of a backward
+# jump to the last backward jump to that target.
+# A free run executes a loop through its translation (_translation), kept
+# by value in _TRANSLATIONS, the oldest dropped past _MAX_TRANSLATIONS;
+# traced runs, Sequencer.step, faults, deadlocks and straight-line code
+# stay on _run, one instruction per cycle.
 
 _LOGIC, _ORF, _JUMP, _SETROW, _INCROW, _LOADM, _SEND, _RECV, _HALT, _BADWIDTH = range(10)
-_GO, _LOOK, _BAD = range(3)
+_GO, _LOOK, _BAD, _LOOP = range(4)
 _ALWAYS, _IF_FLAG, _IF_NOT_FLAG, _IF_ROW = range(4)  # jump conditions, in the order of JUMPS
 _CONDITION = {cls: cond for cond, cls in enumerate(JUMPS)}
 _AND, _OR, _XOR = BinOp.AND.value, BinOp.OR.value, BinOp.XOR.value
@@ -354,10 +378,14 @@ _PARTNER = [  # _PARTNER[cell][direction] is the neighbouring cell's index
 _FACING = [opposite(d).value for d in Dir]  # the direction a partner must name
 
 
-def _decode(program: list, width: int) -> list[tuple]:
-    """The int code of one cell's instructions, for vectors of ``width``."""
+def _decode(program: list, width: int) -> tuple[list[tuple], dict]:
+    """The int code of one cell's instructions, for vectors of ``width``,
+    and its loops as ``{head pc: last pc}``."""
     size = len(program)
-    stops = [_LOOK if type(inst) in (Send, Recv) else _GO for inst in program]
+    loops = {inst.target: pc for pc, inst in enumerate(program)  # the last jump back ends it
+             if type(inst) in _CONDITION and 0 <= inst.target <= pc}
+    stops = [_LOOK if type(inst) in (Send, Recv) else _LOOP if pc in loops else _GO
+             for pc, inst in enumerate(program)]
     stops.append(_LOOK)
     code = []
     for pc, inst in enumerate(program):
@@ -390,7 +418,7 @@ def _decode(program: list, width: int) -> list[tuple]:
             code.append((_HALT,))
         else:
             raise NotAnInstruction(f"cannot execute {inst!r}")
-    return code
+    return code, loops
 
 
 def _row_error(row: int, matrix: list) -> InvalidRowIndex:
@@ -461,7 +489,8 @@ def _run(code, ports, matrix, pc, flag, row, t, last, width):
 
     One instruction per cycle. Stops after HALT, or after an instruction
     whose stop code is _LOOK: its next pc holds an exchange, which is the
-    caller's to settle, or lies outside the program. Returns ``(pc,
+    caller's to settle, or lies outside the program; or _LOOP: its next pc
+    is a loop's head, which a free run hands to the loop's translation. Returns ``(pc,
     flag, row, t, stop)``: the state reached, the last cycle run and the
     last instruction's stop code, or _HALT when it halted. ``ports`` is
     updated in place. A faulting instruction raises with the cell's state
@@ -542,11 +571,93 @@ def _run(code, ports, matrix, pc, flag, row, t, last, width):
     return pc, flag, row, t, stop
 
 
+_TRANSLATIONS: dict = {}  # (width, head, end, the loop's code) -> its function, oldest first
+_MAX_TRANSLATIONS = 256
+_PORTS = ("ma", "mb", "mc", "md", "rp")  # the locals of a translation, in port order
+_BINARY = {_AND: "{} & {}", _OR: "{} | {}", _XOR: "{} ^ {}", BinOp.PASS.value: "{}"}
+
+
+def _translation(code, head: int, end: int, width: int):
+    """The function that runs the loop ``code[head:end + 1]``.
+
+    Called as ``loop(ports, matrix, pc, flag, row, t, last)`` at a pc of
+    the loop, it runs whole basic blocks, each as straight-line int code
+    that adds its cycles to ``t``, and updates ``ports`` in place. It
+    returns ``(pc, flag, row, t)`` at a pc outside the loop, at an
+    exchange or a HALT, or at a block that would run past cycle ``last``,
+    and None at a fault, which ``_run`` must then raise at its cycle. The
+    source holds only the small ints ``_decode`` wrote; the mask and the
+    LOADM values are bound by name.
+    """
+    key = (width, head, end, tuple(code[head:end + 1]))
+    loop = _TRANSLATIONS.get(key)
+    if loop is not None:
+        return loop
+    leaders = {head} | {p for pc in range(head, end + 1) if code[pc][0] == _JUMP
+                        for p in (pc + 1, code[pc][2]) if head <= p <= end}
+    names = {"MASK": (1 << width) - 1}
+    lines = ["def loop(ports, matrix, pc, flag, row, t, last):",
+             " ma, mb, mc, md, rp = ports", " size = len(matrix)", " while True:"]
+    for leader in sorted(leaders):
+        body, pc, checked = [], leader, False  # checked: rp, since the row last moved
+        while pc <= end and (pc == leader or pc not in leaders):
+            inst = code[pc]
+            op = inst[0]
+            if op in (_SEND, _RECV, _HALT):
+                break  # for the free run to settle
+            pc += 1
+            if op in (_LOGIC, _ORF) and inst[-2] and not checked:  # reads the ROW port
+                body.append("if rp is None: return")
+                checked = True
+            if op == _LOGIC:
+                _, bop, a, b, uop, dst, _, _ = inst
+                value = _BINARY[bop].format(_PORTS[a], _PORTS[b])
+                if uop == _SLC:
+                    body.append(f"k = ({value}).bit_count()")
+                    value = f"((1 << k) - 1) << ({width} - k)"
+                elif uop == _NOT:
+                    value = f"({value}) ^ MASK"
+                body.append(f"{_PORTS[dst]} = {value}")
+            elif op == _ORF:
+                body.append(f"flag = 1 if {_PORTS[inst[1]]} else 0")
+            elif op == _INCROW or op == _SETROW:
+                to = "row + 1" if op == _INCROW else inst[1]
+                body += [f"if {to} > size: return", f"row = {to}",
+                         "rp = matrix[row] if row < size else None"]
+                checked = False
+            elif op == _LOADM:
+                names[f"L{pc}"] = inst[2]
+                body.append(f"{_PORTS[inst[1]]} = L{pc}")
+            elif op == _BADWIDTH:
+                body.append("return")
+            else:  # a jump, which ends the block
+                _, cond, target, taken, _ = inst
+                go = ("True", "flag", "not flag", "rp is not None")[cond]
+                jump = "return" if taken == _BAD else f"pc = {target}"
+                body += [f"pc = {pc}", f"if {go}: {jump}"]
+                break
+        if pc > leader:
+            lines += [f"  if pc == {leader}:", f"   if t + {pc - leader} > last: break",
+                      *(f"   {line}" for line in body), f"   t += {pc - leader}",
+                      "   continue" if code[pc - 1][0] == _JUMP else f"   pc = {pc}; continue"]
+    lines += ["  break", " ports[:] = ma, mb, mc, md, rp", " return pc, flag, row, t"]
+    exec(compile("\n".join(lines), f"<loop {head}..{end}>", "exec"), names)
+    if len(_TRANSLATIONS) >= _MAX_TRANSLATIONS:
+        try:  # drop the oldest, as re's cache does
+            del _TRANSLATIONS[next(iter(_TRANSLATIONS))]
+        except (StopIteration, RuntimeError, KeyError):  # another thread changed it
+            pass
+    loop = _TRANSLATIONS[key] = names["loop"]
+    return loop
+
+
 def _free_run(seqs: list, width: int, budget: int, grid) -> bool:
     """Run a grid's cells each on its own to its next exchange.
 
     Cells meet only at SEND and RECV, so each active cell runs its code
-    alone until it reaches one, halts, or runs the budget's last cycle.
+    alone until it reaches one, halts, or runs the budget's last cycle: a
+    loop through its translation, from the loop's head, and the rest on
+    ``_run``.
     A SEND at a cell that waits from cycle t and the facing RECV at its
     partner that waits from cycle u then complete together in cycle
     max(t, u) + 1, the receiver taking the sender's register, and both
@@ -565,7 +676,7 @@ def _free_run(seqs: list, width: int, budget: int, grid) -> bool:
     todo = [(i, first) for i in loaded]  # cells to run on, each after a cycle
     while todo:
         i, t = todo.pop()
-        cell_code = code[i]
+        cell_code, loops = code[i], seqs[i]._loops
         while t < last:
             pc = pcs[i]
             if not 0 <= pc < len(cell_code):
@@ -590,6 +701,15 @@ def _free_run(seqs: list, width: int, budget: int, grid) -> bool:
                 t = max(t, u) + 1  # both waited before, so this is within the budget
                 todo.append((partner, t))
                 continue
+            if pc in loops:
+                state = _translation(cell_code, pc, loops[pc], width)(
+                    regs[i], rows[i], pc, flags[i], row_idx[i], t, last)
+                if state is None:
+                    return False  # a fault, which _run raises at its cycle
+                if state[3] > t:
+                    pcs[i], flags[i], row_idx[i], t = state
+                    continue
+                # its first block would pass the budget, or it begins at a HALT
             try:
                 pcs[i], flags[i], row_idx[i], t, stop = _run(
                     cell_code, regs[i], rows[i], pc, flags[i], row_idx[i], t, last, width)
@@ -702,7 +822,7 @@ def _lockstep(seqs: list, width: int, budget: int, grid=None) -> None:
                 if stop == _HALT:
                     ended[i] = cycle
                     halted = True
-                elif stop:
+                elif stop == _LOOK:
                     look = True
             if halted:
                 active = [i for i in active if ended[i] is None]
@@ -736,9 +856,8 @@ class Sequencer:
 
     def __init__(self, width: int, program=None, a_matrix=None):
         if type(width) is not int or not 1 <= width <= MAX_WIDTH:
-            huge = type(width) is int and width.bit_length() > 9999  # too long for str()
-            got = f"an int of {width.bit_length()} bits" if huge else repr(width)
-            raise InvalidArgument(f"machine width must be an int in 1..{MAX_WIDTH}, got {got}")
+            raise InvalidArgument(
+                f"machine width must be an int in 1..{MAX_WIDTH}, got {_shown(width)}")
         self.width = width
         self.regs = dict.fromkeys(M_REGS, BitVector.zeros(width))  # BitVectors are immutable
         self.set_matrix(a_matrix or [])
@@ -757,7 +876,7 @@ class Sequencer:
     @program.setter
     def program(self, instructions) -> None:
         self._program = list(instructions)
-        self._code = _decode(self._program, self.width)
+        self._code, self._loops = _decode(self._program, self.width)
         self._texts = None
 
     def _trace_text(self, texts: dict) -> list[str]:
@@ -836,9 +955,10 @@ class Grid:
                 seq._program, seq._texts = list(program.cells[r][c]), None
                 key = tuple(map(id, seq._program))
                 if key not in decoded:
-                    code = _decode(seq._program, self.width)
-                    decoded[key] = code, [inst[1] for inst in code if inst[0] == _BADWIDTH]
-                seq._code, bad = decoded[key]
+                    code, loops = _decode(seq._program, self.width)
+                    bad = [inst[1] for inst in code if inst[0] == _BADWIDTH]
+                    decoded[key] = code, loops, bad
+                seq._code, seq._loops, bad = decoded[key]
                 if bad:
                     raise WidthMismatch(f"cell ({r},{c}): literal width {bad[0]} "
                                         f"!= grid width {self.width}")

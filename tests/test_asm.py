@@ -194,6 +194,12 @@ def test_error_line_is_the_line_of_a_text_mode_file(tmp_path, src, line):
         pytest.param("SETROW " + "1" * 5000 + "\n",
                      "line 1: col 8: row index has too many digits (5000)",
                      id="row-index-of-5000-digits"),
+        pytest.param("HALT\n  SETROW  70000 ; a row LAMP1 cannot state\n",
+                     "line 2: col 11: row index 70000 does not fit in 16 bits",
+                     id="row-index-past-16-bits"),
+        pytest.param("HALT\n" * 65536 + "far: HALT\nJMP far\n",
+                     "line 65538: col 5: jump target 65536 does not fit in 16 bits",
+                     id="jump-target-past-16-bits"),
     ],
 )
 def test_a_width_past_16_bits_or_an_overlong_number_is_refused_where_it_stands(src, message):

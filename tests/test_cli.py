@@ -401,6 +401,16 @@ def test_run_of_a_width_past_16_bits_is_one_error_line(capsys, tmp_path, source,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [["run"], ["asm", "build"]], ids=["run", "asm-build"])
+def test_a_row_index_past_16_bits_is_one_error_line_at_its_token(capsys, tmp_path, command):
+    src = tmp_path / "far.lasm"
+    src.write_text("SETROW 70000\nHALT\n")
+    code, out, err = run_cli(capsys, *command, str(src))
+    assert (code, out, err) == (
+        1, "", "error: line 1: col 8: row index 70000 does not fit in 16 bits\n")
+    assert not (tmp_path / "far.lprog").exists()
+
+
 def test_run_assembly_source_directly(capsys, tmp_path):
     src = tmp_path / "prog.lasm"
     src.write_text(ASM_SRC)

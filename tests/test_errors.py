@@ -55,6 +55,13 @@ def _run_after(change):
     grid.run(10)
 
 
+def _run_program(instructions, tracing=False):
+    """Run a grid whose cell (0,0) holds ``instructions``."""
+    grid = Grid(4, tracing=tracing)
+    grid.load_program(Program.single_cell(instructions))
+    grid.run(10)
+
+
 CASES = [
     (lambda: rank(AssocTable.from_rows(["10"]), BitVector.parse("10"), 0),
      InvalidArgument, ValueError, "k must be >= 1, got 0"),
@@ -73,7 +80,7 @@ CASES = [
     (lambda: Logic(BinOp.AND, Reg.MA, Reg.MB, UnOp.NOPU, Reg.ROW),
      InvalidArgument, ValueError, "destination must be an m-register, got Reg.ROW"),
     (lambda: SetRow(-1),
-     InvalidArgument, ValueError, "row index must be nonnegative, got -1"),
+     InvalidArgument, ValueError, "row index must be an int in 0..65535, got -1"),
     (lambda: LoadImm(Reg.ROW, BitVector.parse("10")),
      InvalidArgument, ValueError, "LOADM target must be an m-register, got Reg.ROW"),
     (lambda: Send(Dir.N, Reg.ROW),
@@ -109,9 +116,9 @@ CASES = [
     (lambda: LoadImm(Reg.MA, "0101"),
      InvalidArgument, ValueError, "bit literal must be a BitVector, got '0101'"),
     (lambda: Jump("x"),
-     InvalidArgument, ValueError, "jump target must be an int, got 'x'"),
+     InvalidArgument, ValueError, "jump target must be an int in -65535..65535, got 'x'"),
     (lambda: SetRow("3"),
-     InvalidArgument, ValueError, "row index must be nonnegative, got '3'"),
+     InvalidArgument, ValueError, "row index must be an int in 0..65535, got '3'"),
     (lambda: Grid(8).set_register(Reg.MA, 5),
      NotAVector, TypeError, "expected a BitVector, got int"),
     (lambda: Grid(8).set_register("MA", BitVector(8, 5)),
@@ -147,6 +154,24 @@ CASES = [
     (lambda: assemble(".width 99999999999999999999\nHALT\n"),
      AsmSyntaxError, Exception,
      "line 1: col 1: width 99999999999999999999 does not fit in 16 bits"),
+    (lambda: _run_program([SetRow(10**5000), Halt()]),
+     InvalidArgument, ValueError,
+     "row index must be an int in 0..65535, got an int of 16610 bits"),
+    (lambda: _run_program([Jump(10**5000), Halt()]),
+     InvalidArgument, ValueError,
+     "jump target must be an int in -65535..65535, got an int of 16610 bits"),
+    (lambda: _run_program([Jump(10**5000), Halt()], tracing=True),
+     InvalidArgument, ValueError,
+     "jump target must be an int in -65535..65535, got an int of 16610 bits"),
+    (lambda: _run_program([Halt(), Jump(10**5000)], tracing=True),
+     InvalidArgument, ValueError,
+     "jump target must be an int in -65535..65535, got an int of 16610 bits"),
+    (lambda: SetRow(65536),
+     InvalidArgument, ValueError, "row index must be an int in 0..65535, got 65536"),
+    (lambda: Jump(-65536),
+     InvalidArgument, ValueError, "jump target must be an int in -65535..65535, got -65536"),
+    (lambda: assemble("SETROW 70000\nHALT\n"),
+     AsmSyntaxError, Exception, "line 1: col 8: row index 70000 does not fit in 16 bits"),
 ]
 
 
@@ -161,7 +186,9 @@ CASES = [
          "cell_outside", "cell_negative", "single_cell_outside", "load_program_list",
          "cell_float", "register_int", "matrix_row_int", "grid_width_huge",
          "grid_width_past_digit_limit", "grid_width_past_u16", "grid_width_zero",
-         "sequencer_width_float", "asm_width_huge"],
+         "sequencer_width_float", "asm_width_huge", "setrow_huge", "jump_huge",
+         "jump_huge_traced", "trace_text_huge", "setrow_past_u16", "jump_past_u16",
+         "asm_setrow_past_u16"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:

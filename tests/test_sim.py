@@ -701,3 +701,76 @@ def test_untraced_runs_that_halt_or_reach_the_budget_skip_the_cycle_loop(monkeyp
     assert cells[0][:5] == (1, 0, 0, 7, True) and cells[1][5][1] == 0b1010
     assert cells[5][:5] == (0, 0, 0, 9, False)  # (1,1) still waits
     _check_golden_sharded_run(*_sharded_run(False, tracing=False))
+
+
+# --- translated loops --------------------------------------------------------
+
+
+def _sharded_grid(tracing):
+    """The benchmark's sharded search at its shape: width 256, 64 rows in each cell."""
+    rng = random.Random(5)
+    grid = Grid(256, tracing=tracing)
+    grid.load_program(program_from_bytes(program_to_bytes(assemble(
+        sharded.sharded_source(256)))))
+    for idx in range(GRID_SIZE * GRID_SIZE):
+        rows = [BitVector(256, rng.getrandbits(256)) for _ in range(64)]
+        grid.set_table(rows, at=divmod(idx, GRID_SIZE))
+    grid.set_register(Reg.MA, BitVector(256, rng.getrandbits(256)))
+    return grid
+
+
+def test_the_sharded_fold_runs_in_its_translation_not_on_the_interpreter(monkeypatch):
+    import lamp.sim
+    from sim_reference import grid_state
+
+    run = lamp.sim._run
+    executed = []  # per _run call: the pc it began at, and the instructions it ran
+
+    def counted(code, ports, matrix, pc, flag, row, t, last, width):
+        out = run(code, ports, matrix, pc, flag, row, t, last, width)
+        executed.append((pc, out[3] - t))
+        return out
+
+    monkeypatch.setattr(lamp.sim, "_run", counted)
+    states, counts = [], []
+    for tracing in (True, False):  # the cycle loop runs every instruction on _run
+        executed.clear()
+        grid = _sharded_grid(tracing)
+        assert grid.run(100_000).outcome is RunOutcome.ALL_HALTED
+        states.append(grid_state(grid))
+        (head, end), = grid.cell(0, 0)._loops.items()  # the fold, the same in every cell
+        fold = sum(n for pc, n in executed if head <= pc <= end)
+        counts.append((fold, sum(n for _, n in executed) - fold))
+    assert states[0] == states[1]
+    (traced_fold, traced_rest), (fold, rest) = counts
+    assert traced_fold > 16 * 60 * 7  # seven instructions a row, 63 rows a cell
+    assert fold < 0.05 * traced_fold
+    assert rest == traced_rest  # the code outside the fold runs on _run, all of it
+
+
+def test_a_second_run_of_the_same_program_translates_nothing(monkeypatch):
+    import lamp.sim
+
+    monkeypatch.setattr(lamp.sim, "_TRANSLATIONS", {})
+    first = _sharded_grid(False)
+    first.run(100_000)
+    assert len(lamp.sim._TRANSLATIONS) == 1  # sixteen cells, four codes, one fold loop
+    (key, loop), = lamp.sim._TRANSLATIONS.items()
+    second = _sharded_grid(False)  # the same bytes, decoded again
+    assert second.cell(0, 0)._code is not first.cell(0, 0)._code
+    second.run(100_000)
+    assert list(lamp.sim._TRANSLATIONS.items()) == [(key, loop)]
+    assert second.cell(0, 0).regs == first.cell(0, 0).regs
+
+
+def test_the_translation_cache_keeps_at_most_its_bound(monkeypatch):
+    import lamp.sim
+
+    monkeypatch.setattr(lamp.sim, "_TRANSLATIONS", {})
+    bound = lamp.sim._MAX_TRANSLATIONS
+    loop = [Orf(Reg.MA), JumpIfFlag(0), Halt()]
+    for width in range(1, bound + 6):  # one distinct loop per width
+        g = one_cell_grid(loop, width)
+        assert g.run(10) == lamp.sim.RunResult(RunOutcome.ALL_HALTED, 3)
+        assert len(lamp.sim._TRANSLATIONS) == min(width, bound)
+    assert [key[0] for key in lamp.sim._TRANSLATIONS] == list(range(6, bound + 6))

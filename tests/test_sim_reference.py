@@ -18,7 +18,9 @@ import pytest
 
 from lamp.asm import assemble, program_from_bytes, program_to_bytes
 from lamp.bitvec import BitVector
-from lamp.errors import DeadlockDetected, LampError
+from lamp.errors import (
+    DeadlockDetected, InvalidRowIndex, LampError, PcOutOfRange, WidthMismatch,
+)
 from lamp.sim import (
     GRID_SIZE,
     M_REGS,
@@ -310,3 +312,213 @@ def _check_golden_sharded_run(grid, result, shards, query):
         assert grid.trace == []
         del observed["trace_sha256"]
     assert observed == {key: GOLDEN_SHARDED[key] for key in observed}
+
+
+# --- translated loops against the reference ----------------------------------
+
+WIDE = 65535  # the widest machine, whose LOADM literal LAMP1 can still state
+
+
+def _loop_instruction(rng, width, rows, dirs, kinds):
+    weights = {"logic": 8, "orf": 3, "loadm": 2, "send": 1, "recv": 1, "incrow": 3, "setrow": 1}
+    kind = rng.choices(kinds, weights=[weights[kind] for kind in kinds])[0]
+    reg = rng.choice(M_REGS)
+    if kind == "logic":
+        return Logic(rng.choice(list(BinOp)), rng.choice(list(Reg)), rng.choice(list(Reg)),
+                     rng.choice(list(UnOp)), reg)
+    if kind == "orf":
+        return Orf(rng.choice(list(Reg)))
+    if kind == "loadm":
+        return LoadImm(reg, BitVector(width, rng.getrandbits(width)))
+    if kind in ("send", "recv"):
+        return (Send if kind == "send" else Recv)(rng.choice(dirs), reg)
+    if kind == "incrow":
+        return IncRow()
+    return SetRow(rng.randint(0, rows + 1))  # rows + 1 is past the matrix
+
+
+def loop_case(rng):
+    """A 16-cell program of loops, per-cell tables and register loads, and a budget.
+
+    Each cell with code runs a prologue, then a loop body closed by a
+    backward conditional jump to its head, then HALT. A body may hold an
+    exchange, and a forward conditional jump to the HALT, into the body,
+    or past the end of the program. Matrices hold 0 to 9 rows. In a safe
+    case every body reads its row before one closing INCROW and JRLT, so
+    runs more often halt, deadlock or reach the budget; a risky one reads
+    and moves rows anywhere and faults. A wide case runs 65535-bit
+    vectors and loads a literal in every loop.
+    """
+    width = WIDE if rng.random() < 0.05 else rng.randint(1, 70)
+    dirs = rng.choice(DIRECTION_SETS)
+    risky = rng.random() < 0.4
+    talk = rng.random() < 0.4  # exchanges in loops mostly deadlock
+    kinds = ["logic", "orf", "loadm"] + (["send", "recv"] if talk else [])
+    kinds += ["incrow", "setrow"] if risky else []
+    program = Program(width=rng.choice([None, width]))
+    tables, loads = {}, []
+    for r in range(GRID_SIZE):
+        for c in range(GRID_SIZE):
+            if rng.random() < 0.3:
+                continue
+            rows = rng.randint(0 if risky else 1, 9)
+            prologue = [_loop_instruction(rng, width, rows, dirs, kinds)
+                        for _ in range(rng.randint(0, 3))]
+            body = [_loop_instruction(rng, width, rows, dirs, kinds)
+                    for _ in range(rng.randint(1, 6))]
+            if width == WIDE:
+                body.insert(rng.randrange(len(body) + 1),
+                            LoadImm(rng.choice(M_REGS), BitVector(width, rng.getrandbits(width))))
+            if not risky:
+                body.append(IncRow())
+            head = len(prologue)
+            end = head + len(body)  # the closing jump; the HALT follows it
+            if rng.random() < 0.5:  # a forward jump out of the loop, or within it
+                at = rng.randrange(len(body))
+                past = [end + 2, end + 9] if risky else []  # outside the program
+                target = rng.choice([end + 1, *past, rng.randint(head + at + 1, end)])
+                cls = rng.choice([JumpIfFlag, JumpIfNotFlag, JumpIfRowLt])
+                body.insert(at, cls(target + 1))  # past the jump it makes room for
+                end += 1
+            closing = JumpIfRowLt if not risky else rng.choice(
+                [JumpIfRowLt, JumpIfFlag, JumpIfNotFlag])
+            program.cells[r][c] = prologue + body + [closing(head), Halt()]
+            tables[(r, c)] = [BitVector(width, rng.getrandbits(width)) for _ in range(rows)]
+            for reg in M_REGS:
+                if rng.random() < 0.5:
+                    loads.append((reg, BitVector(width, rng.getrandbits(width)), (r, c)))
+    return width, program, tables, loads, rng.randint(30, 120)
+
+
+def _reference_run(case, top):
+    """What ``RefGrid.run(b)`` returns, and the state it leaves, for every budget b <= top.
+
+    The reference steps once to ``top``; returns a function of the budget.
+    """
+    ref = RefGrid(case[0])
+    _build(ref, case, False)
+    states, end = [], None
+    while True:
+        states.append(grid_state(ref))
+        cycle = ref.global_cycle
+        if ref.all_halted:
+            end = cycle, ("ok", RunOutcome.ALL_HALTED, cycle, ())
+            break
+        if cycle >= top:
+            break
+        try:
+            ref.step()
+        except DeadlockDetected as exc:
+            end = cycle + 1, ("ok", RunOutcome.DEADLOCK, cycle, tuple(exc.cells))
+        except LampError as exc:
+            end = cycle + 1, ("raised", type(exc), str(exc))
+        if end is not None:
+            states.append(grid_state(ref))
+            break
+
+    def at(budget):
+        if end is not None and budget >= end[0]:
+            return end[1], states[-1]
+        return ("ok", RunOutcome.CYCLE_BUDGET_EXHAUSTED, budget, ()), states[budget]
+
+    return at
+
+
+def _step_outcome(grid):
+    """The outcome of one ``grid.step()``, in the terms of ``Grid.run``'s."""
+    try:
+        grid.step()
+    except DeadlockDetected as exc:
+        return ("ok", RunOutcome.DEADLOCK, grid.global_cycle, tuple(exc.cells))
+    except LampError as exc:
+        return ("raised", type(exc), str(exc))
+    outcome = RunOutcome.ALL_HALTED if grid.all_halted else RunOutcome.CYCLE_BUDGET_EXHAUSTED
+    return ("ok", outcome, grid.global_cycle, ())
+
+
+def _interpreted(code, ports, matrix, state, until, width):
+    """``_run`` from ``state`` (pc, flag, row, cycle) to cycle ``until``, or to an
+    exchange, a HALT or a pc outside the program, whichever comes first."""
+    import lamp.sim
+
+    while state[3] < until:
+        pc = state[0]
+        if not 0 <= pc < len(code) or code[pc][0] in (lamp.sim._SEND, lamp.sim._RECV):
+            break
+        *state, stop = lamp.sim._run(code, ports, matrix, *state, until, width)
+        if stop == lamp.sim._HALT:
+            break
+    return tuple(state)
+
+
+def _spy_translations(monkeypatch, seen):
+    """Check each call of a translated loop against ``_run`` from the same
+    state, and count it in ``seen`` by how it returned: a state must be the
+    one ``_run`` reaches at the same cycle, and None a fault that ``_run``
+    raises before the budget's last cycle."""
+    import lamp.sim
+
+    translation = lamp.sim._translation
+
+    def spied(code, head, end, width):
+        loop = translation(code, head, end, width)
+
+        def run(ports, matrix, pc, flag, row, t, last):
+            mine = list(ports)
+            out = loop(ports, matrix, pc, flag, row, t, last)
+            if out is None:
+                seen["fault"] += 1
+                with pytest.raises((InvalidRowIndex, PcOutOfRange, WidthMismatch)):
+                    _interpreted(code, mine, matrix, (pc, flag, row, t), last, width)
+                return out
+            assert _interpreted(code, mine, matrix, (pc, flag, row, t), out[3], width) == out
+            assert mine == ports
+            if out[3] > t:
+                seen["ran"] += 1
+                if width == WIDE and any(inst[0] == lamp.sim._LOADM
+                                         for inst in code[head:end + 1]):
+                    seen["wide LOADM"] += 1
+            return out
+
+        return run
+
+    monkeypatch.setattr(lamp.sim, "_translation", spied)
+
+
+@pytest.mark.parametrize("stepwise", [False, True], ids=["run", "step"])
+def test_translated_loops_match_reference_at_every_budget(monkeypatch, stepwise):
+    """Loop-shaped programs, untraced, against the reference. Each case
+    runs to ten consecutive budgets, so that one ends at each offset of a
+    loop iteration, and from each runs on to the top budget, after three
+    single ``step``s in step mode. Every call reaches the reference's
+    outcome, cycles and state, and every call of a translated loop agrees
+    with ``_run``."""
+    rng = random.Random(2305 + stepwise)
+    seen, calls = Counter(), Counter()
+    _spy_translations(monkeypatch, calls)
+    for _ in range(100):
+        case = loop_case(rng)
+        width, top = case[0], case[4]
+        expect = _reference_run(case, top)
+        faults = calls["fault"]
+        for budget in range(first := rng.randint(1, top - 13), first + 10):
+            grid = Grid(width)
+            _build(grid, case, True)
+            steps = [budget + 1, budget + 2, budget + 3] if stepwise else []
+            for limit in (budget, *steps, top):
+                if limit in steps:
+                    got = _step_outcome(grid)
+                else:
+                    got = _outcome(lambda: grid.run(limit))
+                assert (got, grid_state(grid)) == expect(limit)
+                if got[:2] != ("ok", RunOutcome.CYCLE_BUDGET_EXHAUSTED):
+                    break
+        final = expect(top)[0]
+        seen.update(_categories([final], []))
+        if calls["fault"] > faults:  # a translated loop met the fault that _run raised
+            seen["fault in a loop: " + _categories([final], []).pop()] += 1
+    assert calls["ran"] >= 500 and calls["wide LOADM"] >= 3, calls
+    assert seen["fault in a loop: jump"] >= 1, seen
+    assert any(seen["fault in a loop: " + kind] for kind in ("row", "INCROW", "SETROW")), seen
+    for category in ("all-halted", "cycle-budget-exhausted", "deadlock"):
+        assert seen[category] >= 3, (category, seen)
