@@ -19,28 +19,27 @@ bit-for-bit deterministic.
 A program is predecoded when it is loaded: each instruction becomes a
 tuple of plain ints (opcode, register indexes, the literal's value, the
 jump target), which ``_run`` executes for one cell, one instruction per
-cycle. Cells meet only at SEND and RECV, so an untraced ``Grid.run`` or
-``Grid.step`` runs each cell on its own to its next exchange and settles
-the exchanges from the cycles at which the cells arrived (``_free_run``).
-There each loop of a cell's code (the pcs from a backward jump's target
-to the jump) runs as one Python function translated from its tuples, in
-which every basic block is straight-line int code; straight-line code
-runs on ``_run``, and ``_decode`` marks each loop head with a stop code,
-at which ``_run`` hands over. Translations are cached by value, up to a
-fixed bound, so cells and later loads with the same loop share one. The
-cycle loop (``_lockstep``) steps every cell one cycle at a time on
-``_run``; it runs ``Sequencer.step``, a traced grid, and a grid run that
-faults or deadlocks, so that the trace lines, the fault and the deadlock
-come out at their cycle. ``_run`` is thus the oracle of the
-translations. Registers are ``BitVector``s at the API edge, in
-``Sequencer.regs``; inside a run they are ints, read when the run starts
-and written back when it returns or raises.
+cycle. Cells meet only at SEND and RECV, so ``Grid.run`` and
+``Grid.step`` run each cell alone to its next exchange and settle the
+exchanges from the cycles at which the cells arrived (``_free_run``, the
+one interpreter of a grid over many cycles). There each loop of a cell's
+code (the pcs from a backward jump's target to the jump) runs as one
+Python function translated from its tuples, with every basic block as
+straight-line int code, cached by value up to a fixed bound; the rest
+runs on ``_run``, the oracle of the translations. A traced run notes
+each jump taken and each exchange and writes its trace from them at the
+end. A run that faults is run again to the cycle before the fault, and
+``_step``, which also runs ``Sequencer.step``, runs that one cycle.
+Registers are ``BitVector``s at the API edge, in ``Sequencer.regs``;
+inside a run they are ints, read when the run starts and written back
+when it returns or raises.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain, zip_longest
 
 from .bitvec import BitVector
 from .errors import (
@@ -350,19 +349,18 @@ def _check_vector(value) -> None:
 # A cell's program is decoded once, when it is loaded, into one tuple of
 # plain ints per instruction, and runs execute the tuples on int
 # registers. The last field of a tuple is the stop code of the pc it
-# falls through to: _LOOK when that pc holds an exchange or lies past the
-# end of the program, which the next cycle must inspect before any cell
-# executes, _LOOP when it is the head of a loop, and _GO otherwise. A jump
-# carries a second stop code for its target, _BAD when the target lies
-# outside the program. A loop is the pcs from the target of a backward
-# jump to the last backward jump to that target.
-# A free run executes a loop through its translation (_translation), kept
-# by value in _TRANSLATIONS, the oldest dropped past _MAX_TRANSLATIONS;
-# traced runs, Sequencer.step, faults, deadlocks and straight-line code
-# stay on _run, one instruction per cycle.
+# falls through to: _STOP when that pc holds an exchange, lies past the
+# end of the program or is the head of a loop, where _run returns, and
+# _GO otherwise. A jump carries a second stop code for its target, _BAD
+# when the target lies outside the program. A loop is the pcs from the
+# target of a backward jump to the last backward jump to that target.
+# The free run (_free_run) executes a loop through its translation
+# (_translation), kept by value in _TRANSLATIONS, the oldest dropped past
+# _MAX_TRANSLATIONS, and the rest on _run, one instruction per cycle, as
+# the one-cycle step (_step) does.
 
 _LOGIC, _ORF, _JUMP, _SETROW, _INCROW, _LOADM, _SEND, _RECV, _HALT, _BADWIDTH = range(10)
-_GO, _LOOK, _BAD, _LOOP = range(4)
+_GO, _STOP, _BAD = range(3)
 _ALWAYS, _IF_FLAG, _IF_NOT_FLAG, _IF_ROW = range(4)  # jump conditions, in the order of JUMPS
 _CONDITION = {cls: cond for cond, cls in enumerate(JUMPS)}
 _AND, _OR, _XOR = BinOp.AND.value, BinOp.OR.value, BinOp.XOR.value
@@ -380,13 +378,14 @@ _FACING = [opposite(d).value for d in Dir]  # the direction a partner must name
 
 def _decode(program: list, width: int) -> tuple[list[tuple], dict]:
     """The int code of one cell's instructions, for vectors of ``width``,
-    and its loops as ``{head pc: last pc}``."""
+    and its loops as ``{head pc: last pc}``, to which a free run adds each
+    translation it makes at ``(head pc, traced)``."""
     size = len(program)
     loops = {inst.target: pc for pc, inst in enumerate(program)  # the last jump back ends it
              if type(inst) in _CONDITION and 0 <= inst.target <= pc}
-    stops = [_LOOK if type(inst) in (Send, Recv) else _LOOP if pc in loops else _GO
+    stops = [_STOP if type(inst) in (Send, Recv) or pc in loops else _GO
              for pc, inst in enumerate(program)]
-    stops.append(_LOOK)
+    stops.append(_STOP)
     code = []
     for pc, inst in enumerate(program):
         cls, stop = type(inst), stops[pc + 1]
@@ -484,90 +483,97 @@ def _store(seqs, width, first, loaded, ended, ends, pcs, row_idx, flags, regs) -
                 seq.regs[reg] = BitVector(width, value)
 
 
-def _run(code, ports, matrix, pc, flag, row, t, last, width):
+def _run(code, ports, matrix, pc, flag, row, t, last, width, path=None):
     """Run one cell's code from ``pc``, after cycle ``t``, to cycle ``last`` at most.
 
     One instruction per cycle. Stops after HALT, or after an instruction
-    whose stop code is _LOOK: its next pc holds an exchange, which is the
-    caller's to settle, or lies outside the program; or _LOOP: its next pc
-    is a loop's head, which a free run hands to the loop's translation. Returns ``(pc,
+    whose stop code is _STOP: its next pc holds an exchange, which is the
+    caller's to settle, lies outside the program, or is a loop's head,
+    which a free run hands to the loop's translation. Returns ``(pc,
     flag, row, t, stop)``: the state reached, the last cycle run and the
     last instruction's stop code, or _HALT when it halted. ``ports`` is
-    updated in place. A faulting instruction raises with the cell's state
-    as it was before it.
+    updated in place, and ``path``, when given, gets ``(cycle, target)``
+    for each jump taken. A faulting instruction raises with the cell's
+    state as it was before it, and the cycle it faulted in as ``_cycle``.
     """
     mask = (1 << width) - 1
     stop = _GO
-    for t in range(t + 1, last + 1):
-        inst = code[pc]
-        op = inst[0]
-        # each branch leaves the next pc in pc and its stop code in stop
-        if op == _LOGIC:
-            _, bop, a, b, uop, dst, reads_row, stop = inst
-            if reads_row and ports[_ROW] is None:
-                raise _row_error(row, matrix)
-            v = ports[a]
-            if bop == _XOR:
-                v ^= ports[b]
-            elif bop == _AND:
-                v &= ports[b]
-            elif bop == _OR:
-                v |= ports[b]
-            if uop == _SLC:
-                k = v.bit_count()
-                v = ((1 << k) - 1) << (width - k)
-            elif uop == _NOT:
-                v ^= mask
-            ports[dst] = v
-            pc += 1
-        elif op == _JUMP:
-            _, cond, target, taken, stop = inst
-            if cond == _IF_NOT_FLAG:
-                go = not flag
-            elif cond == _IF_ROW:
-                go = ports[_ROW] is not None
-            elif cond == _IF_FLAG:
-                go = flag
-            else:
-                go = True
-            if not go:
+    try:
+        for t in range(t + 1, last + 1):
+            inst = code[pc]
+            op = inst[0]
+            # each branch leaves the next pc in pc and its stop code in stop
+            if op == _LOGIC:
+                _, bop, a, b, uop, dst, reads_row, stop = inst
+                if reads_row and ports[_ROW] is None:
+                    raise _row_error(row, matrix)
+                v = ports[a]
+                if bop == _XOR:
+                    v ^= ports[b]
+                elif bop == _AND:
+                    v &= ports[b]
+                elif bop == _OR:
+                    v |= ports[b]
+                if uop == _SLC:
+                    k = v.bit_count()
+                    v = ((1 << k) - 1) << (width - k)
+                elif uop == _NOT:
+                    v ^= mask
+                ports[dst] = v
                 pc += 1
-            elif taken == _BAD:
-                raise PcOutOfRange(f"jump target {target} outside program")
-            else:
-                pc, stop = target, taken
-        elif op == _ORF:
-            _, src, reads_row, stop = inst
-            if reads_row and ports[_ROW] is None:
-                raise _row_error(row, matrix)
-            flag = 1 if ports[src] else 0
-            pc += 1
-        elif op == _INCROW:
-            _, stop = inst
-            size = len(matrix)
-            if row >= size:
-                raise InvalidRowIndex(f"INCROW past matrix of {size} rows")
-            row += 1
-            ports[_ROW] = matrix[row] if row < size else None
-            pc += 1
-        elif op == _SETROW:
-            _, index, stop = inst
-            size = len(matrix)
-            if index > size:
-                raise InvalidRowIndex(f"SETROW {index} outside matrix of {size} rows")
-            row = index
-            ports[_ROW] = matrix[row] if row < size else None
-            pc += 1
-        elif op == _LOADM:
-            _, dst, value, stop = inst
-            ports[dst] = value
-            pc += 1
-        elif op == _HALT:
-            return pc, flag, row, t, _HALT
-        else:  # _BADWIDTH
-            raise WidthMismatch(f"literal width {inst[1]} != machine width {width}")
-        if stop:
-            break
+            elif op == _JUMP:
+                _, cond, target, taken, stop = inst
+                if cond == _IF_NOT_FLAG:
+                    go = not flag
+                elif cond == _IF_ROW:
+                    go = ports[_ROW] is not None
+                elif cond == _IF_FLAG:
+                    go = flag
+                else:
+                    go = True
+                if not go:
+                    pc += 1
+                elif taken == _BAD:
+                    raise PcOutOfRange(f"jump target {target} outside program")
+                else:
+                    pc, stop = target, taken
+                    if path is not None:
+                        path.append((t + 1, pc))
+            elif op == _ORF:
+                _, src, reads_row, stop = inst
+                if reads_row and ports[_ROW] is None:
+                    raise _row_error(row, matrix)
+                flag = 1 if ports[src] else 0
+                pc += 1
+            elif op == _INCROW:
+                _, stop = inst
+                size = len(matrix)
+                if row >= size:
+                    raise InvalidRowIndex(f"INCROW past matrix of {size} rows")
+                row += 1
+                ports[_ROW] = matrix[row] if row < size else None
+                pc += 1
+            elif op == _SETROW:
+                _, index, stop = inst
+                size = len(matrix)
+                if index > size:
+                    raise InvalidRowIndex(f"SETROW {index} outside matrix of {size} rows")
+                row = index
+                ports[_ROW] = matrix[row] if row < size else None
+                pc += 1
+            elif op == _LOADM:
+                _, dst, value, stop = inst
+                ports[dst] = value
+                pc += 1
+            elif op == _HALT:
+                return pc, flag, row, t, _HALT
+            else:  # _BADWIDTH
+                raise WidthMismatch(f"literal width {inst[1]} != machine width {width}")
+            if stop:
+                break
+    except LampError as exc:  # for the free run, which looks for the first fault
+        exc._cycle = t
+        raise
     return pc, flag, row, t, stop
 
 
@@ -577,7 +583,7 @@ _PORTS = ("ma", "mb", "mc", "md", "rp")  # the locals of a translation, in port 
 _BINARY = {_AND: "{} & {}", _OR: "{} | {}", _XOR: "{} ^ {}", BinOp.PASS.value: "{}"}
 
 
-def _translation(code, head: int, end: int, width: int):
+def _translation(code, head: int, end: int, width: int, traced=False):
     """The function that runs the loop ``code[head:end + 1]``.
 
     Called as ``loop(ports, matrix, pc, flag, row, t, last)`` at a pc of
@@ -585,18 +591,20 @@ def _translation(code, head: int, end: int, width: int):
     that adds its cycles to ``t``, and updates ``ports`` in place. It
     returns ``(pc, flag, row, t)`` at a pc outside the loop, at an
     exchange or a HALT, or at a block that would run past cycle ``last``,
-    and None at a fault, which ``_run`` must then raise at its cycle. The
-    source holds only the small ints ``_decode`` wrote; the mask and the
-    LOADM values are bound by name.
+    and None at a fault, which ``_run`` must then raise at its cycle. A
+    ``traced`` one takes ``path`` last, to which it adds ``(cycle,
+    target)`` for each jump taken, as ``_run`` does. The source holds
+    only the small ints ``_decode`` wrote; the mask and the LOADM values
+    are bound by name.
     """
-    key = (width, head, end, tuple(code[head:end + 1]))
+    key = (width, head, end, tuple(code[head:end + 1]), traced)
     loop = _TRANSLATIONS.get(key)
     if loop is not None:
         return loop
     leaders = {head} | {p for pc in range(head, end + 1) if code[pc][0] == _JUMP
                         for p in (pc + 1, code[pc][2]) if head <= p <= end}
     names = {"MASK": (1 << width) - 1}
-    lines = ["def loop(ports, matrix, pc, flag, row, t, last):",
+    lines = [f"def loop(ports, matrix, pc, flag, row, t, last{', path' * traced}):",
              " ma, mb, mc, md, rp = ports", " size = len(matrix)", " while True:"]
     for leader in sorted(leaders):
         body, pc, checked = [], leader, False  # checked: rp, since the row last moved
@@ -634,6 +642,8 @@ def _translation(code, head: int, end: int, width: int):
                 _, cond, target, taken, _ = inst
                 go = ("True", "flag", "not flag", "rp is not None")[cond]
                 jump = "return" if taken == _BAD else f"pc = {target}"
+                if traced and taken != _BAD:  # the target runs in the block's last cycle + 1
+                    jump += f"; path.append((t + {pc - leader + 1}, {target}))"
                 body += [f"pc = {pc}", f"if {go}: {jump}"]
                 break
         if pc > leader:
@@ -651,36 +661,44 @@ def _translation(code, head: int, end: int, width: int):
     return loop
 
 
-def _free_run(seqs: list, width: int, budget: int, grid) -> bool:
-    """Run a grid's cells each on its own to its next exchange.
+def _free_run(grid, budget: int) -> None:
+    """Run ``grid``'s cells, each on its own to its next exchange, for ``budget`` cycles at most.
 
-    Cells meet only at SEND and RECV, so each active cell runs its code
-    alone until it reaches one, halts, or runs the budget's last cycle: a
-    loop through its translation, from the loop's head, and the rest on
-    ``_run``.
-    A SEND at a cell that waits from cycle t and the facing RECV at its
-    partner that waits from cycle u then complete together in cycle
-    max(t, u) + 1, the receiver taking the sender's register, and both
-    run on; the cycles a cell waits are its stalls. Returns True with the
-    run's state written back, which is the state ``_lockstep`` reaches
-    over the same cycles. A run that faults or deadlocks returns False
-    and writes nothing, so that ``_lockstep`` runs it again from the
-    same state and reports it as it happens.
+    Each active cell runs alone until it reaches a SEND or RECV, halts,
+    or runs the budget's last cycle: a loop through its translation, from
+    the loop's head, and the rest on ``_run``. A SEND at a cell that waits
+    from cycle t and the facing RECV at its partner that waits from cycle
+    u complete together in cycle max(t, u) + 1, and both run on; the
+    cycles a cell waits are its stalls. A traced run marks each cell's
+    start, jumps taken and exchanges, and ``_render`` writes the trace
+    from the marks. When every cell left waits, the state at the last
+    cycle in which a cell moved is written back and DeadlockDetected
+    raised. A fault stops its cell, and the others run to its cycle T
+    only, so that T ends as the first cycle in which a cell faults.
+    Nothing is written then: the run is made again from the same state
+    to T - 1, and ``_step`` runs cycle T, which raises the fault that a
+    cycle-by-cycle run meets first.
     """
-    first = grid.global_cycle
+    seqs, width, first = grid._targets(None), grid.width, grid.global_cycle
     last = first + max(budget, 0)
     loaded, code, regs, rows, pcs, row_idx, flags = _load(seqs, width, _WHERE)
     ended = [None] * len(seqs)
     waiting = {}  # cell -> (the cycle after which it waits, its exchange)
     latest = first  # the last cycle in which a cell ran, halted or began to wait
+    marks = {i: [(first + 1, pcs[i])] for i in loaded} if grid.tracing else None
+    fault = None  # the first cycle in which a cell faults
     todo = [(i, first) for i in loaded]  # cells to run on, each after a cycle
     while todo:
         i, t = todo.pop()
         cell_code, loops = code[i], seqs[i]._loops
+        path = marks[i] if marks is not None else None
+        traced = () if path is None else (path,)  # a traced translation's last argument
+        translate = True
         while t < last:
             pc = pcs[i]
             if not 0 <= pc < len(cell_code):
-                return False  # PcOutOfRange
+                fault = last = t + 1  # no later cycle matters, and t < last
+                break
             inst = cell_code[pc]
             op = inst[0]
             if op == _SEND or op == _RECV:
@@ -696,149 +714,130 @@ def _free_run(seqs: list, width: int, budget: int, grid) -> bool:
                     regs[partner][facing[2]] = regs[i][inst[2]]
                 else:
                     regs[i][inst[2]] = regs[partner][facing[2]]
+                done = max(t, u) + 1  # both waited before: within the budget, or past a fault
+                if path is not None:  # each stalls from the cycle after it began to wait
+                    path += (t + 1, ~pc), (done, pc)
+                    marks[partner] += (u + 1, ~pcs[partner]), (done, pcs[partner])
                 pcs[i] += 1
                 pcs[partner] += 1
-                t = max(t, u) + 1  # both waited before, so this is within the budget
+                t = done
                 todo.append((partner, t))
                 continue
-            if pc in loops:
-                state = _translation(cell_code, pc, loops[pc], width)(
-                    regs[i], rows[i], pc, flags[i], row_idx[i], t, last)
+            if translate and pc in loops:
+                key = pc, bool(traced)
+                loop = loops.get(key)
+                if loop is None:  # first entered: keep its translation with the decode
+                    loop = loops[key] = (_translation(cell_code, pc, loops[pc], width, True)
+                                         if traced else _translation(cell_code, pc, loops[pc], width))
+                state = loop(regs[i], rows[i], pc, flags[i], row_idx[i], t, last, *traced)
                 if state is None:
-                    return False  # a fault, which _run raises at its cycle
-                if state[3] > t:
+                    translate = False  # a fault, which _run meets at its cycle
+                elif state[3] > t:
                     pcs[i], flags[i], row_idx[i], t = state
                     continue
                 # its first block would pass the budget, or it begins at a HALT
             try:
                 pcs[i], flags[i], row_idx[i], t, stop = _run(
-                    cell_code, regs[i], rows[i], pc, flags[i], row_idx[i], t, last, width)
-            except (InvalidRowIndex, PcOutOfRange, WidthMismatch):
-                return False
+                    cell_code, regs[i], rows[i], pc, flags[i], row_idx[i], t, last, width, path)
+            except (InvalidRowIndex, PcOutOfRange, WidthMismatch) as exc:
+                fault = last = exc._cycle
+                break
             if stop == _HALT:
                 ended[i] = t
                 latest = max(latest, t)
                 break
         else:  # stopped by the budget
             latest = last
-    if waiting and latest < last:
-        return False  # every cell left waits, and no exchange can complete
+    if fault is not None:  # write nothing: run again to the cycle before, then run that one
+        _free_run(grid, fault - 1 - first)
+        return _step(seqs, width, grid)  # raises the fault
+    if marks is not None:
+        for i, (t, _) in waiting.items():
+            marks[i].append((t + 1, ~pcs[i]))
+        _render(grid.trace, seqs, marks, [latest if end is None else end for end in ended], first)
     grid.global_cycle = latest
     _store(seqs, width, first, loaded, ended, [latest] * len(seqs), pcs, row_idx, flags, regs)
-    return True
+    if waiting and latest < last:  # every cell left waits, and no exchange can complete
+        cells = [_CELLS[i] for i in sorted(waiting)]
+        raise DeadlockDetected("all active cells stalled on unmatched exchanges: "
+                               + ", ".join(f"({r},{c})" for r, c in cells), cells=cells)
 
 
-def _rendezvous(active, code, pcs, regs, where, paired):
-    """Check the cells before a cycle and match its exchanges.
+def _render(trace: list, seqs: list, marks: dict, ends: list, first: int) -> None:
+    """Append a free run's trace lines to ``trace``, by cycle and then by cell.
 
-    Raises PcOutOfRange for an active cell whose pc is outside its
-    program and, in a grid, DeadlockDetected when every active cell waits
-    on an exchange and none completes. Returns ``(matched, stalled)``:
-    ``matched`` maps each cell whose exchange completes this cycle to the
-    value it receives (None for a sender), ``stalled`` holds the cells
-    left waiting. Unless ``paired``, as for a standalone sequencer, no
-    exchange has a partner and all of them stall.
+    From a mark ``(cycle, pc)`` in ``marks[i]`` cell i runs pc, pc + 1,
+    ... one a cycle, and from ``(cycle, ~pc)`` it stalls at pc, each until
+    the next mark, or past the last until cycle ``ends[i]``.
     """
+    nows = [str(cycle) for cycle in range(first + 1, max(ends) + 1)]
+    columns = []
+    for i, cell_marks in marks.items():
+        texts = [f"\t{_POSITION[i]}\t{pc}\t{text}"
+                 for pc, text in enumerate(seqs[i]._trace_text({}))]
+        size = len(texts)
+        texts += [text + "\t(stall)" for text in texts]  # a stall at pc is text size + pc
+        path = []  # the index of each cycle's text
+        for (start, pc), (stop, _) in zip(cell_marks, cell_marks[1:] + [(ends[i] + 1, 0)]):
+            path += [size + ~pc] * (stop - start) if pc < 0 else range(pc, pc + stop - start)
+        columns.append(list(map(str.__add__, nows, map(texts.__getitem__, path))))
+    trace += filter(None, chain.from_iterable(zip_longest(*columns)))
+
+
+def _step(seqs: list, width: int, grid=None) -> None:
+    """Run one cycle: check every pc, match the exchanges, then trace and run each cell.
+
+    ``seqs`` are a grid's sixteen cells, in scan order, or with ``grid``
+    None one standalone sequencer, whose exchanges stall. This runs
+    ``Sequencer.step`` and the cycle in which a grid run faults. At a
+    fault the cells before the faulting one have spent the cycle, the
+    later ones have not, and the cycle does not end.
+    """
+    first = grid.global_cycle if grid is not None else 0
+    where = _WHERE if grid is not None else [""]
+    trace = grid.trace if grid is not None and grid.tracing else None
+    loaded, code, regs, rows, pcs, row_idx, flags = _load(seqs, width, where)
     waiting = {}
-    for i in active:
+    for i in loaded:
         pc, cell_code = pcs[i], code[i]
         if not 0 <= pc < len(cell_code):
             raise PcOutOfRange(f"{where[i]}pc {pc} outside program of {len(cell_code)}")
-        inst = cell_code[pc]
-        if inst[0] == _SEND or inst[0] == _RECV:
-            waiting[i] = inst
-    matched = {}
-    if paired:
-        for i, (op, d, reg, _stop) in waiting.items():
-            if op == _SEND:
-                partner = _PARTNER[i][d]
-                other = waiting.get(partner)
-                # a RECV faces one neighbour only, so it has at most one sender
-                if other is not None and other[0] == _RECV and other[1] == _FACING[d]:
-                    matched[i] = None
-                    # the sender's register is unchanged this cycle: SEND writes none
-                    matched[partner] = regs[i][reg]
-        if waiting and len(waiting) == len(active) and not matched:
-            cells = [_CELLS[i] for i in waiting]
-            raise DeadlockDetected(
-                "all active cells stalled on unmatched exchanges: "
-                + ", ".join(f"({r},{c})" for r, c in cells),
-                cells=cells,
-            )
-    return matched, waiting.keys() - matched.keys()
-
-
-def _lockstep(seqs: list, width: int, budget: int, grid=None) -> None:
-    """Run cells in lockstep, one instruction per active cell per cycle.
-
-    ``seqs`` are a grid's sixteen cells in row-major order, or with
-    ``grid`` None one standalone sequencer. This cycle loop runs
-    ``Sequencer.step``, a traced grid, and a grid run that ``_free_run``
-    hands back because it faults or deadlocks: before each cycle it
-    checks every pc and matches the exchanges, so a fault or a deadlock
-    is raised at its cycle with every cell's state as it stands then. It
-    runs at most ``budget`` cycles and stops early when every cell has
-    halted; the state reached is written back on return or raise.
-    """
-    cycle = first = grid.global_cycle if grid is not None else 0
-    last = first + budget
-    trace = grid.trace if grid is not None and grid.tracing else None
-    where = _WHERE if grid is not None else [""]
-    loaded, code, regs, rows, pcs, row_idx, flags = _load(seqs, width, where)
-    active = loaded
-    ended = [None] * len(seqs)
-    if trace is not None:  # each cell's trace line for each pc, all but the cycle
-        texts = {i: [f"\t{_POSITION[i]}\t{pc}\t{text}" for pc, text in
-                     enumerate(seqs[i]._trace_text({}))] for i in active}
-    look = True  # the first cycle checks every pc and exchange
-    matched, stalled = {}, set()
-    i = None
-    completed = False
+        if cell_code[pc][0] == _SEND or cell_code[pc][0] == _RECV:
+            waiting[i] = cell_code[pc]
+    matched = {}  # the cells whose exchange completes, each with the value it takes
+    for i, (op, d, reg, _stop) in waiting.items() if grid is not None else ():
+        partner = _PARTNER[i][d]
+        other = waiting.get(partner)
+        # a RECV faces one neighbour only, so it has at most one sender
+        if op == _SEND and other is not None and other[0] == _RECV and other[1] == _FACING[d]:
+            matched[i] = None
+            matched[partner] = regs[i][reg]  # SEND writes no register this cycle
+    cycle = first + 1
+    ended, ends = [None] * len(seqs), [cycle] * len(seqs)
     try:
-        while active and cycle < last:
-            if look:
-                i = None
-                matched, stalled = _rendezvous(active, code, pcs, regs, where, grid is not None)
-                look = False
-            cycle += 1
-            now = str(cycle)
-            halted = False
-            for i in active:
-                pc = pcs[i]
-                inst = code[i][pc]
-                op = inst[0]
-                if trace is not None:
-                    line = now + texts[i][pc]
-                    trace.append(line + "\t(stall)" if i in stalled else line)
-                if op == _SEND or op == _RECV:
-                    if i in matched:
-                        if op == _RECV:
-                            regs[i][inst[2]] = matched[i]
-                        pcs[i] = pc + 1
-                    look = True  # the next pc's stop code, or still waiting next cycle
-                    continue
-                pcs[i], flags[i], row_idx[i], _, stop = _run(
-                    code[i], regs[i], rows[i], pc, flags[i], row_idx[i], cycle - 1, cycle, width)
-                if stop == _HALT:
-                    ended[i] = cycle
-                    halted = True
-                elif stop == _LOOK:
-                    look = True
-            if halted:
-                active = [i for i in active if ended[i] is None]
-        completed = True
+        for i in loaded:
+            pc = pcs[i]
+            if trace is not None:
+                line = f"{cycle}\t{_POSITION[i]}\t{pc}\t{seqs[i]._trace_text({})[pc]}"
+                trace.append(line + "\t(stall)" if i in waiting and i not in matched else line)
+            if i in waiting:
+                if i in matched:
+                    if waiting[i][0] == _RECV:
+                        regs[i][waiting[i][2]] = matched[i]
+                    pcs[i] = pc + 1
+                continue
+            pcs[i], flags[i], row_idx[i], _, stop = _run(
+                code[i], regs[i], rows[i], pc, flags[i], row_idx[i], first, cycle, width)
+            if stop == _HALT:
+                ended[i] = cycle
     except (InvalidRowIndex, PcOutOfRange, WidthMismatch) as exc:
-        if i is not None:  # raised by cell i's instruction, not before the cycle
-            exc.args = (f"{where[i]}{exc.args[0]}",)
+        exc.args = (f"{where[i]}{exc.args[0]}",)
+        ends = [cycle if j <= i else first for j in range(len(seqs))]
         raise
     finally:
-        # a cell's instruction raised mid-cycle: the cells scanned up to it
-        # spent that cycle, the later ones did not, and the cycle never ended
-        failed = None if completed else i
-        if grid is not None:
-            grid.global_cycle = cycle if failed is None else cycle - 1
-        ends = [cycle if failed is None or j <= failed else cycle - 1 for j in range(len(seqs))]
         _store(seqs, width, first, loaded, ended, ends, pcs, row_idx, flags, regs)
+    if grid is not None:
+        grid.global_cycle = cycle
 
 
 # --------------------------------------------------------------------------
@@ -906,7 +905,7 @@ class Sequencer:
         """
         if self.halted:
             raise SequencerHalted("step on a halted sequencer")
-        _lockstep([self], self.width, 1)
+        _step([self], self.width)
         return self
 
 
@@ -996,11 +995,6 @@ class Grid:
     def all_halted(self) -> bool:
         return all(seq.halted for row in self.cells for seq in row)
 
-    def _advance(self, budget: int) -> None:
-        seqs = [seq for row in self.cells for seq in row]
-        if self.tracing or not _free_run(seqs, self.width, budget, self):
-            _lockstep(seqs, self.width, budget, self)
-
     def step(self) -> "Grid":
         """Advance every non-halted cell by one cycle, row-major order.
 
@@ -1009,15 +1003,16 @@ class Grid:
         the receiver taking the sender's start-of-cycle register value.
         Unmatched exchange partners stall for the cycle.
         """
-        self._advance(1)
+        _free_run(self, 1)
         return self
 
     def run(self, max_cycles: int) -> RunResult:
         """Step until everything halts, the budget runs out, or deadlock."""
-        if max_cycles < 1:
-            raise InvalidArgument(f"max_cycles must be positive, got {max_cycles}")
+        if type(max_cycles) is not int or max_cycles < 1:  # a bool is no budget either
+            must = "positive" if type(max_cycles) is int else "an int"
+            raise InvalidArgument(f"max_cycles must be {must}, got {_shown(max_cycles)}")
         try:
-            self._advance(max_cycles - self.global_cycle)
+            _free_run(self, max_cycles - self.global_cycle)
         except DeadlockDetected as exc:
             return RunResult(RunOutcome.DEADLOCK, self.global_cycle, exc.cells)
         if self.all_halted:

@@ -172,6 +172,14 @@ CASES = [
      InvalidArgument, ValueError, "jump target must be an int in -65535..65535, got -65536"),
     (lambda: assemble("SETROW 70000\nHALT\n"),
      AsmSyntaxError, Exception, "line 1: col 8: row index 70000 does not fit in 16 bits"),
+    (lambda: Grid(4).run("5"),
+     InvalidArgument, ValueError, "max_cycles must be an int, got '5'"),
+    (lambda: Grid(4).run(2.5),
+     InvalidArgument, ValueError, "max_cycles must be an int, got 2.5"),
+    (lambda: Grid(4).run(True),
+     InvalidArgument, ValueError, "max_cycles must be an int, got True"),
+    (lambda: Grid(4).run(-(1 << 20000)),
+     InvalidArgument, ValueError, "max_cycles must be positive, got an int of 20001 bits"),
 ]
 
 
@@ -188,7 +196,8 @@ CASES = [
          "grid_width_past_digit_limit", "grid_width_past_u16", "grid_width_zero",
          "sequencer_width_float", "asm_width_huge", "setrow_huge", "jump_huge",
          "jump_huge_traced", "trace_text_huge", "setrow_past_u16", "jump_past_u16",
-         "asm_setrow_past_u16"],
+         "asm_setrow_past_u16", "max_cycles_str", "max_cycles_float", "max_cycles_bool",
+         "max_cycles_huge_negative"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:

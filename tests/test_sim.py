@@ -659,11 +659,13 @@ def test_grid_rejects_a_literal_of_another_width_at_its_first_cell():
     assert str(exc.value) == "cell (1,2): literal width 2 != grid width 4"
 
 
-def test_untraced_runs_that_halt_or_reach_the_budget_skip_the_cycle_loop(monkeypatch):
+def test_grid_runs_that_do_not_fault_never_take_the_one_cycle_step(monkeypatch):
+    """Runs and steps that halt, reach the budget or deadlock, traced or not,
+    are all free runs, and agree with the reference."""
     import lamp.sim
     from lamp.sim import RunResult
-    from sim_reference import grid_state
-    from test_sim_reference import _check_golden_sharded_run, _sharded_run
+    from sim_reference import RefGrid, grid_state
+    from test_sim_reference import _check_golden_sharded_run, _outcome, _sharded_run
 
     tie = [bv("1100"), bv("0110"), bv("0011"), bv("0101")]
     waits = Program()
@@ -671,36 +673,108 @@ def test_untraced_runs_that_halt_or_reach_the_budget_skip_the_cycle_loop(monkeyp
     waits.cells[0][1] = [LoadImm(Reg.MB, bv("0001"))] * 5 + [Recv(Dir.W, Reg.MB), Halt()]
     waits.cells[1][1] = [Send(Dir.S, Reg.MC), Halt()]
     waits.cells[2][1] = [Jump(0)]  # never takes (1,1)'s value
+    stuck = Program()  # (0,0) and (0,1) exchange, then both send, after (1,0) has halted
+    stuck.cells[0][0] = [LoadImm(Reg.MB, bv("0001"))] * 4 + [Send(Dir.E, Reg.MA)] * 2 + [Halt()]
+    stuck.cells[0][1] = [Recv(Dir.W, Reg.MB), Send(Dir.W, Reg.MB), Halt()]
+    stuck.cells[1][0] = [LoadImm(Reg.MC, bv("0011"))] * 2 + [Halt()]
 
-    def builtin(tracing):
-        g = Grid(4, tracing=tracing)
-        g.load_program(Program.single_cell(builtin_query_program(len(tie))))
-        g.set_table(tie)
-        g.set_register(Reg.MA, bv("0111"))
-        return g.run(100), grid_state(g)
+    def load(g, program, ma):
+        g.load_program(program)
+        for row in g.cells:
+            for seq in row:
+                seq.regs[Reg.MA] = ma
 
-    def waiting(tracing):
-        g = Grid(4, tracing=tracing)
-        g.load_program(waits)
-        g.set_register(Reg.MA, bv("1010"))
+    def builtin(g):
+        load(g, Program.single_cell(builtin_query_program(len(tie))), bv("0111"))
+        g.cell(0, 0).a_matrix = list(tie)
+        return [g.run(100), grid_state(g)]
+
+    def waiting(g):
+        load(g, waits, bv("1010"))
         seen = [g.run(5), grid_state(g)]
         g.step()  # (0,0) and (0,1) exchange in cycle 6
         return seen + [grid_state(g), g.run(9), grid_state(g)]
 
-    expected = builtin(True), waiting(True)  # a traced grid runs the cycle loop
-    monkeypatch.setattr(lamp.sim, "_lockstep", lambda *args: pytest.fail("the cycle loop ran"))
-    assert (builtin(False), waiting(False)) == expected
-    (result, state), seen = expected
+    def deadlock(g):
+        load(g, stuck, bv("1001"))
+        seen = [g.run(3), grid_state(g), g.run(50), grid_state(g)]
+        return seen + [_outcome(g.step), grid_state(g)]
+
+    monkeypatch.setattr(lamp.sim, "_step", lambda *args: pytest.fail("the one-cycle step ran"))
+    for tracing in (False, True):
+        for scenario in (builtin, waiting, deadlock):
+            ref, grid = RefGrid(4, tracing=tracing), Grid(4, tracing=tracing)
+            expected = scenario(ref), ref.trace
+            assert (scenario(grid), grid.trace) == expected
+            assert len(expected[1]) > 10 if tracing else expected[1] == []
+        _check_golden_sharded_run(*_sharded_run(False, tracing=tracing))
+    # cell state: pc, flag, row, cycles, halted, registers
+    (result, state), seen, stuck_at = builtin(Grid(4)), waiting(Grid(4)), deadlock(Grid(4))
     assert result == RunResult(RunOutcome.ALL_HALTED, 29)
     assert state[1][0][5][2:] == (0b0110, 0b1000)  # cell (0,0)'s MC and MD
-    # cell state: pc, flag, row, cycles, halted, registers
     assert seen[0] == RunResult(RunOutcome.CYCLE_BUDGET_EXHAUSTED, 5)
     assert [cell[:5] for cell in seen[1][1][:2]] == [(0, 0, 0, 5, False), (5, 0, 0, 5, False)]
     assert seen[3] == RunResult(RunOutcome.CYCLE_BUDGET_EXHAUSTED, 9)
     cells = seen[4][1]
     assert cells[0][:5] == (1, 0, 0, 7, True) and cells[1][5][1] == 0b1010
     assert cells[5][:5] == (0, 0, 0, 9, False)  # (1,1) still waits
-    _check_golden_sharded_run(*_sharded_run(False, tracing=False))
+    # the exchange completes in cycle 5, after which both cells send; (1,0) halted in cycle 3
+    assert stuck_at[2] == RunResult(RunOutcome.DEADLOCK, 5, ((0, 0), (0, 1)))
+    assert [cell[:5] for cell in stuck_at[3][1][:2]] == [(5, 0, 0, 5, False), (1, 0, 0, 5, False)]
+    assert stuck_at[3][1][4][:5] == (2, 0, 0, 3, True)
+    assert stuck_at[4] == ("raised", DeadlockDetected,
+                           "all active cells stalled on unmatched exchanges: (0,0), (0,1)")
+
+
+def test_a_faulting_grid_run_takes_the_one_cycle_step_once(monkeypatch):
+    """The first fault of a cycle-by-cycle run: the earliest cycle, in it a pc
+    outside the program before any instruction, then the first cell in scan
+    order. The run is made again to the cycle before, and that cycle is one
+    step, in which the cells before the faulting one complete their exchanges."""
+    import lamp.sim
+    from sim_reference import RefGrid, grid_state
+    from test_sim_reference import _outcome
+
+    pad = [LoadImm(Reg.MB, bv("0110"))]
+    early = Program()  # (2,2) faults in cycle 3, before (0,1) in 4 and (0,0) in 5
+    early.cells[0][0] = pad * 4 + [SetRow(9), Halt()]
+    early.cells[0][1] = pad * 3  # runs off its end
+    early.cells[2][2] = [IncRow()] * 3 + [Halt()]
+    beside = Program()  # in cycle 4: (0,0)'s row fault, and (1,1)'s pc before every instruction
+    beside.cells[0][0] = pad * 3 + [SetRow(9), Halt()]
+    beside.cells[1][1] = pad * 3
+    order = Program()  # in cycle 3: (0,0) completes its exchange with (1,0), which comes
+    order.cells[0][0] = pad * 2 + [Send(Dir.S, Reg.MB), Halt()]  # after the faulting (0,2)
+    order.cells[1][0] = [Recv(Dir.N, Reg.MD), Halt()]
+    order.cells[0][2] = pad * 2 + [Jump(7)]
+    order.cells[3][3] = pad * 2 + [SetRow(9)]  # the same cycle, later in scan order
+    messages = []
+    step = lamp.sim._step
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(lamp.sim, "_step", counted)
+    for program in (early, beside, order):
+        for tracing in (False, True):
+            ref, grid = RefGrid(4, tracing=tracing), Grid(4, tracing=tracing)
+            runs = []
+            for g in (ref, grid):
+                g.load_program(program)
+                for row in g.cells:
+                    for seq in row:
+                        seq.a_matrix = [bv("0001"), bv("0010")]
+                calls.clear()
+                runs.append((_outcome(lambda: g.run(100)), grid_state(g), g.trace))
+            assert runs[1] == runs[0] and len(calls) == 1
+        messages.append(runs[0][0][2])
+    assert messages == ["cell (2,2): INCROW past matrix of 2 rows",
+                        "cell (1,1): pc 3 outside program of 3",
+                        "cell (0,2): jump target 7 outside program"]
+    # (0,0) spent cycle 3 and took its exchange; (1,0), later in scan order, did not
+    assert [cell[:4] for cell in runs[0][1][1][:5:4]] == [(3, 0, 0, 3), (0, 0, 0, 2)]
 
 
 # --- translated loops --------------------------------------------------------
@@ -726,26 +800,50 @@ def test_the_sharded_fold_runs_in_its_translation_not_on_the_interpreter(monkeyp
     run = lamp.sim._run
     executed = []  # per _run call: the pc it began at, and the instructions it ran
 
-    def counted(code, ports, matrix, pc, flag, row, t, last, width):
-        out = run(code, ports, matrix, pc, flag, row, t, last, width)
+    def counted(code, ports, matrix, pc, flag, row, t, last, width, path=None):
+        out = run(code, ports, matrix, pc, flag, row, t, last, width, path)
         executed.append((pc, out[3] - t))
         return out
 
     monkeypatch.setattr(lamp.sim, "_run", counted)
     states, counts = [], []
-    for tracing in (True, False):  # the cycle loop runs every instruction on _run
+    for tracing in (True, False):  # a traced run translates its loops too
         executed.clear()
         grid = _sharded_grid(tracing)
+        (head, end), = grid.cell(0, 0)._loops.items()  # the fold, the same in every cell
         assert grid.run(100_000).outcome is RunOutcome.ALL_HALTED
         states.append(grid_state(grid))
-        (head, end), = grid.cell(0, 0)._loops.items()  # the fold, the same in every cell
         fold = sum(n for pc, n in executed if head <= pc <= end)
         counts.append((fold, sum(n for _, n in executed) - fold))
+        if tracing:  # what every cell ran, from its trace: in the fold, and the rest on _run
+            lines = [line.split("\t") for line in grid.trace]
+            in_fold = sum(head <= int(pc) <= end for _, _, pc, *_ in lines)
+            outside = sum(not head <= int(pc) <= end and not stall
+                          and not text.startswith(("SEND", "RECV"))
+                          for _, _, pc, text, *stall in lines)
     assert states[0] == states[1]
     (traced_fold, traced_rest), (fold, rest) = counts
-    assert traced_fold > 16 * 60 * 7  # seven instructions a row, 63 rows a cell
-    assert fold < 0.05 * traced_fold
-    assert rest == traced_rest  # the code outside the fold runs on _run, all of it
+    assert in_fold > 16 * 60 * 7  # seven instructions a row, 63 rows a cell
+    assert traced_fold < 0.05 * in_fold and fold < 0.05 * in_fold
+    assert rest == traced_rest == outside  # the code outside the fold runs on _run, all of it
+
+
+def test_the_cells_of_one_decode_look_their_loop_up_once(monkeypatch):
+    import lamp.sim
+
+    heads = []
+    translation = lamp.sim._translation
+
+    def counted(code, head, end, width, *traced):
+        heads.append(head)
+        return translation(code, head, end, width, *traced)
+
+    monkeypatch.setattr(lamp.sim, "_translation", counted)
+    for tracing in (False, True):
+        heads.clear()
+        grid = _sharded_grid(tracing)
+        assert grid.run(100_000).outcome is RunOutcome.ALL_HALTED
+        assert heads == [5] * 4  # sixteen cells share four decodes, each entering its fold
 
 
 def test_a_second_run_of_the_same_program_translates_nothing(monkeypatch):

@@ -522,3 +522,33 @@ def test_translated_loops_match_reference_at_every_budget(monkeypatch, stepwise)
     assert any(seen["fault in a loop: " + kind] for kind in ("row", "INCROW", "SETROW")), seen
     for category in ("all-halted", "cycle-budget-exhausted", "deadlock"):
         assert seen[category] >= 3, (category, seen)
+
+
+def test_traced_loops_match_reference(monkeypatch):
+    """Loop-shaped programs, traced, run to a budget and on: the same outcomes,
+    state and trace lines as the reference, with the loops run in their
+    traced translations."""
+    import lamp.sim
+
+    made = Counter()
+    translation = lamp.sim._translation
+
+    def counted(*args):
+        made[args[4:]] += 1  # (True,) for a traced translation
+        return translation(*args)
+
+    monkeypatch.setattr(lamp.sim, "_translation", counted)
+    rng = random.Random(2407)
+    seen = Counter()
+    for _ in range(100):
+        case = loop_case(rng)
+        budget, runs = rng.randint(case[4] // 3, case[4]), []
+        for grid, fast in ((RefGrid(case[0], tracing=True), False),
+                           (Grid(case[0], tracing=True), True)):
+            _build(grid, case, fast)
+            runs.append((_drive(grid, budget, False), grid_state(grid), grid.trace))
+        assert runs[1] == runs[0]
+        seen.update(_categories(runs[0][0], runs[0][2]))
+    assert made[(True,)] >= 100 and made[()] == 0, made
+    for category in ("all-halted", "cycle-budget-exhausted", "deadlock", "exchange"):
+        assert seen[category] >= 3, (category, seen)

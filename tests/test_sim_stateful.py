@@ -1,0 +1,122 @@
+"""The grid against its reference under interleaved calls.
+
+A Hypothesis state machine drives ``lamp.sim.Grid`` and
+``sim_reference.RefGrid`` through the same sequence of loads, table and
+register writes (through the API and straight into ``regs`` and
+``a_matrix``), single steps and runs, traced or not. After every call
+both must hold the same registers, pc, row, flag, halted state and
+cycles in every cell, the same global cycle and trace, and have returned
+the same result or raised the same exception class and message. Changes
+between runs are where a run's read and write-back of the cells, and the
+rerun of a faulting run, could part from the reference.
+"""
+
+import random
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from lamp.bitvec import BitVector
+from lamp.sim import GRID_SIZE, M_REGS, Grid, IncRow, JumpIfRowLt, Program
+from sim_reference import RefGrid, grid_state
+from test_sim_reference import DIRECTION_SETS, _outcome, random_instruction
+
+CELLS = st.tuples(st.integers(0, GRID_SIZE - 1), st.integers(0, GRID_SIZE - 1))
+
+
+def machine_program(seed, width):
+    """A 16-cell program drawn from ``seed``: empty cells, straight code and row loops.
+
+    Jumps land anywhere in a cell's code, now and then just past it, and
+    exchanges name random directions, so runs halt, loop, fault, wait
+    and deadlock.
+    """
+    rng = random.Random(seed)
+    dirs = rng.choice(DIRECTION_SETS)
+    program = Program()
+    for r in range(GRID_SIZE):
+        for c in range(GRID_SIZE):
+            if rng.random() < 0.4:
+                continue  # an empty cell starts halted
+            count = rng.randint(1, 7)
+            loop = rng.random() < 0.5  # close the code with a loop over the rows
+            length = count + 2 * loop
+            code = [random_instruction(rng, width, length, dirs, rng.random() < 0.3)
+                    for _ in range(count)]
+            program.cells[r][c] = code + ([IncRow(), JumpIfRowLt(0)] if loop else [])
+    return program
+
+
+class GridAgainstReference(RuleBasedStateMachine):
+    @initialize(width=st.integers(1, 9), tracing=st.booleans())
+    def build(self, width, tracing):
+        self.width = width
+        self.grids = Grid(width, tracing=tracing), RefGrid(width, tracing=tracing)
+        self.outcomes = None
+
+    def vectors(self, data, count):
+        return [BitVector(self.width, data.draw(st.integers(0, (1 << self.width) - 1)))
+                for _ in range(count)]
+
+    def cells(self, everywhere, at):
+        """The reference's cells that a Grid call with ``at`` (None when ``everywhere``) names."""
+        ref = self.grids[1]
+        return [cell for row in ref.cells for cell in row] if everywhere else [ref.cell(*at)]
+
+    def both(self, call):
+        """Make ``call`` on the grid and on the reference; both must end alike."""
+        self.outcomes = [_outcome(lambda: call(grid)) for grid in self.grids]
+
+    @rule(seed=st.integers(0, 2**32 - 1))
+    def load_program(self, seed):
+        program = machine_program(seed, self.width)
+        self.both(lambda grid: grid.load_program(program))
+
+    @rule(data=st.data(), count=st.integers(0, 5), everywhere=st.booleans(), at=CELLS)
+    def set_table(self, data, count, everywhere, at):
+        rows = self.vectors(data, count)
+        self.grids[0].set_table(rows, at=None if everywhere else at)
+        for cell in self.cells(everywhere, at):
+            cell.a_matrix = list(rows)
+
+    @rule(data=st.data(), reg=st.sampled_from(M_REGS), everywhere=st.booleans(), at=CELLS)
+    def set_register(self, data, reg, everywhere, at):
+        value, = self.vectors(data, 1)
+        self.grids[0].set_register(reg, value, at=None if everywhere else at)
+        for cell in self.cells(everywhere, at):
+            cell.regs[reg] = value
+
+    @rule(data=st.data(), reg=st.sampled_from(M_REGS), at=CELLS)
+    def write_register(self, data, reg, at):
+        value, = self.vectors(data, 1)
+        for grid in self.grids:
+            grid.cell(*at).regs[reg] = value
+
+    @rule(data=st.data(), count=st.integers(0, 5), at=CELLS)
+    def write_matrix(self, data, count, at):
+        rows = self.vectors(data, count)
+        for grid in self.grids:
+            grid.cell(*at).a_matrix = list(rows)
+
+    @rule()
+    def step(self):
+        self.both(lambda grid: grid.step())
+
+    @rule(ahead=st.integers(0, 40))
+    def run(self, ahead):
+        budget = max(1, self.grids[0].global_cycle + ahead)
+        self.both(lambda grid: grid.run(budget))
+
+    @invariant()
+    def agree(self):
+        if self.outcomes is not None:
+            assert self.outcomes[0] == self.outcomes[1]
+        fast, ref = self.grids
+        assert grid_state(fast) == grid_state(ref)
+        assert fast.trace == ref.trace
+
+
+GridAgainstReference.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None)
+TestGridAgainstReference = GridAgainstReference.TestCase
