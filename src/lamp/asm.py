@@ -41,7 +41,8 @@ the kind leaves unused (the f-bytes past its enum operands, and arg16
 of a kind with no row index or jump target) is zero, and a LOGIC PASS
 repeats its source in f3, so a program has one encoding: the decoder
 refuses any other record with the field and the record's offset.
-``program_to_bytes`` encodes each distinct instruction object once.
+``program_to_bytes`` encodes each distinct instruction object once, and
+``program_from_bytes`` walks the records of each byte-equal cell once.
 
 An instruction class in ``sim`` states its shape once, as OPERANDS
 ``(field name, kind)`` pairs, and ``sim.OPERAND_KINDS`` is the one table
@@ -443,31 +444,60 @@ def _decode_record(data: bytes, pos: int, width):
     return inst
 
 
+def _walk(data: bytes, pos: int, count: int, width, memo: dict) -> tuple[list, int]:
+    """The ``count`` instructions of the records from ``pos``, and the offset past them.
+
+    Equal records, a LOADM's with its literal, decode to one shared
+    instruction through ``memo``; only records that decoded are
+    remembered, so no fault goes unreported."""
+    literal = (width + 7) // 8 if width else 0
+    code = []
+    append, get = code.append, memo.get
+    for _ in range(count):
+        end = pos + 8
+        key = data[pos:end]
+        inst = get(key)
+        if inst is None:
+            if key[:1] == _LOADM:
+                end += literal
+                key = data[pos:end]
+                inst = get(key)
+            if inst is None:  # a cut record matches no key remembered
+                inst = memo[key] = _decode_record(data, pos, width)
+        append(inst)
+        pos = end
+    return code, pos
+
+
 def program_from_bytes(data: bytes) -> Program:
-    """Equal records, a LOADM's with its literal, decode to one shared instruction;
-    only records that decoded are remembered, so no fault goes unreported."""
+    """Decode a LAMP1 binary, refusing any bytes ``program_to_bytes`` would not write.
+
+    Byte-equal cells decode once: a cell whose record count is that of an
+    earlier cell and whose bytes start with that cell's section takes a
+    copy of its list, so every cell gets its own list of the shared
+    instructions. Equal records, a LOADM's with its literal, decode to one
+    shared instruction. Only what decoded is remembered, and only within
+    one call, so each fault is refused at its own offset.
+    """
     data = bytes(data)  # hashable slices for any bytes-like input
     if _take(data, 0, len(MAGIC)) != MAGIC:
         raise MalformedBinary("bad magic, not a LAMP1 program")
     width = int.from_bytes(_take(data, 5, 2), "big") or None
     counts = [int.from_bytes(_take(data, 7 + 4 * i, 4), "big") for i in range(GRID_SIZE**2)]
-    literal = (width + 7) // 8 if width else 0
     program = Program(width=width)
-    memo: dict = {}
+    memo: dict = {}  # record -> its instruction
+    sections: dict = {}  # record count -> (bytes, instructions) of each distinct cell so far
     pos = 7 + 4 * GRID_SIZE**2
     for idx, count in enumerate(counts):
-        code = []
-        for _ in range(count):
-            key = data[pos : pos + 8]
-            inst = memo.get(key)
-            if inst is None:
-                if key[:1] == _LOADM:
-                    key = data[pos : pos + 8 + literal]
-                    inst = memo.get(key)
-                if inst is None:  # a cut record matches no key remembered
-                    inst = memo[key] = _decode_record(data, pos, width)
-            code.append(inst)
-            pos += len(key)
+        for section, known in sections.get(count, ()):
+            if data.startswith(section, pos):
+                code = known.copy()
+                pos += len(section)
+                break
+        else:
+            start = pos
+            code, pos = _walk(data, pos, count, width, memo)
+            sections.setdefault(count, []).append((data[start:pos], code))
         program.cells[idx // GRID_SIZE][idx % GRID_SIZE] = code
     if pos != len(data):
         raise MalformedBinary(f"{len(data) - pos} trailing bytes")

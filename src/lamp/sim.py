@@ -147,7 +147,7 @@ def _shown(value) -> str:
     if isinstance(value, enum.Enum):
         return str(value)
     if type(value) is int and value.bit_length() > 9999:
-        return f"an int of {value.bit_length()} bits"
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
     return repr(value)
 
 
@@ -431,7 +431,9 @@ def _load(seqs: list, width: int, where: list) -> tuple:
     indexes of those cells, and per index its code, its ports (MA..MD,
     then the ROW port, None past the matrix), its matrix rows, pc, row
     counter and flag. Raises NotAVector for a register or matrix row that
-    is not a BitVector, and WidthMismatch for a register of another width.
+    is not a BitVector, WidthMismatch for a register of another width, and
+    InvalidArgument for a pc or row counter that is not an int (the row
+    counter nonnegative) or a flag that is not 0 or 1.
     """
     count = len(seqs)
     code, regs, rows = [None] * count, [None] * count, [None] * count
@@ -439,6 +441,14 @@ def _load(seqs: list, width: int, where: list) -> tuple:
     loaded = [i for i, seq in enumerate(seqs) if not seq.halted]
     for i in loaded:
         seq = seqs[i]
+        pc, counter, flag = seq.pc, seq.row_idx, seq.flag
+        if type(pc) is not int:  # not a bool either
+            raise InvalidArgument(f"{where[i]}pc must be an int, got {_shown(pc)}")
+        if type(counter) is not int or counter < 0:
+            raise InvalidArgument(f"{where[i]}row counter must be a nonnegative int, "
+                                  f"got {_shown(counter)}")
+        if type(flag) is not int or flag not in (0, 1):
+            raise InvalidArgument(f"{where[i]}flag must be 0 or 1, got {_shown(flag)}")
         values = []
         for reg in M_REGS:
             value = seq.regs[reg]
@@ -457,10 +467,10 @@ def _load(seqs: list, width: int, where: list) -> tuple:
                           if not isinstance(row, BitVector))
             raise NotAVector(f"{where[i]}matrix row {k} is "
                              f"{type(row).__name__}, not a BitVector") from None
-        row = row_idx[i] = seq.row_idx
-        values.append(matrix[row] if 0 <= row < len(matrix) else None)
+        row_idx[i] = counter
+        values.append(matrix[counter] if counter < len(matrix) else None)
         regs[i] = values
-        code[i], pcs[i], flags[i] = seq._code, seq.pc, seq.flag
+        code[i], pcs[i], flags[i] = seq._code, pc, flag
     return loaded, code, regs, rows, pcs, row_idx, flags
 
 
@@ -801,7 +811,7 @@ def _step(seqs: list, width: int, grid=None) -> None:
     for i in loaded:
         pc, cell_code = pcs[i], code[i]
         if not 0 <= pc < len(cell_code):
-            raise PcOutOfRange(f"{where[i]}pc {pc} outside program of {len(cell_code)}")
+            raise PcOutOfRange(f"{where[i]}pc {_shown(pc)} outside program of {len(cell_code)}")
         if cell_code[pc][0] == _SEND or cell_code[pc][0] == _RECV:
             waiting[i] = cell_code[pc]
     matched = {}  # the cells whose exchange completes, each with the value it takes
@@ -859,8 +869,14 @@ class Sequencer:
                 f"machine width must be an int in 1..{MAX_WIDTH}, got {_shown(width)}")
         self.width = width
         self.regs = dict.fromkeys(M_REGS, BitVector.zeros(width))  # BitVectors are immutable
-        self.set_matrix(a_matrix or [])
-        self.program = program or []
+        if a_matrix:
+            self.set_matrix(a_matrix)
+        else:
+            self.a_matrix = []
+        if program:
+            self.program = program
+        else:  # no code to decode, and a loops dict of its own for what a load puts there
+            self._program, self._code, self._loops, self._texts = [], [], {}, None
         self.row_idx = 0
         self.flag = 0
         self.pc = 0
@@ -945,27 +961,31 @@ class Grid:
             raise WidthMismatch(
                 f"program width {program.width} != grid width {self.width}"
             )
-        # Cells whose lists hold the same instruction objects share one
-        # decode; the program keeps the objects alive, so their ids stay distinct.
-        decoded, texts = {}, {}
-        for r in range(GRID_SIZE):
-            for c in range(GRID_SIZE):
-                seq = self.cells[r][c]
-                seq._program, seq._texts = list(program.cells[r][c]), None
-                key = tuple(map(id, seq._program))
-                if key not in decoded:
-                    code, loops = _decode(seq._program, self.width)
-                    bad = [inst[1] for inst in code if inst[0] == _BADWIDTH]
-                    decoded[key] = code, loops, bad
-                seq._code, seq._loops, bad = decoded[key]
-                if bad:
-                    raise WidthMismatch(f"cell ({r},{c}): literal width {bad[0]} "
-                                        f"!= grid width {self.width}")
-                if self.tracing:
-                    seq._trace_text(texts)
-                # a loaded program starts from a fresh control state
-                seq.pc = seq.row_idx = seq.flag = 0
-                seq.halted = not seq.program
+        # Cells with equal instruction lists share one decode, its loops and their
+        # translations; list == passes the same object without calling its __eq__.
+        decoded, texts = [], {}  # (instructions, (code, loops, bad)) of each distinct list
+        for (r, c), seq in zip(_CELLS, self._targets(None)):
+            instructions = seq._program = list(program.cells[r][c])
+            seq._texts = None
+            if not instructions:  # nothing to decode
+                done = [], {}, ()
+            else:
+                for known, done in decoded:
+                    if known == instructions:
+                        break
+                else:
+                    code, loops = _decode(instructions, self.width)
+                    done = code, loops, [inst[1] for inst in code if inst[0] == _BADWIDTH]
+                    decoded.append((instructions, done))
+            seq._code, seq._loops, bad = done
+            if bad:
+                raise WidthMismatch(f"cell ({r},{c}): literal width {bad[0]} "
+                                    f"!= grid width {self.width}")
+            if self.tracing:
+                seq._trace_text(texts)
+            # a loaded program starts from a fresh control state
+            seq.pc = seq.row_idx = seq.flag = 0
+            seq.halted = not instructions
 
     def _targets(self, at) -> list[Sequencer]:
         """The cell at ``at``, or every cell when ``at`` is None."""

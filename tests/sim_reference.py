@@ -12,7 +12,13 @@ raises, the exception's class and message.
 from __future__ import annotations
 
 from lamp.bitvec import BitVector, orf, sls, vand, vnot, vor, vxor
-from lamp.errors import DeadlockDetected, InvalidRowIndex, PcOutOfRange, WidthMismatch
+from lamp.errors import (
+    DeadlockDetected,
+    InvalidArgument,
+    InvalidRowIndex,
+    PcOutOfRange,
+    WidthMismatch,
+)
 from lamp.sim import (
     GRID_SIZE,
     M_REGS,
@@ -57,6 +63,17 @@ class RefCell:
     @property
     def row_count(self):
         return len(self.a_matrix)
+
+    def check_control(self, where=""):
+        """Refuse a pc or row counter that is not an int, a negative row
+        counter, or a flag that is not 0 or 1."""
+        if type(self.pc) is not int:
+            raise InvalidArgument(f"{where}pc must be an int, got {self.pc!r}")
+        if type(self.row_idx) is not int or self.row_idx < 0:
+            raise InvalidArgument(
+                f"{where}row counter must be a nonnegative int, got {self.row_idx!r}")
+        if type(self.flag) is not int or self.flag not in (0, 1):
+            raise InvalidArgument(f"{where}flag must be 0 or 1, got {self.flag!r}")
 
     def current(self):
         if not 0 <= self.pc < len(self.program):
@@ -176,6 +193,12 @@ class RefGrid:
     def all_halted(self):
         return all(seq.halted for row in self.cells for seq in row)
 
+    def _check_control(self):
+        for r in range(GRID_SIZE):
+            for c in range(GRID_SIZE):
+                if not self.cells[r][c].halted:
+                    self.cells[r][c].check_control(f"cell ({r},{c}): ")
+
     def _trace(self, cycle, r, c, seq, note=""):
         if self.tracing:
             self.trace.append(f"{cycle}\t{r},{c}\t{seq.pc}\t{seq.current().text()}{note}")
@@ -189,6 +212,7 @@ class RefGrid:
         ]
         if not active:
             return
+        self._check_control()
 
         comm = {}
         for r, c, seq in active:
@@ -248,7 +272,8 @@ class RefGrid:
         while True:
             if self.all_halted:
                 return RunResult(RunOutcome.ALL_HALTED, self.global_cycle)
-            if self.global_cycle >= max_cycles:
+            if self.global_cycle >= max_cycles:  # a cell that could run is still checked
+                self._check_control()
                 return RunResult(RunOutcome.CYCLE_BUDGET_EXHAUSTED, self.global_cycle)
             try:
                 self.step()

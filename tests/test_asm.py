@@ -565,6 +565,80 @@ def test_equal_records_decode_to_one_shared_instruction():
                for i in range(4))
 
 
+def _sections(program):
+    """The (start, end, record starts) of each cell's section of the program's LAMP1 blob."""
+    pos, out = 5 + 2 + 4 * GRID_SIZE**2, []
+    for code in (code for row in program.cells for code in row):
+        starts = []
+        for inst in code:
+            starts.append(pos)
+            pos += 8 + (-(-program.width // 8) if isinstance(inst, LoadImm) else 0)
+        out.append((starts[0] if starts else pos, pos, starts))
+    return out
+
+
+def test_byte_equal_cells_walk_their_records_once(monkeypatch):
+    assembled = assemble(sharded.sharded_source(16))
+    blob = program_to_bytes(assembled)
+    walks = []
+    walk = lamp.asm._walk
+    monkeypatch.setattr(lamp.asm, "_walk", lambda data, pos, *rest: walks.append(pos)
+                        or walk(data, pos, *rest))
+    decoded = program_from_bytes(blob)
+    assert decoded == assembled
+    cells = [code for row in decoded.cells for code in row]
+    first = [i for i, code in enumerate(cells) if code not in cells[:i]]
+    assert first == [0, 1, 4, 5]  # the cells differ only by the parity of row and column
+    assert walks == [_sections(assembled)[i][0] for i in first]
+    assert len({id(code) for code in cells}) == GRID_SIZE**2
+    cells[0].append(Halt())  # a walked list, then a copy of one
+    cells[10].append(Halt())
+    expected = [code for row in assembled.cells for code in row]
+    assert [code for i, code in enumerate(cells) if i not in (0, 10)] == [
+        code for i, code in enumerate(expected) if i not in (0, 10)]
+
+
+REPEATED = {
+    "broadcast-builtin": Program.broadcast(builtin_query_program(8), width=8),
+    "sharded": assemble(sharded.sharded_source(16)),
+}
+
+
+@pytest.mark.parametrize("program", REPEATED.values(), ids=REPEATED.keys())
+def test_a_one_byte_mutant_of_repeated_cells_is_refused_or_re_encodes_to_itself(program):
+    """Mutants in the header, the first cell and the first cell that repeats
+    an earlier one (every byte of a broadcast); a refused record in a
+    repeated cell is named at its own offset."""
+    blob = program_to_bytes(program)
+    sections = _sections(program)
+    cells = [code for row in program.cells for code in row]
+    again = next(i for i, code in enumerate(cells) if code in cells[:i])
+    start, end, starts = sections[again]
+    at_record = {at: rec for rec in starts for at in range(rec, rec + 8)}
+    spans = [range(len(blob))] if program.width == 8 else [
+        range(sections[0][0]), range(*sections[0][:2]), range(start, end)]
+    accepted = 0
+    for at in itertools.chain(*spans):
+        old = blob[at]
+        for byte in sorted({old ^ 0x01, old ^ 0x02, old ^ 0x10, old ^ 0x80, 0x00, 0xFF} - {old}):
+            mutant = blob[:at] + bytes([byte]) + blob[at + 1 :]
+            try:
+                decoded = program_from_bytes(mutant)
+            except MalformedBinary as exc:
+                if at in at_record and "offset" in str(exc):
+                    assert str(exc).endswith(f"at offset {at_record[at]}"), (at, byte, exc)
+                continue
+            accepted += 1
+            assert program_to_bytes(decoded) == mutant, (at, byte)
+    assert accepted
+    # the unused f5 of the repeated cell's last record, a HALT
+    for rec in (sections[0][2][-1], starts[-1]):
+        mutant = blob[:rec + 5] + b"\x01" + blob[rec + 6 :]
+        with pytest.raises(MalformedBinary) as exc:
+            program_from_bytes(mutant)
+        assert str(exc.value) == f"nonzero unused field f5 in the record at offset {rec}"
+
+
 @pytest.mark.parametrize("blob, message", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_binary_messages_golden(blob, message):
     with pytest.raises(MalformedBinary) as exc:
@@ -620,6 +694,11 @@ def programs(draw):
     )
     for r, c in cells:
         prog.cells[r][c] = draw(cell_programs(width))
+    # most grid programs repeat a cell, whole or with more after it
+    for r, c in draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3)):
+        rr, cc = draw(st.sampled_from(sorted(cells)))
+        code = prog.cells[rr][cc]
+        prog.cells[r][c] = code + [Halt()] * draw(st.integers(0, 1))
     return prog
 
 

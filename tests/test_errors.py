@@ -27,6 +27,7 @@ from lamp import (
     NotAnInstruction,
     NotBinary,
     Orf,
+    PcOutOfRange,
     Program,
     Recv,
     Reg,
@@ -61,6 +62,23 @@ def _run_program(instructions, tracing=False):
     grid.load_program(Program.single_cell(instructions))
     grid.run(10)
 
+
+def _step_after(change):
+    """Step a standalone sequencer that holds a program, after ``change(seq)``."""
+    seq = Sequencer(4, [Halt()])
+    change(seq)
+    seq.step()
+
+
+# a cell's control state set before a run, and the run's refusal
+CONTROL = {
+    "pc_float": ("pc", 0.0, "cell (0,0): pc must be an int, got 0.0"),
+    "pc_bool": ("pc", True, "cell (0,0): pc must be an int, got True"),
+    "row_str": ("row_idx", "a", "cell (0,0): row counter must be a nonnegative int, got 'a'"),
+    "row_negative": ("row_idx", -1, "cell (0,0): row counter must be a nonnegative int, got -1"),
+    "flag_none": ("flag", None, "cell (0,0): flag must be 0 or 1, got None"),
+    "flag_two": ("flag", 2, "cell (0,0): flag must be 0 or 1, got 2"),
+}
 
 CASES = [
     (lambda: rank(AssocTable.from_rows(["10"]), BitVector.parse("10"), 0),
@@ -179,7 +197,13 @@ CASES = [
     (lambda: Grid(4).run(True),
      InvalidArgument, ValueError, "max_cycles must be an int, got True"),
     (lambda: Grid(4).run(-(1 << 20000)),
-     InvalidArgument, ValueError, "max_cycles must be positive, got an int of 20001 bits"),
+     InvalidArgument, ValueError, "max_cycles must be positive, got a negative int of 20001 bits"),
+    *((lambda attr=attr, value=value: _run_after(lambda seq: setattr(seq, attr, value)),
+       InvalidArgument, ValueError, message) for attr, value, message in CONTROL.values()),
+    (lambda: _step_after(lambda seq: setattr(seq, "pc", 0.0)),
+     InvalidArgument, ValueError, "pc must be an int, got 0.0"),
+    (lambda: _run_after(lambda seq: setattr(seq, "pc", 1 << 20000)),
+     PcOutOfRange, LampError, "cell (0,0): pc an int of 20001 bits outside program of 1"),
 ]
 
 
@@ -197,7 +221,7 @@ CASES = [
          "sequencer_width_float", "asm_width_huge", "setrow_huge", "jump_huge",
          "jump_huge_traced", "trace_text_huge", "setrow_past_u16", "jump_past_u16",
          "asm_setrow_past_u16", "max_cycles_str", "max_cycles_float", "max_cycles_bool",
-         "max_cycles_huge_negative"],
+         "max_cycles_huge_negative", *CONTROL, "step_pc_float", "pc_huge"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:
@@ -205,6 +229,23 @@ def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     assert isinstance(err.value, LampError)
     assert isinstance(err.value, builtin)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("attr, value, message", CONTROL.values(), ids=CONTROL.keys())
+def test_a_bad_control_state_is_refused_as_the_reference_refuses(attr, value, message):
+    """By a run, a step, and a run whose budget is spent."""
+    from sim_reference import RefGrid
+
+    for grid in (Grid(4), Grid(4, tracing=True), RefGrid(4)):
+        for spent in (False, True):
+            grid.load_program(Program.single_cell([Jump(0)]))
+            if spent:
+                assert grid.run(3).cycles == 3  # no cycle is left to the run below
+            setattr(grid.cell(0, 0), attr, value)
+            for call in (lambda: grid.run(3), grid.step):
+                with pytest.raises(InvalidArgument) as err:
+                    call()
+                assert str(err.value) == message
 
 
 # Every enum's members (Reg.ROW among them), and values of the wrong type or range.

@@ -7,7 +7,8 @@ from lamp.asm import assemble, program_from_bytes, program_to_bytes
 from lamp.assoc import AssocTable, query
 from lamp.bitvec import BitVector, sls, vxor
 from lamp.errors import (
-    DeadlockDetected, InvalidRowIndex, LampError, PcOutOfRange, WidthMismatch,
+    DeadlockDetected, InvalidRowIndex, LampError, PcOutOfRange, SequencerHalted,
+    WidthMismatch,
 )
 from lamp.quality import criterion_vector
 from lamp.sim import (
@@ -635,7 +636,7 @@ def test_decoded_program_shares_instructions_and_cell_decodes(monkeypatch):
     assert len(objects) == len(_records(blob)) < total
     calls = []
     decode = lamp.sim._decode
-    one, two = Grid(16), Grid(16)  # each new cell decodes its empty program
+    one, two = Grid(16), Grid(16)
 
     def counted(program, width):
         calls.append(program)
@@ -645,8 +646,29 @@ def test_decoded_program_shares_instructions_and_cell_decodes(monkeypatch):
     one.load_program(decoded)
     assert len(calls) == 4  # the cells differ only by the parity of row and column
     calls.clear()
-    two.load_program(assembled)  # equal but distinct objects are decoded apart
-    assert len(calls) == GRID_SIZE * GRID_SIZE
+    two.load_program(assembled)  # equal but distinct objects compare equal, and decode once
+    assert len(calls) == 4
+
+
+def test_a_grid_decodes_nothing_until_a_program_is_loaded(monkeypatch):
+    import lamp.sim
+
+    calls = []
+    decode = lamp.sim._decode
+    monkeypatch.setattr(lamp.sim, "_decode", lambda program, width: calls.append(program)
+                        or decode(program, width))
+    grid, seq = Grid(8), Sequencer(8)
+    assert calls == []
+    cells = [cell for row in grid.cells for cell in row] + [seq]
+    assert all(cell.halted and cell.program == [] and cell.a_matrix == [] for cell in cells)
+    assert len({id(cell._loops) for cell in cells}) == len(cells)  # translations go there
+    with pytest.raises(SequencerHalted):
+        seq.step()
+    grid.load_program(Program.single_cell(builtin_query_program(8)))
+    assert len(calls) == 1  # the fifteen empty cells decode nothing
+    assert len({id(cell._loops) for cell in cells}) == len(cells)
+    seq.program = [Halt()]  # a program assigned later decodes as before
+    assert len(calls) == 2
 
 
 def test_grid_rejects_a_literal_of_another_width_at_its_first_cell():
