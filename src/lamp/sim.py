@@ -16,30 +16,24 @@ an unmatched partner stalls. Cells are scanned in fixed row-major order
 and transfers copy the sender's start-of-cycle value, so simulation is
 bit-for-bit deterministic.
 
-A program is predecoded when it is loaded: each instruction becomes a
-tuple of plain ints (opcode, register indexes, the literal's value, the
-jump target), which ``_run`` executes for one cell, one instruction per
-cycle. Cells meet only at SEND and RECV, so ``Grid.run`` and
-``Grid.step`` run each cell alone to its next exchange and settle the
-exchanges from the cycles at which the cells arrived (``_free_run``, the
-one interpreter of a grid over many cycles). There each loop of a cell's
-code (the pcs from a backward jump's target to the jump) runs as one
-Python function translated from its tuples, with every basic block as
-straight-line int code, cached by value up to a fixed bound; the rest
-runs on ``_run``, the oracle of the translations. A traced run notes
-each jump taken and each exchange and writes its trace from them at the
-end. A run that faults is run again to the cycle before the fault, and
-``_step``, which also runs ``Sequencer.step``, runs that one cycle.
-Registers are ``BitVector``s at the API edge, in ``Sequencer.regs``;
-inside a run they are ints, read when the run starts and written back
-when it returns or raises.
+A program is predecoded when it is loaded. Cells meet only at SEND and
+RECV, so ``Grid.run`` and ``Grid.step`` run each cell alone from exchange
+to exchange and settle the exchanges from the cycles at which the cells
+arrived (``_free_run``). Each stretch between exchanges is one call of
+the cell's translation, its whole code as one Python function of
+straight-line int blocks; ``_run`` executes one instruction a cycle, for
+the cycles no whole block fits, ``Sequencer.step`` and faults, and is the
+oracle of the translations. Registers and matrix rows are ints inside a
+cell, and ``Sequencer.regs`` and ``a_matrix`` show them as ``BitVector``s.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, zip_longest
+from operator import and_, or_, xor
 
 from .bitvec import BitVector
 from .errors import (
@@ -343,27 +337,37 @@ def _check_vector(value) -> None:
         raise NotAVector(f"expected a BitVector, got {type(value).__name__}")
 
 
+def _slot(reg) -> int:  # the index of the m-register reg in a cell's int registers
+    if reg not in M_REGS:
+        shown = reg.name if isinstance(reg, Reg) else repr(reg)
+        raise LampError(f"cannot set {shown}: only MA, MB, MC and MD hold values")
+    return reg._value_
+
+
+def _row_values(rows, width: int) -> list:
+    """The ints of ``rows``, each checked to be a BitVector of ``width``; never changed
+    in place, so cells may share it."""
+    rows = list(rows)
+    values = [row.value for row in rows if isinstance(row, BitVector) and row.n == width]
+    if len(values) < len(rows):
+        row = next(row for row in rows if not isinstance(row, BitVector) or row.n != width)
+        _check_vector(row)
+        raise WidthMismatch(f"matrix row width {row.n} != {width}")
+    return values
+
+
 # --------------------------------------------------------------------------
 # Predecoded code
 #
-# A cell's program is decoded once, when it is loaded, into one tuple of
-# plain ints per instruction, and runs execute the tuples on int
-# registers. The last field of a tuple is the stop code of the pc it
-# falls through to: _STOP when that pc holds an exchange, lies past the
-# end of the program or is the head of a loop, where _run returns, and
-# _GO otherwise. A jump carries a second stop code for its target, _BAD
-# when the target lies outside the program. A loop is the pcs from the
-# target of a backward jump to the last backward jump to that target.
-# The free run (_free_run) executes a loop through its translation
-# (_translation), kept by value in _TRANSLATIONS, the oldest dropped past
-# _MAX_TRANSLATIONS, and the rest on _run, one instruction per cycle, as
-# the one-cycle step (_step) does.
+# One tuple of plain ints per instruction, run by a translation (_translation)
+# from exchange to exchange, or by _run one a cycle. There are no stop codes:
+# SEND, RECV and HALT end every segment.
 
-_LOGIC, _ORF, _JUMP, _SETROW, _INCROW, _LOADM, _SEND, _RECV, _HALT, _BADWIDTH = range(10)
-_GO, _STOP, _BAD = range(3)
-_ALWAYS, _IF_FLAG, _IF_NOT_FLAG, _IF_ROW = range(4)  # jump conditions, in the order of JUMPS
+# the ops from _SEND on end a segment
+_LOGIC, _ORF, _JUMP, _SETROW, _INCROW, _LOADM, _BADWIDTH, _SEND, _RECV, _HALT = range(10)
+_ALWAYS = 0  # the condition of JMP; a condition is its class's index in JUMPS
 _CONDITION = {cls: cond for cond, cls in enumerate(JUMPS)}
-_AND, _OR, _XOR = BinOp.AND.value, BinOp.OR.value, BinOp.XOR.value
+_APPLY = (and_, or_, xor, lambda a, b: a)  # the binary ops, by BinOp value
 _NOT, _SLC = UnOp.NOT.value, UnOp.SLC.value
 _ROW = Reg.ROW.value  # the row port is register slot 4 of a running cell
 
@@ -376,68 +380,54 @@ _PARTNER = [  # _PARTNER[cell][direction] is the neighbouring cell's index
 _FACING = [opposite(d).value for d in Dir]  # the direction a partner must name
 
 
-def _decode(program: list, width: int) -> tuple[list[tuple], dict]:
-    """The int code of one cell's instructions, for vectors of ``width``,
-    and its loops as ``{head pc: last pc}``, to which a free run adds each
-    translation it makes at ``(head pc, traced)``."""
+def _decode(program: list, width: int) -> tuple:
+    """The int code of one cell's instructions, for vectors of ``width``."""
     size = len(program)
-    loops = {inst.target: pc for pc, inst in enumerate(program)  # the last jump back ends it
-             if type(inst) in _CONDITION and 0 <= inst.target <= pc}
-    stops = [_STOP if type(inst) in (Send, Recv) or pc in loops else _GO
-             for pc, inst in enumerate(program)]
-    stops.append(_STOP)
     code = []
-    for pc, inst in enumerate(program):
-        cls, stop = type(inst), stops[pc + 1]
+    for inst in program:
+        cls = type(inst)
         if cls is Logic:
             a, b = inst.src_a._value_, inst.src_b._value_
             code.append((_LOGIC, inst.binop._value_, a, b, inst.unop._value_,
-                         inst.dst._value_, _ROW in (a, b), stop))
+                         inst.dst._value_, _ROW in (a, b)))
         elif cls is Orf:
             src = inst.src._value_
-            code.append((_ORF, src, src == _ROW, stop))
-        elif cls in _CONDITION:
-            target = inst.target
-            taken = stops[target] if 0 <= target < size else _BAD
-            code.append((_JUMP, _CONDITION[cls], target, taken, stop))
+            code.append((_ORF, src, src == _ROW))
+        elif cls in _CONDITION:  # the last field: the target lies outside the program
+            code.append((_JUMP, _CONDITION[cls], inst.target, not 0 <= inst.target < size))
         elif cls is SetRow:
-            code.append((_SETROW, inst.index, stop))
+            code.append((_SETROW, inst.index))
         elif cls is IncRow:
-            code.append((_INCROW, stop))
+            code.append((_INCROW,))
         elif cls is LoadImm:
             lit = inst.literal
-            if lit.n != width:
-                code.append((_BADWIDTH, lit.n))
-            else:
-                code.append((_LOADM, inst.reg._value_, lit.value, stop))
-        elif cls is Send or cls is Recv:
-            code.append((_SEND if cls is Send else _RECV, inst.direction._value_,
-                         inst.reg._value_, stop))
+            code.append((_LOADM, inst.reg._value_, lit.value) if lit.n == width
+                        else (_BADWIDTH, lit.n))
+        elif cls is Send or cls is Recv:  # with the keys (op, direction) of it and of its partner
+            op, other = (_SEND, _RECV) if cls is Send else (_RECV, _SEND)
+            d = inst.direction._value_
+            code.append((op, d, inst.reg._value_, op << 3 | d, other << 3 | _FACING[d]))
         elif cls is Halt:
             code.append((_HALT,))
         else:
             raise NotAnInstruction(f"cannot execute {inst!r}")
-    return code, loops
+    return tuple(code)
 
 
-def _row_error(row: int, matrix: list) -> InvalidRowIndex:
-    return InvalidRowIndex(f"row {row} outside matrix of {len(matrix)} rows")
+# A running cell's state is one list: MA..MD, the ROW port (None past the matrix), pc,
+# flag, row counter, the matrix's size, and the cycle after which it waits at an exchange.
+_PC, _SIZE, _WAIT = 5, 8, 9
 
 
-def _load(seqs: list, width: int, where: list) -> tuple:
-    """Read the non-halted cells of ``seqs`` into ints for a run.
+def _load(seqs: list, where: list, traced=None) -> tuple:
+    """Read the non-halted cells of ``seqs`` for a run: ``(loaded, states, cells)``.
 
-    Returns ``(loaded, code, regs, rows, pcs, row_idx, flags)``: the
-    indexes of those cells, and per index its code, its ports (MA..MD,
-    then the ROW port, None past the matrix), its matrix rows, pc, row
-    counter and flag. Raises NotAVector for a register or matrix row that
-    is not a BitVector, WidthMismatch for a register of another width, and
-    InvalidArgument for a pc or row counter that is not an int (the row
-    counter nonnegative) or a flag that is not 0 or 1.
+    ``loaded`` are their indexes, and per index ``states`` holds a new state
+    and ``cells`` (code, state, matrix rows, translation traced as ``traced``
+    says or None, partner by direction). Refuses a control state that is
+    not ints, a negative row counter and a flag that is not 0 or 1.
     """
-    count = len(seqs)
-    code, regs, rows = [None] * count, [None] * count, [None] * count
-    pcs, row_idx, flags = [0] * count, [0] * count, [0] * count
+    states, cells = [None] * len(seqs), [None] * len(seqs)
     loaded = [i for i, seq in enumerate(seqs) if not seq.halted]
     for i in loaded:
         seq = seqs[i]
@@ -449,186 +439,150 @@ def _load(seqs: list, width: int, where: list) -> tuple:
                                   f"got {_shown(counter)}")
         if type(flag) is not int or flag not in (0, 1):
             raise InvalidArgument(f"{where[i]}flag must be 0 or 1, got {_shown(flag)}")
-        values = []
-        for reg in M_REGS:
-            value = seq.regs[reg]
-            if not isinstance(value, BitVector):
-                raise NotAVector(f"{where[i]}register {reg.name} holds "
-                                 f"{type(value).__name__}, not a BitVector")
-            if value.n != width:
-                raise WidthMismatch(
-                    f"{where[i]}register {reg.name} width {value.n} != machine width {width}"
-                )
-            values.append(value.value)
-        try:
-            matrix = rows[i] = [row.value for row in seq.a_matrix]
-        except AttributeError:  # a row assigned to a_matrix, past set_matrix's check
-            k, row = next((k, row) for k, row in enumerate(seq.a_matrix)
-                          if not isinstance(row, BitVector))
-            raise NotAVector(f"{where[i]}matrix row {k} is "
-                             f"{type(row).__name__}, not a BitVector") from None
-        row_idx[i] = counter
-        values.append(matrix[counter] if counter < len(matrix) else None)
-        regs[i] = values
-        code[i], pcs[i], flags[i] = seq._code, pc, flag
-    return loaded, code, regs, rows, pcs, row_idx, flags
+        matrix, made = seq._rows, seq._segments
+        state = states[i] = [*seq._regs, matrix[counter] if counter < len(matrix) else None,
+                             pc, flag, counter, len(matrix), None]
+        segment = None if traced is None else made.get(traced) or made.setdefault(
+            traced, _translation(seq._code, seq.width, traced))
+        cells[i] = seq._code, state, matrix, segment, _PARTNER[i]
+    return loaded, states, cells
 
 
-def _store(seqs, width, first, loaded, ended, ends, pcs, row_idx, flags, regs) -> None:
-    """Write a run's state back to the cells it loaded.
-
-    ``ended`` holds each cell's HALT cycle, None if it did not halt, and
-    ``ends`` the cycle at which a cell that did not halt stopped; a cell
-    spent the cycles from ``first`` to either. A register gets a new
-    BitVector only when its value changed.
-    """
+def _store(seqs, first, loaded, ended, ends, states) -> None:
+    """Write a run's state back to the cells it loaded. A cell spent the cycles from
+    ``first`` to its HALT cycle in ``ended``, or if None to its cycle in ``ends``."""
     for j in loaded:
-        seq = seqs[j]
-        end = ended[j]
+        seq, state, end = seqs[j], states[j], ended[j]
         seq.halted = end is not None
         seq.cycles += (ends[j] if end is None else end) - first
-        seq.pc, seq.row_idx, seq.flag = pcs[j], row_idx[j], flags[j]
-        for reg, value in zip(M_REGS, regs[j]):
-            if value != seq.regs[reg].value:
-                seq.regs[reg] = BitVector(width, value)
+        seq.pc, seq.flag, seq.row_idx = state[_PC:_SIZE]
+        seq._regs = state[:_ROW]
 
 
-def _run(code, ports, matrix, pc, flag, row, t, last, width, path=None):
-    """Run one cell's code from ``pc``, after cycle ``t``, to cycle ``last`` at most.
+def _run(code, state, matrix, t, last, width, path=None):
+    """Run one cell's code, from the ``state`` ``_load`` made, after cycle ``t``, to ``last``.
 
-    One instruction per cycle. Stops after HALT, or after an instruction
-    whose stop code is _STOP: its next pc holds an exchange, which is the
-    caller's to settle, lies outside the program, or is a loop's head,
-    which a free run hands to the loop's translation. Returns ``(pc,
-    flag, row, t, stop)``: the state reached, the last cycle run and the
-    last instruction's stop code, or _HALT when it halted. ``ports`` is
-    updated in place, and ``path``, when given, gets ``(cycle, target)``
-    for each jump taken. A faulting instruction raises with the cell's
-    state as it was before it, and the cycle it faulted in as ``_cycle``.
+    One instruction a cycle, up to a SEND, RECV or HALT, which it leaves to
+    the caller; the pc must stay inside the program. Updates ``state`` and
+    returns the last cycle run; ``path``, when given, gets ``(cycle,
+    target)`` for each jump taken. A fault raises with ``state`` as it was
+    before the faulting instruction, and that cycle as ``_cycle``.
     """
     mask = (1 << width) - 1
-    stop = _GO
+    pc, flag, row = state[_PC:_SIZE]
     try:
-        for t in range(t + 1, last + 1):
+        while t < last:
             inst = code[pc]
             op = inst[0]
-            # each branch leaves the next pc in pc and its stop code in stop
             if op == _LOGIC:
-                _, bop, a, b, uop, dst, reads_row, stop = inst
-                if reads_row and ports[_ROW] is None:
-                    raise _row_error(row, matrix)
-                v = ports[a]
-                if bop == _XOR:
-                    v ^= ports[b]
-                elif bop == _AND:
-                    v &= ports[b]
-                elif bop == _OR:
-                    v |= ports[b]
+                _, bop, a, b, uop, dst, reads_row = inst
+                if reads_row and state[_ROW] is None:
+                    raise InvalidRowIndex(f"row {row} outside matrix of {len(matrix)} rows")
+                v = _APPLY[bop](state[a], state[b])
                 if uop == _SLC:
                     k = v.bit_count()
                     v = ((1 << k) - 1) << (width - k)
                 elif uop == _NOT:
                     v ^= mask
-                ports[dst] = v
+                state[dst] = v
                 pc += 1
             elif op == _JUMP:
-                _, cond, target, taken, stop = inst
-                if cond == _IF_NOT_FLAG:
-                    go = not flag
-                elif cond == _IF_ROW:
-                    go = ports[_ROW] is not None
-                elif cond == _IF_FLAG:
-                    go = flag
-                else:
-                    go = True
-                if not go:
+                _, cond, target, bad = inst
+                if not (True, flag, not flag, state[_ROW] is not None)[cond]:  # by condition
                     pc += 1
-                elif taken == _BAD:
+                elif bad:
                     raise PcOutOfRange(f"jump target {target} outside program")
                 else:
-                    pc, stop = target, taken
+                    pc = target
                     if path is not None:
-                        path.append((t + 1, pc))
+                        path.append((t + 2, pc))
             elif op == _ORF:
-                _, src, reads_row, stop = inst
-                if reads_row and ports[_ROW] is None:
-                    raise _row_error(row, matrix)
-                flag = 1 if ports[src] else 0
+                _, src, reads_row = inst
+                if reads_row and state[_ROW] is None:
+                    raise InvalidRowIndex(f"row {row} outside matrix of {len(matrix)} rows")
+                flag = 1 if state[src] else 0
                 pc += 1
-            elif op == _INCROW:
-                _, stop = inst
-                size = len(matrix)
-                if row >= size:
-                    raise InvalidRowIndex(f"INCROW past matrix of {size} rows")
-                row += 1
-                ports[_ROW] = matrix[row] if row < size else None
-                pc += 1
-            elif op == _SETROW:
-                _, index, stop = inst
-                size = len(matrix)
+            elif op == _INCROW or op == _SETROW:
+                index, size = row + 1 if op == _INCROW else inst[1], len(matrix)
                 if index > size:
-                    raise InvalidRowIndex(f"SETROW {index} outside matrix of {size} rows")
+                    raise InvalidRowIndex(f"INCROW past matrix of {size} rows" if op == _INCROW
+                                          else f"SETROW {index} outside matrix of {size} rows")
                 row = index
-                ports[_ROW] = matrix[row] if row < size else None
+                state[_ROW] = matrix[row] if row < size else None
                 pc += 1
             elif op == _LOADM:
-                _, dst, value, stop = inst
-                ports[dst] = value
+                state[inst[1]] = inst[2]
                 pc += 1
-            elif op == _HALT:
-                return pc, flag, row, t, _HALT
-            else:  # _BADWIDTH
+            elif op == _BADWIDTH:
                 raise WidthMismatch(f"literal width {inst[1]} != machine width {width}")
-            if stop:
+            else:  # an exchange or HALT
                 break
+            t += 1
     except LampError as exc:  # for the free run, which looks for the first fault
-        exc._cycle = t
+        exc._cycle = t + 1
         raise
-    return pc, flag, row, t, stop
+    finally:
+        state[_PC:_SIZE] = pc, flag, row
+    return t
 
 
-_TRANSLATIONS: dict = {}  # (width, head, end, the loop's code) -> its function, oldest first
+_TRANSLATIONS: dict = {}  # (width, code, traced) -> its function, oldest first
 _MAX_TRANSLATIONS = 256
 _PORTS = ("ma", "mb", "mc", "md", "rp")  # the locals of a translation, in port order
-_BINARY = {_AND: "{} & {}", _OR: "{} | {}", _XOR: "{} ^ {}", BinOp.PASS.value: "{}"}
+_BINARY = ("{} & {}", "{} | {}", "{} ^ {}", "{}")  # by BinOp value
+_GO = ("True", "flag", "not flag", "rp is not None")  # by jump condition
 
 
-def _translation(code, head: int, end: int, width: int, traced=False):
-    """The function that runs the loop ``code[head:end + 1]``.
+def _translation(code: tuple, width: int, traced: bool):
+    """The function that runs a cell's ``code`` from exchange to exchange.
 
-    Called as ``loop(ports, matrix, pc, flag, row, t, last)`` at a pc of
-    the loop, it runs whole basic blocks, each as straight-line int code
-    that adds its cycles to ``t``, and updates ``ports`` in place. It
-    returns ``(pc, flag, row, t)`` at a pc outside the loop, at an
-    exchange or a HALT, or at a block that would run past cycle ``last``,
-    and None at a fault, which ``_run`` must then raise at its cycle. A
-    ``traced`` one takes ``path`` last, to which it adds ``(cycle,
-    target)`` for each jump taken, as ``_run`` does. The source holds
-    only the small ints ``_decode`` wrote; the mask and the LOADM values
-    are bound by name.
+    ``segment(state, matrix, t, last, path)`` takes what ``_run`` takes and
+    runs whole basic blocks, each straight-line int code that adds its
+    cycles at once; a block begins at pc 0, after an exchange, or at a
+    jump's target or the pc after it. At an exchange, a HALT, a pc past the
+    program, a block that would pass cycle ``last`` or a pc inside a block
+    it writes ``state`` and returns the last cycle run; at a fault it
+    returns None, ``state`` unchanged, for ``_run`` to raise the fault at
+    its cycle. A ``traced`` one notes jumps in ``path`` as ``_run`` does.
+    Blocks are tested in one chain, those in loops first, and a block goes
+    on down it or back to its top. The mask and the LOADM values are bound
+    by name, so the source holds only small ints.
     """
-    key = (width, head, end, tuple(code[head:end + 1]), traced)
-    loop = _TRANSLATIONS.get(key)
-    if loop is not None:
-        return loop
-    leaders = {head} | {p for pc in range(head, end + 1) if code[pc][0] == _JUMP
-                        for p in (pc + 1, code[pc][2]) if head <= p <= end}
+    key = width, code, traced
+    segment = _TRANSLATIONS.get(key)
+    if segment is not None:
+        return segment
+    size = len(code)
+    leaders = {0}
+    for pc, inst in enumerate(code):
+        if inst[0] == _JUMP:
+            leaders.update((pc + 1,) if inst[3] else (pc + 1, inst[2]))
+        elif inst[0] == _SEND or inst[0] == _RECV:
+            leaders.add(pc + 1)
+    looped = {pc for end, inst in enumerate(code) if inst[0] == _JUMP and 0 <= inst[2] <= end
+              for pc in range(inst[2], end + 1)}
+    # the blocks, tested those in loops first and each part in pc order
+    order = sorted((pc for pc in leaders if pc < size and code[pc][0] < _SEND),
+                   key=lambda pc: (pc not in looped, pc))
+    rank = {pc: k for k, pc in enumerate(order)}
     names = {"MASK": (1 << width) - 1}
-    lines = [f"def loop(ports, matrix, pc, flag, row, t, last{', path' * traced}):",
-             " ma, mb, mc, md, rp = ports", " size = len(matrix)", " while True:"]
-    for leader in sorted(leaders):
+    lines = ["def segment(state, matrix, t, last, path):",
+             " ma, mb, mc, md, rp, pc, flag, row, size, _ = state", " while True:"]
+
+    def onward(pc):  # after the block at leader: on down the chain, back to its top, or out
+        return "; break" if pc not in rank else "" if rank[pc] > rank[leader] else "; continue"
+
+    for leader in order:
         body, pc, checked = [], leader, False  # checked: rp, since the row last moved
-        while pc <= end and (pc == leader or pc not in leaders):
+        while pc == leader or pc < size and pc not in leaders and code[pc][0] < _SEND:
             inst = code[pc]
             op = inst[0]
-            if op in (_SEND, _RECV, _HALT):
-                break  # for the free run to settle
             pc += 1
-            if op in (_LOGIC, _ORF) and inst[-2] and not checked:  # reads the ROW port
+            if op in (_LOGIC, _ORF) and inst[-1] and not checked:  # reads the ROW port
                 body.append("if rp is None: return")
                 checked = True
             if op == _LOGIC:
-                _, bop, a, b, uop, dst, _, _ = inst
+                _, bop, a, b, uop, dst, _ = inst
                 value = _BINARY[bop].format(_PORTS[a], _PORTS[b])
                 if uop == _SLC:
                     body.append(f"k = ({value}).bit_count()")
@@ -648,127 +602,128 @@ def _translation(code, head: int, end: int, width: int, traced=False):
                 body.append(f"{_PORTS[inst[1]]} = L{pc}")
             elif op == _BADWIDTH:
                 body.append("return")
-            else:  # a jump, which ends the block
-                _, cond, target, taken, _ = inst
-                go = ("True", "flag", "not flag", "rp is not None")[cond]
-                jump = "return" if taken == _BAD else f"pc = {target}"
-                if traced and taken != _BAD:  # the target runs in the block's last cycle + 1
-                    jump += f"; path.append((t + {pc - leader + 1}, {target}))"
-                body += [f"pc = {pc}", f"if {go}: {jump}"]
-                break
-        if pc > leader:
-            lines += [f"  if pc == {leader}:", f"   if t + {pc - leader} > last: break",
-                      *(f"   {line}" for line in body), f"   t += {pc - leader}",
-                      "   continue" if code[pc - 1][0] == _JUMP else f"   pc = {pc}; continue"]
-    lines += ["  break", " ports[:] = ma, mb, mc, md, rp", " return pc, flag, row, t"]
-    exec(compile("\n".join(lines), f"<loop {head}..{end}>", "exec"), names)
+            else:
+                break  # a jump, which ends the block
+        body.append(f"t += {pc - leader}")
+        if code[pc - 1][0] == _JUMP:  # the jump is the block's last cycle
+            _, cond, target, bad = code[pc - 1]
+            taken = "return" if bad else f"pc = {target}"
+            if traced and not bad:  # the target runs in the cycle after
+                taken += f"; path.append((t + 1, {target}))"
+            if not bad:
+                taken += onward(target)
+            body += [f"if {_GO[cond]}: {taken}", f"else: pc = {pc}{onward(pc)}"] \
+                if cond != _ALWAYS else [taken]
+        else:
+            body.append(f"pc = {pc}{onward(pc)}")
+        lines += [f"  if pc == {leader}:", f"   if t + {pc - leader} > last: break",
+                  *(f"   {line}" for line in body)]
+    lines += ["  break", " " + "; ".join(  # faster than one slice: it builds no tuple
+        f"state[{k}] = {name}" for k, name in enumerate(_PORTS + ("pc", "flag", "row"))),
+              " return t"]
+    exec(compile("\n".join(lines), f"<cell code of {size}>", "exec"), names)
     if len(_TRANSLATIONS) >= _MAX_TRANSLATIONS:
         try:  # drop the oldest, as re's cache does
             del _TRANSLATIONS[next(iter(_TRANSLATIONS))]
         except (StopIteration, RuntimeError, KeyError):  # another thread changed it
             pass
-    loop = _TRANSLATIONS[key] = names["loop"]
-    return loop
+    segment = _TRANSLATIONS[key] = names["segment"]
+    return segment
 
 
 def _free_run(grid, budget: int) -> None:
     """Run ``grid``'s cells, each on its own to its next exchange, for ``budget`` cycles at most.
 
-    Each active cell runs alone until it reaches a SEND or RECV, halts,
-    or runs the budget's last cycle: a loop through its translation, from
-    the loop's head, and the rest on ``_run``. A SEND at a cell that waits
-    from cycle t and the facing RECV at its partner that waits from cycle
-    u complete together in cycle max(t, u) + 1, and both run on; the
-    cycles a cell waits are its stalls. A traced run marks each cell's
-    start, jumps taken and exchanges, and ``_render`` writes the trace
-    from the marks. When every cell left waits, the state at the last
-    cycle in which a cell moved is written back and DeadlockDetected
-    raised. A fault stops its cell, and the others run to its cycle T
-    only, so that T ends as the first cycle in which a cell faults.
-    Nothing is written then: the run is made again from the same state
-    to T - 1, and ``_step`` runs cycle T, which raises the fault that a
-    cycle-by-cycle run meets first.
+    A cell runs each stretch between exchanges in one call of its translation,
+    and on ``_run`` the cycles no whole block fits. A SEND at a cell that
+    waits from cycle t and the facing RECV at its partner, waiting from u,
+    complete in cycle max(t, u) + 1; the cycles a cell waits are stalls. A
+    traced run marks starts, jumps and exchanges for ``_render``. When every
+    cell left waits, the state is written back and DeadlockDetected raised.
+    A fault at cycle T stops all cells at T; nothing is written, the run is
+    made again to T - 1, and ``_step`` runs cycle T, raising the fault that
+    a cycle-by-cycle run meets first.
     """
     seqs, width, first = grid._targets(None), grid.width, grid.global_cycle
     last = first + max(budget, 0)
-    loaded, code, regs, rows, pcs, row_idx, flags = _load(seqs, width, _WHERE)
-    ended = [None] * len(seqs)
-    waiting = {}  # cell -> (the cycle after which it waits, its exchange)
-    latest = first  # the last cycle in which a cell ran, halted or began to wait
-    marks = {i: [(first + 1, pcs[i])] for i in loaded} if grid.tracing else None
+    traced = grid.tracing
+    loaded, states, cells = _load(seqs, _WHERE, traced)
     fault = None  # the first cycle in which a cell faults
-    todo = [(i, first) for i in loaded]  # cells to run on, each after a cycle
+    if last > first and any(not 0 <= cells[i][1][_PC] < len(cells[i][0]) for i in loaded):
+        fault = first + 1  # a pc outside its program faults in the first cycle
+    ended = [None] * len(seqs)
+    waits = [None] * len(seqs)  # the exchange a cell waits at, with the cycle in its state
+    latest = first  # the last cycle in which a cell ran, halted or began to wait
+    marks = {i: [(first + 1, states[i][_PC])] for i in loaded} if traced else None
+    path = None
+    todo = [] if fault else [(i, first) for i in loaded]  # cells to run on, each after a cycle
     while todo:
         i, t = todo.pop()
-        cell_code, loops = code[i], seqs[i]._loops
-        path = marks[i] if marks is not None else None
-        traced = () if path is None else (path,)  # a traced translation's last argument
-        translate = True
+        cell_code, state, matrix, segment, partners = cells[i]
+        if traced:
+            path = marks[i]
         while t < last:
-            pc = pcs[i]
-            if not 0 <= pc < len(cell_code):
+            pc = state[_PC]
+            try:
+                inst = cell_code[pc]
+            except IndexError:  # past the end: jumps outside fault as they are taken
                 fault = last = t + 1  # no later cycle matters, and t < last
                 break
-            inst = cell_code[pc]
             op = inst[0]
-            if op == _SEND or op == _RECV:
-                partner = _PARTNER[i][inst[1]]
-                u, facing = waiting.get(partner, (None, None))
+            if op < _SEND:
+                after = segment(state, matrix, t, last, path)
+                if after is None or after == t:  # a fault, or no whole block fits from pc
+                    try:  # one cycle on _run, or its replay up to the fault, which it raises
+                        after = _run(cell_code, state, matrix, t,
+                                     last if after is None else t + 1, width, path)
+                    except (InvalidRowIndex, PcOutOfRange, WidthMismatch) as exc:
+                        fault = last = exc._cycle
+                        break
+                t = after
+            elif op == _HALT:
+                t = ended[i] = t + 1
+                if t > latest:
+                    latest = t
+                break
+            else:
+                partner = partners[inst[1]]
+                facing = waits[partner]
                 # a RECV faces one neighbour only, so it has at most one sender
-                if facing is None or facing[0] == op or facing[1] != _FACING[inst[1]]:
-                    waiting[i] = t, inst
-                    latest = max(latest, t)
+                if facing is None or facing[3] != inst[4]:
+                    waits[i] = inst
+                    state[_WAIT] = t
+                    if t > latest:
+                        latest = t
                     break
-                del waiting[partner]
+                waits[partner] = None
+                other = states[partner]
+                u = other[_WAIT]
                 if op == _SEND:
-                    regs[partner][facing[2]] = regs[i][inst[2]]
+                    other[facing[2]] = state[inst[2]]
                 else:
-                    regs[i][inst[2]] = regs[partner][facing[2]]
-                done = max(t, u) + 1  # both waited before: within the budget, or past a fault
-                if path is not None:  # each stalls from the cycle after it began to wait
+                    state[inst[2]] = other[facing[2]]
+                done = (t if t > u else u) + 1  # both waited before: within the budget
+                if traced:  # each stalls from the cycle after it began to wait
                     path += (t + 1, ~pc), (done, pc)
-                    marks[partner] += (u + 1, ~pcs[partner]), (done, pcs[partner])
-                pcs[i] += 1
-                pcs[partner] += 1
+                    marks[partner] += (u + 1, ~other[_PC]), (done, other[_PC])
+                state[_PC] = pc + 1
+                other[_PC] += 1
                 t = done
                 todo.append((partner, t))
-                continue
-            if translate and pc in loops:
-                key = pc, bool(traced)
-                loop = loops.get(key)
-                if loop is None:  # first entered: keep its translation with the decode
-                    loop = loops[key] = (_translation(cell_code, pc, loops[pc], width, True)
-                                         if traced else _translation(cell_code, pc, loops[pc], width))
-                state = loop(regs[i], rows[i], pc, flags[i], row_idx[i], t, last, *traced)
-                if state is None:
-                    translate = False  # a fault, which _run meets at its cycle
-                elif state[3] > t:
-                    pcs[i], flags[i], row_idx[i], t = state
-                    continue
-                # its first block would pass the budget, or it begins at a HALT
-            try:
-                pcs[i], flags[i], row_idx[i], t, stop = _run(
-                    cell_code, regs[i], rows[i], pc, flags[i], row_idx[i], t, last, width, path)
-            except (InvalidRowIndex, PcOutOfRange, WidthMismatch) as exc:
-                fault = last = exc._cycle
-                break
-            if stop == _HALT:
-                ended[i] = t
-                latest = max(latest, t)
-                break
         else:  # stopped by the budget
             latest = last
     if fault is not None:  # write nothing: run again to the cycle before, then run that one
         _free_run(grid, fault - 1 - first)
         return _step(seqs, width, grid)  # raises the fault
-    if marks is not None:
-        for i, (t, _) in waiting.items():
-            marks[i].append((t + 1, ~pcs[i]))
+    waiting = [i for i in loaded if waits[i] is not None]
+    if traced:
+        for i in waiting:
+            marks[i].append((states[i][_WAIT] + 1, ~states[i][_PC]))
         _render(grid.trace, seqs, marks, [latest if end is None else end for end in ended], first)
     grid.global_cycle = latest
-    _store(seqs, width, first, loaded, ended, [latest] * len(seqs), pcs, row_idx, flags, regs)
+    _store(seqs, first, loaded, ended, [latest] * len(seqs), states)
     if waiting and latest < last:  # every cell left waits, and no exchange can complete
-        cells = [_CELLS[i] for i in sorted(waiting)]
+        cells = [_CELLS[i] for i in waiting]
         raise DeadlockDetected("all active cells stalled on unmatched exchanges: "
                                + ", ".join(f"({r},{c})" for r, c in cells), cells=cells)
 
@@ -806,46 +761,47 @@ def _step(seqs: list, width: int, grid=None) -> None:
     first = grid.global_cycle if grid is not None else 0
     where = _WHERE if grid is not None else [""]
     trace = grid.trace if grid is not None and grid.tracing else None
-    loaded, code, regs, rows, pcs, row_idx, flags = _load(seqs, width, where)
+    loaded, states, cells = _load(seqs, where)
     waiting = {}
     for i in loaded:
-        pc, cell_code = pcs[i], code[i]
+        cell_code, state = cells[i][:2]
+        pc = state[_PC]
         if not 0 <= pc < len(cell_code):
             raise PcOutOfRange(f"{where[i]}pc {_shown(pc)} outside program of {len(cell_code)}")
         if cell_code[pc][0] == _SEND or cell_code[pc][0] == _RECV:
             waiting[i] = cell_code[pc]
     matched = {}  # the cells whose exchange completes, each with the value it takes
-    for i, (op, d, reg, _stop) in waiting.items() if grid is not None else ():
-        partner = _PARTNER[i][d]
+    for i, inst in waiting.items() if grid is not None else ():
+        partner = _PARTNER[i][inst[1]]
         other = waiting.get(partner)
         # a RECV faces one neighbour only, so it has at most one sender
-        if op == _SEND and other is not None and other[0] == _RECV and other[1] == _FACING[d]:
+        if inst[0] == _SEND and other is not None and other[3] == inst[4]:
             matched[i] = None
-            matched[partner] = regs[i][reg]  # SEND writes no register this cycle
+            matched[partner] = states[i][inst[2]]  # SEND writes no register this cycle
     cycle = first + 1
     ended, ends = [None] * len(seqs), [cycle] * len(seqs)
     try:
         for i in loaded:
-            pc = pcs[i]
+            state = states[i]
+            pc = state[_PC]
             if trace is not None:
                 line = f"{cycle}\t{_POSITION[i]}\t{pc}\t{seqs[i]._trace_text({})[pc]}"
                 trace.append(line + "\t(stall)" if i in waiting and i not in matched else line)
             if i in waiting:
                 if i in matched:
                     if waiting[i][0] == _RECV:
-                        regs[i][waiting[i][2]] = matched[i]
-                    pcs[i] = pc + 1
-                continue
-            pcs[i], flags[i], row_idx[i], _, stop = _run(
-                code[i], regs[i], rows[i], pc, flags[i], row_idx[i], first, cycle, width)
-            if stop == _HALT:
+                        state[waiting[i][2]] = matched[i]
+                    state[_PC] = pc + 1
+            elif cells[i][0][pc][0] == _HALT:
                 ended[i] = cycle
+            else:
+                _run(cells[i][0], state, cells[i][2], first, cycle, width)
     except (InvalidRowIndex, PcOutOfRange, WidthMismatch) as exc:
         exc.args = (f"{where[i]}{exc.args[0]}",)
         ends = [cycle if j <= i else first for j in range(len(seqs))]
         raise
     finally:
-        _store(seqs, width, first, loaded, ended, ends, pcs, row_idx, flags, regs)
+        _store(seqs, first, loaded, ended, ends, states)
     if grid is not None:
         grid.global_cycle = cycle
 
@@ -854,13 +810,68 @@ def _step(seqs: list, width: int, grid=None) -> None:
 # Machine state
 
 
+class _Registers(Mapping):
+    """``seq.regs``: a cell's m-registers, held as ints and read as BitVectors; a value
+    is checked when it is assigned, and a refused one leaves the register as it was."""
+
+    __slots__ = ("_seq",)
+
+    def __init__(self, seq: "Sequencer"):
+        self._seq = seq
+
+    def __getitem__(self, reg) -> BitVector:
+        if reg not in M_REGS:
+            raise KeyError(reg)
+        return BitVector(self._seq.width, self._seq._regs[reg._value_])
+
+    def __setitem__(self, reg, value) -> None:
+        slot, width = _slot(reg), self._seq.width
+        _check_vector(value)
+        if value.n != width:
+            raise WidthMismatch(f"register {reg.name} width {value.n} != machine width {width}")
+        self._seq._regs[slot] = value.value
+
+    def __iter__(self):
+        return iter(M_REGS)
+
+    def __len__(self) -> int:
+        return len(M_REGS)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class _Rows(Sequence):
+    """``seq.a_matrix``: a cell's matrix rows, held as ints and read as BitVectors; it is
+    read-only, and a new list assigned to ``a_matrix`` is checked as ``set_table`` checks."""
+
+    __slots__ = ("_seq",)
+
+    def __init__(self, seq: "Sequencer"):
+        self._seq = seq
+
+    def __getitem__(self, k):
+        rows, width = self._seq._rows, self._seq.width
+        if isinstance(k, slice):
+            return [BitVector(width, value) for value in rows[k]]
+        return BitVector(width, rows[k])
+
+    def __len__(self) -> int:
+        return len(self._seq._rows)
+
+    def __eq__(self, other) -> bool:  # and so unhashable, as a list is
+        return list(self) == (list(other) if isinstance(other, _Rows) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class Sequencer:
     """State of one grid cell: registers, matrix, command memory.
 
-    Registers are BitVectors here, at the API edge: set them before a
-    step or a run and read them after. Assigning ``program`` decodes it
-    once into the int code that runs execute. The width is 1..MAX_WIDTH,
-    the widths a LAMP1 binary can state.
+    Set ``regs`` and ``a_matrix``, checked views of int state, before a step
+    or a run and read them after. Assigning ``program`` decodes it once.
+    The width is 1..MAX_WIDTH, the widths a LAMP1 binary can state.
     """
 
     def __init__(self, width: int, program=None, a_matrix=None):
@@ -868,15 +879,12 @@ class Sequencer:
             raise InvalidArgument(
                 f"machine width must be an int in 1..{MAX_WIDTH}, got {_shown(width)}")
         self.width = width
-        self.regs = dict.fromkeys(M_REGS, BitVector.zeros(width))  # BitVectors are immutable
-        if a_matrix:
-            self.set_matrix(a_matrix)
-        else:
-            self.a_matrix = []
+        self._regs = [0] * len(M_REGS)
+        self._rows = _row_values(a_matrix, width) if a_matrix else []
         if program:
             self.program = program
-        else:  # no code to decode, and a loops dict of its own for what a load puts there
-            self._program, self._code, self._loops, self._texts = [], [], {}, None
+        else:  # no code to decode, and a dict of its own for the translations a load puts there
+            self._program, self._code, self._segments, self._texts = [], (), {}, None
         self.row_idx = 0
         self.flag = 0
         self.pc = 0
@@ -890,9 +898,9 @@ class Sequencer:
 
     @program.setter
     def program(self, instructions) -> None:
-        self._program = list(instructions)
-        self._code, self._loops = _decode(self._program, self.width)
-        self._texts = None
+        instructions = list(instructions)
+        code = _decode(instructions, self.width)  # a refused program changes nothing
+        self._program, self._code, self._segments, self._texts = instructions, code, {}, None
 
     def _trace_text(self, texts: dict) -> list[str]:
         """Trace texts, rendered once per loaded program and per object in ``texts``."""
@@ -901,17 +909,15 @@ class Sequencer:
                            for inst in self._program]
         return self._texts
 
+    def set_matrix(self, rows) -> None:
+        self._rows = _row_values(rows, self.width)
+
+    regs = property(_Registers)
+    a_matrix = property(_Rows, set_matrix)
+
     @property
     def row_count(self) -> int:
-        return len(self.a_matrix)
-
-    def set_matrix(self, rows) -> None:
-        rows = list(rows)
-        for row in rows:
-            if not isinstance(row, BitVector) or row.n != self.width:
-                _check_vector(row)
-                raise WidthMismatch(f"matrix row width {row.n} != {self.width}")
-        self.a_matrix = rows
+        return len(self._rows)
 
     def step(self) -> "Sequencer":
         """Execute one instruction in one cycle.
@@ -955,32 +961,33 @@ class Grid:
         return self.cells[r][c]
 
     def load_program(self, program: Program) -> None:
+        """Load every cell's instructions; a refused program changes no cell."""
         if not isinstance(program, Program):
             raise NotAnInstruction(f"expected a Program, got {type(program).__name__}")
         if program.width is not None and program.width != self.width:
             raise WidthMismatch(
                 f"program width {program.width} != grid width {self.width}"
             )
-        # Cells with equal instruction lists share one decode, its loops and their
-        # translations; list == passes the same object without calling its __eq__.
-        decoded, texts = [], {}  # (instructions, (code, loops, bad)) of each distinct list
-        for (r, c), seq in zip(_CELLS, self._targets(None)):
-            instructions = seq._program = list(program.cells[r][c])
-            seq._texts = None
-            if not instructions:  # nothing to decode
-                done = [], {}, ()
-            else:
-                for known, done in decoded:
-                    if known == instructions:
-                        break
-                else:
-                    code, loops = _decode(instructions, self.width)
-                    done = code, loops, [inst[1] for inst in code if inst[0] == _BADWIDTH]
-                    decoded.append((instructions, done))
-            seq._code, seq._loops, bad = done
-            if bad:
-                raise WidthMismatch(f"cell ({r},{c}): literal width {bad[0]} "
-                                    f"!= grid width {self.width}")
+        # Every cell is checked before any changes. Cells with equal lists share one decode
+        # and its translations; list == passes the same object without calling its __eq__.
+        decoded, cells = [], []  # (instructions, (code, translations)) of each distinct list
+        for where, (r, c) in zip(_WHERE, _CELLS):
+            instructions = list(program.cells[r][c])
+            done = next((done for known, done in decoded if known == instructions),
+                        None) if instructions else ((), {})  # nothing to decode
+            if done is None:
+                try:
+                    done = _decode(instructions, self.width), {}
+                except NotAnInstruction as exc:
+                    raise NotAnInstruction(where + str(exc)) from None
+                bad = next((inst[1] for inst in done[0] if inst[0] == _BADWIDTH), None)
+                if bad is not None:
+                    raise WidthMismatch(f"{where}literal width {bad} != grid width {self.width}")
+                decoded.append((instructions, done))
+            cells.append((instructions, done))
+        texts = {}
+        for seq, (instructions, (code, segments)) in zip(self._targets(None), cells):
+            seq._program, seq._code, seq._segments, seq._texts = instructions, code, segments, None
             if self.tracing:
                 seq._trace_text(texts)
             # a loaded program starts from a fresh control state
@@ -996,33 +1003,25 @@ class Grid:
 
     def set_table(self, rows, at=None) -> None:
         """Load associator rows into one cell, or into all when at=None."""
-        first, *rest = self._targets(at)
-        first.set_matrix(rows)  # reads and checks the rows once
-        for seq in rest:
-            seq.a_matrix = first.a_matrix.copy()
+        targets = self._targets(at)
+        values = _row_values(rows, self.width)  # reads and checks the rows once
+        for seq in targets:
+            seq._rows = values
 
     def set_register(self, reg: Reg, value: BitVector, at=None) -> None:
-        if reg not in M_REGS:
-            shown = reg.name if isinstance(reg, Reg) else repr(reg)
-            raise LampError(f"cannot set {shown}: only MA, MB, MC and MD hold values")
+        slot = _slot(reg)
         _check_vector(value)
         if value.n != self.width:
             raise WidthMismatch(f"value width {value.n} != grid width {self.width}")
         for seq in self._targets(at):
-            seq.regs[reg] = value
+            seq._regs[slot] = value.value
 
     @property
     def all_halted(self) -> bool:
         return all(seq.halted for row in self.cells for seq in row)
 
     def step(self) -> "Grid":
-        """Advance every non-halted cell by one cycle, row-major order.
-
-        Exchanges rendezvous first: a SEND at some cell matched by the
-        facing RECV at its target completes atomically this cycle, with
-        the receiver taking the sender's start-of-cycle register value.
-        Unmatched exchange partners stall for the cycle.
-        """
+        """Advance every non-halted cell by one cycle: a run of one cycle."""
         _free_run(self, 1)
         return self
 

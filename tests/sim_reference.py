@@ -16,6 +16,7 @@ from lamp.errors import (
     DeadlockDetected,
     InvalidArgument,
     InvalidRowIndex,
+    NotAnInstruction,
     PcOutOfRange,
     WidthMismatch,
 )
@@ -25,6 +26,7 @@ from lamp.sim import (
     BinOp,
     Halt,
     IncRow,
+    Instruction,
     Jump,
     JumpIfFlag,
     JumpIfNotFlag,
@@ -174,18 +176,26 @@ class RefGrid:
         return self.cells[r][c]
 
     def load_program(self, program):
+        """Check every cell's instructions, then load them all: a refused
+        program changes no cell."""
         if program.width is not None and program.width != self.width:
             raise WidthMismatch(f"program width {program.width} != grid width {self.width}")
         for r in range(GRID_SIZE):
             for c in range(GRID_SIZE):
-                seq = self.cells[r][c]
-                seq.program = list(program.cells[r][c])
-                for inst in seq.program:
+                code = program.cells[r][c]
+                for inst in code:
+                    if not isinstance(inst, Instruction):
+                        raise NotAnInstruction(f"cell ({r},{c}): cannot execute {inst!r}")
+                for inst in code:
                     if isinstance(inst, LoadImm) and inst.literal.n != self.width:
                         raise WidthMismatch(
                             f"cell ({r},{c}): literal width {inst.literal.n} "
                             f"!= grid width {self.width}"
                         )
+        for r in range(GRID_SIZE):
+            for c in range(GRID_SIZE):
+                seq = self.cells[r][c]
+                seq.program = list(program.cells[r][c])
                 seq.pc = seq.row_idx = seq.flag = 0
                 seq.halted = not seq.program
 

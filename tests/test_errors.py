@@ -36,13 +36,14 @@ from lamp import (
     SequencerHalted,
     SetRow,
     UnOp,
+    WidthMismatch,
     assemble,
     builtin_query_program,
     program_to_bytes,
 )
 from lamp.assoc import AssocTable, _as_ternary, load_table, rank
 from lamp.bitvec import BitVector
-from lamp.sim import ISA
+from lamp.sim import ISA, M_REGS, IncRow, RunOutcome, RunResult
 from lamp.ternary import TernaryVector, intersect
 
 tv = TernaryVector.parse
@@ -61,6 +62,22 @@ def _run_program(instructions, tracing=False):
     grid = Grid(4, tracing=tracing)
     grid.load_program(Program.single_cell(instructions))
     grid.run(10)
+
+
+def _load_after_halts(r, c, inst):
+    """Load ``Program.broadcast([Halt()])``, then a program whose cell (r, c)
+    also holds ``inst``. The second load must be refused and then have
+    changed no cell: each still holds ``[Halt()]`` at pc 0, and a run ends
+    with every cell halted, as it would have before the load."""
+    grid = Grid(4)
+    grid.load_program(Program.broadcast([Halt()]))
+    program = Program.broadcast([Orf(Reg.MA), Jump(0)])
+    program.cells[r][c] = [Halt(), inst]
+    try:
+        grid.load_program(program)
+    finally:
+        assert all(seq.program == [Halt()] and seq.pc == 0 for row in grid.cells for seq in row)
+        assert grid.run(10) == RunResult(RunOutcome.ALL_HALTED, 1)
 
 
 def _step_after(change):
@@ -154,9 +171,9 @@ CASES = [
     (lambda: Grid(4).cell(1.0, 2),
      InvalidArgument, ValueError, "cell coordinates must be ints, got (1.0, 2)"),
     (lambda: _run_after(lambda seq: seq.regs.__setitem__(Reg.MB, 5)),
-     NotAVector, TypeError, "cell (0,0): register MB holds int, not a BitVector"),
+     NotAVector, TypeError, "expected a BitVector, got int"),
     (lambda: _run_after(lambda seq: setattr(seq, "a_matrix", [BitVector(4, 1), 1])),
-     NotAVector, TypeError, "cell (0,0): matrix row 1 is int, not a BitVector"),
+     NotAVector, TypeError, "expected a BitVector, got int"),
     (lambda: Grid(10**20),
      InvalidArgument, ValueError,
      "machine width must be an int in 1..65535, got 100000000000000000000"),
@@ -204,6 +221,10 @@ CASES = [
      InvalidArgument, ValueError, "pc must be an int, got 0.0"),
     (lambda: _run_after(lambda seq: setattr(seq, "pc", 1 << 20000)),
      PcOutOfRange, LampError, "cell (0,0): pc an int of 20001 bits outside program of 1"),
+    (lambda: _load_after_halts(1, 2, LoadImm(Reg.MA, BitVector(2, 1))),
+     WidthMismatch, LampError, "cell (1,2): literal width 2 != grid width 4"),
+    (lambda: _load_after_halts(2, 0, "junk"),
+     NotAnInstruction, TypeError, "cell (2,0): cannot execute 'junk'"),
 ]
 
 
@@ -221,7 +242,8 @@ CASES = [
          "sequencer_width_float", "asm_width_huge", "setrow_huge", "jump_huge",
          "jump_huge_traced", "trace_text_huge", "setrow_past_u16", "jump_past_u16",
          "asm_setrow_past_u16", "max_cycles_str", "max_cycles_float", "max_cycles_bool",
-         "max_cycles_huge_negative", *CONTROL, "step_pc_float", "pc_huge"],
+         "max_cycles_huge_negative", *CONTROL, "step_pc_float", "pc_huge",
+         "load_refused_width", "load_refused_junk"],
 )
 def test_raise_is_lamp_error_and_builtin(trigger, cls, builtin, message):
     with pytest.raises(cls) as err:
@@ -247,6 +269,25 @@ def test_a_bad_control_state_is_refused_as_the_reference_refuses(attr, value, me
                     call()
                 assert str(err.value) == message
 
+
+
+def test_a_refused_assignment_to_a_sequencer_changes_nothing():
+    """Its program with its decode, its registers and its matrix keep their values."""
+    seq = Sequencer(4, [Halt()], [BitVector(4, 3)])
+    for assign, cls in (
+        (lambda: setattr(seq, "program", [IncRow(), "junk"]), NotAnInstruction),
+        (lambda: seq.regs.__setitem__(Reg.MA, BitVector(3, 1)), WidthMismatch),
+        (lambda: seq.regs.__setitem__(Reg.MB, 5), NotAVector),
+        (lambda: seq.regs.__setitem__(Reg.ROW, BitVector(4, 1)), LampError),
+        (lambda: setattr(seq, "a_matrix", [BitVector(4, 1), BitVector(5, 1)]), WidthMismatch),
+        (lambda: setattr(seq, "a_matrix", [BitVector(4, 1), "0001"]), NotAVector),
+    ):
+        with pytest.raises(cls):
+            assign()
+        assert seq.program == [Halt()] and seq.a_matrix == [BitVector(4, 3)]
+        assert seq.regs == dict.fromkeys(M_REGS, BitVector(4, 0))
+    seq.step()  # the old decode, not the refused one
+    assert seq.halted and seq.cycles == 1 and seq.pc == 0
 
 # Every enum's members (Reg.ROW among them), and values of the wrong type or range.
 _OPERANDS = (

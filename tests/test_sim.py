@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -544,8 +545,9 @@ def test_set_table_from_a_generator_reaches_every_cell():
     g.set_table(BitVector(4, v) for v in (1, 2, 3))
     cells = [seq for row in g.cells for seq in row]
     assert all(seq.a_matrix == [bv("0001"), bv("0010"), bv("0011")] for seq in cells)
-    # each cell owns its list
-    assert len({id(seq.a_matrix) for seq in cells}) == len(cells)
+    # the rows are converted once and shared, and no cell can change them in place
+    assert len({id(seq._rows) for seq in cells}) == 1
+    assert not hasattr(cells[0].a_matrix, "append")
 
 
 @pytest.mark.parametrize("at", [None, (2, 3)])
@@ -578,14 +580,18 @@ def test_cell_outside_the_grid_is_rejected(at):
     assert all(seq.a_matrix == [] for row in g.cells for seq in row)
 
 
-def test_run_writes_back_only_changed_registers():
+def test_a_run_keeps_registers_as_ints_and_builds_no_vector(monkeypatch):
     g = one_cell_grid([Logic(BinOp.XOR, Reg.MA, Reg.MA, UnOp.NOT, Reg.MB), Halt()], 4,
                       ma=bv("0110"))
-    seq = g.cell(0, 0)
-    ma, mc = seq.regs[Reg.MA], seq.regs[Reg.MC]
+    seq, ones, ma = g.cell(0, 0), bv("1111"), bv("0110")
+    built = []
+    init = BitVector.__init__
+    monkeypatch.setattr(BitVector, "__init__", lambda self, *args: built.append(args)
+                        or init(self, *args))
     g.run(10)
-    assert seq.regs[Reg.MB] == bv("1111")
-    assert seq.regs[Reg.MA] is ma and seq.regs[Reg.MC] is mc
+    assert built == [] and seq._regs == [0b0110, 0b1111, 0, 0]
+    assert seq.regs[Reg.MB] == ones and seq.regs[Reg.MA] == ma
+    assert built == [(4, 0b1111), (4, 0b0110)]  # a register is a vector only when it is read
 
 
 def test_trace_text_rendered_once_per_loaded_instruction(monkeypatch):
@@ -661,12 +667,12 @@ def test_a_grid_decodes_nothing_until_a_program_is_loaded(monkeypatch):
     assert calls == []
     cells = [cell for row in grid.cells for cell in row] + [seq]
     assert all(cell.halted and cell.program == [] and cell.a_matrix == [] for cell in cells)
-    assert len({id(cell._loops) for cell in cells}) == len(cells)  # translations go there
+    assert len({id(cell._segments) for cell in cells}) == len(cells)  # translations go there
     with pytest.raises(SequencerHalted):
         seq.step()
     grid.load_program(Program.single_cell(builtin_query_program(8)))
     assert len(calls) == 1  # the fifteen empty cells decode nothing
-    assert len({id(cell._loops) for cell in cells}) == len(cells)
+    assert len({id(cell._segments) for cell in cells}) == len(cells)
     seq.program = [Halt()]  # a program assigned later decodes as before
     assert len(calls) == 2
 
@@ -816,56 +822,51 @@ def _sharded_grid(tracing):
 
 
 def test_the_sharded_fold_runs_in_its_translation_not_on_the_interpreter(monkeypatch):
+    """The whole code of every cell, fold and merge, runs in its translation:
+    ``_run`` executes under 5% of each cell's instructions that are not stalls."""
     import lamp.sim
     from sim_reference import grid_state
 
     run = lamp.sim._run
-    executed = []  # per _run call: the pc it began at, and the instructions it ran
+    executed = []  # the cycles of each _run call
 
-    def counted(code, ports, matrix, pc, flag, row, t, last, width, path=None):
-        out = run(code, ports, matrix, pc, flag, row, t, last, width, path)
-        executed.append((pc, out[3] - t))
+    def counted(code, state, matrix, t, last, width, path=None):
+        out = run(code, state, matrix, t, last, width, path)
+        executed.append(out - t)
         return out
 
     monkeypatch.setattr(lamp.sim, "_run", counted)
-    states, counts = [], []
-    for tracing in (True, False):  # a traced run translates its loops too
+    states = []
+    for tracing in (True, False):  # a traced run translates its code too
         executed.clear()
         grid = _sharded_grid(tracing)
-        (head, end), = grid.cell(0, 0)._loops.items()  # the fold, the same in every cell
         assert grid.run(100_000).outcome is RunOutcome.ALL_HALTED
         states.append(grid_state(grid))
-        fold = sum(n for pc, n in executed if head <= pc <= end)
-        counts.append((fold, sum(n for _, n in executed) - fold))
-        if tracing:  # what every cell ran, from its trace: in the fold, and the rest on _run
+        if tracing:  # what each cell ran, from its trace, exchanges and HALT included
             lines = [line.split("\t") for line in grid.trace]
-            in_fold = sum(head <= int(pc) <= end for _, _, pc, *_ in lines)
-            outside = sum(not head <= int(pc) <= end and not stall
-                          and not text.startswith(("SEND", "RECV"))
-                          for _, _, pc, text, *stall in lines)
+            ran = Counter(cell for _, cell, _, _, *stall in lines if not stall)
+            assert len(ran) == 16 and min(ran.values()) > 63 * 7  # seven a row, 63 rows a cell
+        assert sum(executed) < 0.05 * min(ran.values())
     assert states[0] == states[1]
-    (traced_fold, traced_rest), (fold, rest) = counts
-    assert in_fold > 16 * 60 * 7  # seven instructions a row, 63 rows a cell
-    assert traced_fold < 0.05 * in_fold and fold < 0.05 * in_fold
-    assert rest == traced_rest == outside  # the code outside the fold runs on _run, all of it
 
 
-def test_the_cells_of_one_decode_look_their_loop_up_once(monkeypatch):
+def test_the_cells_of_one_decode_look_their_translation_up_once(monkeypatch):
     import lamp.sim
 
-    heads = []
+    made = []
     translation = lamp.sim._translation
 
-    def counted(code, head, end, width, *traced):
-        heads.append(head)
-        return translation(code, head, end, width, *traced)
+    def counted(code, width, traced):
+        made.append((len(code), traced))
+        return translation(code, width, traced)
 
     monkeypatch.setattr(lamp.sim, "_translation", counted)
     for tracing in (False, True):
-        heads.clear()
+        made.clear()
         grid = _sharded_grid(tracing)
         assert grid.run(100_000).outcome is RunOutcome.ALL_HALTED
-        assert heads == [5] * 4  # sixteen cells share four decodes, each entering its fold
+        # sixteen cells share four decodes, each translated whole
+        assert made == [(len(grid.cell(0, 0).program), tracing)] * 4
 
 
 def test_a_second_run_of_the_same_program_translates_nothing(monkeypatch):
@@ -874,12 +875,12 @@ def test_a_second_run_of_the_same_program_translates_nothing(monkeypatch):
     monkeypatch.setattr(lamp.sim, "_TRANSLATIONS", {})
     first = _sharded_grid(False)
     first.run(100_000)
-    assert len(lamp.sim._TRANSLATIONS) == 1  # sixteen cells, four codes, one fold loop
-    (key, loop), = lamp.sim._TRANSLATIONS.items()
+    assert len(lamp.sim._TRANSLATIONS) == 4  # sixteen cells, four codes
+    made = list(lamp.sim._TRANSLATIONS.items())
     second = _sharded_grid(False)  # the same bytes, decoded again
     assert second.cell(0, 0)._code is not first.cell(0, 0)._code
     second.run(100_000)
-    assert list(lamp.sim._TRANSLATIONS.items()) == [(key, loop)]
+    assert list(lamp.sim._TRANSLATIONS.items()) == made
     assert second.cell(0, 0).regs == first.cell(0, 0).regs
 
 

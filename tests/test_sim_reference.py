@@ -182,9 +182,10 @@ def _categories(outcomes, trace):
 
 
 @pytest.mark.parametrize("stepwise", [False, True], ids=["run", "step"])
-def test_grid_matches_reference_on_random_programs(stepwise):
+def test_grid_matches_reference_on_random_programs(monkeypatch, stepwise):
     rng = random.Random(20240 + stepwise)
-    seen = Counter()
+    seen, calls = Counter(), Counter()
+    _spy_translations(monkeypatch, calls)  # straight-line code that may run off its end
     for _ in range(400):
         case = random_case(rng)
         width, budget = case[0], case[4]
@@ -204,6 +205,8 @@ def test_grid_matches_reference_on_random_programs(stepwise):
     finished = ("halted", "budget") if stepwise else ("all-halted", "cycle-budget-exhausted")
     for category in (*finished, "deadlock", "exchange", "pc", "row", "jump", "SETROW", "INCROW"):
         assert seen[category] >= 3, (category, seen)
+    for end in ("exchange", "HALT", "end", "fault"):
+        assert calls[end] >= 3, (end, calls)
 
 
 def test_sequencer_step_matches_reference():
@@ -436,47 +439,58 @@ def _step_outcome(grid):
     return ("ok", outcome, grid.global_cycle, ())
 
 
-def _interpreted(code, ports, matrix, state, until, width):
-    """``_run`` from ``state`` (pc, flag, row, cycle) to cycle ``until``, or to an
-    exchange, a HALT or a pc outside the program, whichever comes first."""
+def _interpreted(code, state, matrix, t, until, width, path):
+    """``_run`` from ``state`` after cycle ``t`` to cycle ``until``, or to an
+    exchange, a HALT or the end of the program, whichever comes first, one
+    cycle a call; returns the last cycle run."""
     import lamp.sim
 
-    while state[3] < until:
-        pc = state[0]
-        if not 0 <= pc < len(code) or code[pc][0] in (lamp.sim._SEND, lamp.sim._RECV):
+    while t < until and state[lamp.sim._PC] < len(code):
+        ran = lamp.sim._run(code, state, matrix, t, t + 1, width, path)
+        if ran == t:  # an exchange or HALT
             break
-        *state, stop = lamp.sim._run(code, ports, matrix, *state, until, width)
-        if stop == lamp.sim._HALT:
-            break
-    return tuple(state)
+        t = ran
+    return t
 
 
 def _spy_translations(monkeypatch, seen):
-    """Check each call of a translated loop against ``_run`` from the same
-    state, and count it in ``seen`` by how it returned: a state must be the
-    one ``_run`` reaches at the same cycle, and None a fault that ``_run``
-    raises before the budget's last cycle."""
+    """Check each call of a translation against ``_run`` from the same state,
+    and count it in ``seen`` by how it ended. A call that returns a cycle
+    must leave the state that ``_run`` reaches at that cycle, and note the
+    same jumps when traced; it stops at an exchange, a HALT or the end of
+    the program, or else within a block's length of the budget or inside a
+    block. A call that returns None must leave the state as it was, and
+    ``_run`` must meet a fault before the budget's last cycle."""
     import lamp.sim
 
     translation = lamp.sim._translation
 
-    def spied(code, head, end, width):
-        loop = translation(code, head, end, width)
+    def spied(code, width, traced):
+        segment = translation(code, width, traced)
 
-        def run(ports, matrix, pc, flag, row, t, last):
-            mine = list(ports)
-            out = loop(ports, matrix, pc, flag, row, t, last)
+        def run(state, matrix, t, last, path):
+            mine, marked = list(state), len(path) if traced else 0
+            out = segment(state, matrix, t, last, path)
             if out is None:
                 seen["fault"] += 1
+                assert state == mine
                 with pytest.raises((InvalidRowIndex, PcOutOfRange, WidthMismatch)):
-                    _interpreted(code, mine, matrix, (pc, flag, row, t), last, width)
+                    lamp.sim._run(code, mine, matrix, t, last, width)
                 return out
-            assert _interpreted(code, mine, matrix, (pc, flag, row, t), out[3], width) == out
-            assert mine == ports
-            if out[3] > t:
-                seen["ran"] += 1
-                if width == WIDE and any(inst[0] == lamp.sim._LOADM
-                                         for inst in code[head:end + 1]):
+            jumps = [] if traced else None
+            assert _interpreted(code, mine, matrix, t, out, width, jumps) == out
+            assert mine == state and (not traced or path[marked:] == jumps)
+            pc = state[lamp.sim._PC]
+            if pc >= len(code):
+                seen["end"] += 1
+            elif code[pc][0] >= lamp.sim._SEND:
+                seen["exchange" if code[pc][0] != lamp.sim._HALT else "HALT"] += 1
+            else:  # the next block would pass the budget, or pc is inside one
+                seen["budget"] += 1
+                assert out + len(code) > last or out == t
+            if out > t:
+                seen["ran", traced] += 1
+                if width == WIDE and any(inst[0] == lamp.sim._LOADM for inst in code):
                     seen["wide LOADM"] += 1
             return out
 
@@ -487,22 +501,22 @@ def _spy_translations(monkeypatch, seen):
 
 @pytest.mark.parametrize("stepwise", [False, True], ids=["run", "step"])
 def test_translated_loops_match_reference_at_every_budget(monkeypatch, stepwise):
-    """Loop-shaped programs, untraced, against the reference. Each case
-    runs to ten consecutive budgets, so that one ends at each offset of a
-    loop iteration, and from each runs on to the top budget, after three
-    single ``step``s in step mode. Every call reaches the reference's
-    outcome, cycles and state, and every call of a translated loop agrees
-    with ``_run``."""
+    """Loop-shaped programs against the reference, traced and untraced. Each
+    case runs to ten consecutive budgets, so that one ends at each offset
+    of a loop iteration, and from each runs on to the top budget, after
+    three single ``step``s in step mode. Every call reaches the reference's
+    outcome, cycles and state, and every call of a translation agrees with
+    ``_run``."""
     rng = random.Random(2305 + stepwise)
     seen, calls = Counter(), Counter()
     _spy_translations(monkeypatch, calls)
-    for _ in range(100):
+    for n in range(100):
         case = loop_case(rng)
         width, top = case[0], case[4]
         expect = _reference_run(case, top)
         faults = calls["fault"]
         for budget in range(first := rng.randint(1, top - 13), first + 10):
-            grid = Grid(width)
+            grid = Grid(width, tracing=n % 2 == 1)
             _build(grid, case, True)
             steps = [budget + 1, budget + 2, budget + 3] if stepwise else []
             for limit in (budget, *steps, top):
@@ -515,9 +529,12 @@ def test_translated_loops_match_reference_at_every_budget(monkeypatch, stepwise)
                     break
         final = expect(top)[0]
         seen.update(_categories([final], []))
-        if calls["fault"] > faults:  # a translated loop met the fault that _run raised
+        if calls["fault"] > faults:  # a translation met the fault that _run raised
             seen["fault in a loop: " + _categories([final], []).pop()] += 1
-    assert calls["ran"] >= 500 and calls["wide LOADM"] >= 3, calls
+    assert calls["ran", False] >= 500 and calls["ran", True] >= 500, calls
+    assert calls["wide LOADM"] >= 3, calls
+    for end in ("exchange", "HALT", "budget"):
+        assert calls[end] >= 20, (end, calls)
     assert seen["fault in a loop: jump"] >= 1, seen
     assert any(seen["fault in a loop: " + kind] for kind in ("row", "INCROW", "SETROW")), seen
     for category in ("all-halted", "cycle-budget-exhausted", "deadlock"):
@@ -526,16 +543,16 @@ def test_translated_loops_match_reference_at_every_budget(monkeypatch, stepwise)
 
 def test_traced_loops_match_reference(monkeypatch):
     """Loop-shaped programs, traced, run to a budget and on: the same outcomes,
-    state and trace lines as the reference, with the loops run in their
-    traced translations."""
+    state and trace lines as the reference, with the code run in its traced
+    translations."""
     import lamp.sim
 
     made = Counter()
     translation = lamp.sim._translation
 
-    def counted(*args):
-        made[args[4:]] += 1  # (True,) for a traced translation
-        return translation(*args)
+    def counted(code, width, traced):
+        made[traced] += 1
+        return translation(code, width, traced)
 
     monkeypatch.setattr(lamp.sim, "_translation", counted)
     rng = random.Random(2407)
@@ -549,6 +566,6 @@ def test_traced_loops_match_reference(monkeypatch):
             runs.append((_drive(grid, budget, False), grid_state(grid), grid.trace))
         assert runs[1] == runs[0]
         seen.update(_categories(runs[0][0], runs[0][2]))
-    assert made[(True,)] >= 100 and made[()] == 0, made
+    assert made[True] >= 100 and made[False] == 0, made
     for category in ("all-halted", "cycle-budget-exhausted", "deadlock", "exchange"):
         assert seen[category] >= 3, (category, seen)

@@ -9,6 +9,13 @@ cycles in every cell, the same global cycle and trace, and have returned
 the same result or raised the same exception class and message. Changes
 between runs are where a run's read and write-back of the cells, and the
 rerun of a faulting run, could part from the reference.
+
+Some rules make calls that must be refused: a load with a non-instruction
+or a literal of the wrong width in one cell, a table row of the wrong
+width, a register value that is not a BitVector of the machine's width.
+A refused call must change nothing, which an invariant of the grid alone
+checks against a snapshot taken before the call. Runs are left out of it,
+because a fault or a deadlock writes state back by design.
 """
 
 import random
@@ -18,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from lamp.bitvec import BitVector
-from lamp.sim import GRID_SIZE, M_REGS, Grid, IncRow, JumpIfRowLt, Program
+from lamp.sim import GRID_SIZE, M_REGS, Grid, IncRow, JumpIfRowLt, LoadImm, Program, Reg
 from sim_reference import RefGrid, grid_state
 from test_sim_reference import DIRECTION_SETS, _outcome, random_instruction
 
@@ -54,6 +61,7 @@ class GridAgainstReference(RuleBasedStateMachine):
         self.width = width
         self.grids = Grid(width, tracing=tracing), RefGrid(width, tracing=tracing)
         self.outcomes = None
+        self.before = None  # the grid's snapshot before a call that must be refused
 
     def vectors(self, data, count):
         return [BitVector(self.width, data.draw(st.integers(0, (1 << self.width) - 1)))
@@ -67,6 +75,21 @@ class GridAgainstReference(RuleBasedStateMachine):
     def both(self, call):
         """Make ``call`` on the grid and on the reference; both must end alike."""
         self.outcomes = [_outcome(lambda: call(grid)) for grid in self.grids]
+
+    def refused(self, call, reference=True):
+        """Make ``call``, which each grid must refuse; the reference's only
+        when ``reference``, for the calls that the grid alone checks."""
+        self.before = snapshot(self.grids[0])
+        if reference:
+            self.both(call)
+        else:
+            self.outcomes = [_outcome(lambda: call(self.grids[0]))] * 2
+        assert self.outcomes[0][0] == "raised", self.outcomes[0]
+
+    def bad_vector(self, data):
+        """A value that is not a BitVector of the machine's width."""
+        width = data.draw(st.sampled_from([w for w in (1, self.width + 1, 70) if w != self.width]))
+        return data.draw(st.sampled_from([BitVector(width, 1), 1, "1" * self.width, None]))
 
     @rule(seed=st.integers(0, 2**32 - 1))
     def load_program(self, seed):
@@ -99,6 +122,36 @@ class GridAgainstReference(RuleBasedStateMachine):
         for grid in self.grids:
             grid.cell(*at).a_matrix = list(rows)
 
+    @rule(seed=st.integers(0, 2**32 - 1), at=CELLS, junk=st.booleans())
+    def refused_load(self, seed, at, junk):
+        """A non-instruction, or a literal of another width, after a cell's code."""
+        program = machine_program(seed, self.width)
+        bad = "junk" if junk else LoadImm(Reg.MB, BitVector(self.width + 1, 1))
+        program.cells[at[0]][at[1]] = program.cells[at[0]][at[1]] + [bad]
+        self.refused(lambda grid: grid.load_program(program))
+
+    @rule(data=st.data(), count=st.integers(0, 3), everywhere=st.booleans(), at=CELLS,
+          direct=st.booleans())
+    def refused_table(self, data, count, everywhere, at, direct):
+        rows = self.vectors(data, count)
+        rows.insert(data.draw(st.integers(0, count)), self.bad_vector(data))
+        if direct:
+            self.refused(lambda grid: setattr(grid.cell(*at), "a_matrix", rows), reference=False)
+        else:
+            self.refused(lambda grid: grid.set_table(rows, at=None if everywhere else at),
+                         reference=False)
+
+    @rule(data=st.data(), reg=st.sampled_from(M_REGS), everywhere=st.booleans(), at=CELLS,
+          direct=st.booleans())
+    def refused_register(self, data, reg, everywhere, at, direct):
+        value = self.bad_vector(data)
+        if direct:
+            self.refused(lambda grid: grid.cell(*at).regs.__setitem__(reg, value),
+                         reference=False)
+        else:
+            self.refused(lambda grid: grid.set_register(reg, value, at=None if everywhere else at),
+                         reference=False)
+
     @rule()
     def step(self):
         self.both(lambda grid: grid.step())
@@ -109,12 +162,28 @@ class GridAgainstReference(RuleBasedStateMachine):
         self.both(lambda grid: grid.run(budget))
 
     @invariant()
+    def refused_calls_change_nothing(self):
+        if self.before is not None:
+            assert snapshot(self.grids[0]) == self.before
+            self.before = None
+
+    @invariant()
     def agree(self):
         if self.outcomes is not None:
             assert self.outcomes[0] == self.outcomes[1]
         fast, ref = self.grids
         assert grid_state(fast) == grid_state(ref)
         assert fast.trace == ref.trace
+
+
+def snapshot(grid):
+    """Everything a call could change: each cell's program, decode and its
+    translations, control state, registers and matrix, the cycle and the trace."""
+    cells = tuple(
+        (seq.program.copy(), seq._code, id(seq._code), id(seq._segments), seq.pc, seq.row_idx,
+         seq.flag, seq.halted, seq.cycles, dict(seq.regs), list(seq.a_matrix))
+        for row in grid.cells for seq in row)
+    return cells, grid.global_cycle, grid.trace.copy()
 
 
 GridAgainstReference.TestCase.settings = settings(
