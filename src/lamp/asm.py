@@ -492,10 +492,12 @@ def program_from_bytes(data: bytes) -> Program:
     pos = 7 + 4 * GRID_SIZE**2
     for idx, count in enumerate(counts):
         for length in lengths.get(count, ()):
-            known = sections.get((count, data[pos:pos + length]))
+            # cut short where the data ends, a slice may equal a shorter section
+            section = data[pos:pos + length]
+            known = sections.get((count, section))
             if known is not None:
                 code = known.copy()
-                pos += length
+                pos += len(section)
                 break
         else:
             start = pos

@@ -598,6 +598,20 @@ def test_byte_equal_cells_walk_their_records_once(monkeypatch):
         code for i, code in enumerate(expected) if i not in (0, 10)]
 
 
+def test_a_section_cut_short_by_the_end_matches_only_at_its_own_length():
+    """A cell whose section of one record is the last bytes of the data is
+    looked up at the longer length of an earlier section of one record
+    first, and that slice, cut short by the end, is the shorter section."""
+    prog = Program(width=1)
+    prog.cells[0][0] = [LoadImm(Reg.MA, BitVector(1, 0))]  # 9 bytes
+    prog.cells[0][1] = [Orf(Reg.MA)]  # 8 bytes
+    prog.cells[3][3] = [Orf(Reg.MA)]
+    blob = program_to_bytes(prog)
+    assert program_from_bytes(blob) == prog
+    with pytest.raises(MalformedBinary):
+        program_from_bytes(blob[:-1])
+
+
 REPEATED = {
     "broadcast-builtin": Program.broadcast(builtin_query_program(8), width=8),
     "sharded": assemble(sharded.sharded_source(16)),
