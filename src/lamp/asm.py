@@ -472,13 +472,12 @@ def _walk(data: bytes, pos: int, count: int, width, memo: dict) -> tuple[list, i
 def program_from_bytes(data: bytes) -> Program:
     """Decode a LAMP1 binary, refusing any bytes ``program_to_bytes`` would not write.
 
-    Byte-equal cells decode once: the sections decoded so far are kept by
-    record count and bytes, so a cell costs one slice and one lookup per
-    distinct length of the earlier sections of its count, and a cell found
-    there takes a copy of its list: every cell gets its own list of the
-    shared instructions. Equal records, a LOADM's with its literal, decode
-    to one shared instruction. Only what decoded is remembered, and only
-    within one call, so each fault is refused at its own offset.
+    Byte-equal cells decode once: a cell whose record count is that of an
+    earlier cell and whose bytes start with that cell's section takes a
+    copy of its list, so every cell gets its own list of the shared
+    instructions. Equal records, a LOADM's with its literal, decode to one
+    shared instruction. Only what decoded is remembered, and only within
+    one call, so each fault is refused at its own offset.
     """
     data = bytes(data)  # hashable slices for any bytes-like input
     if _take(data, 0, len(MAGIC)) != MAGIC:
@@ -487,24 +486,18 @@ def program_from_bytes(data: bytes) -> Program:
     counts = [int.from_bytes(_take(data, 7 + 4 * i, 4), "big") for i in range(GRID_SIZE**2)]
     program = Program(width=width)
     memo: dict = {}  # record -> its instruction
-    sections: dict = {}  # (record count, bytes) -> the instructions of each distinct cell so far
-    lengths: dict = {}  # record count -> the distinct byte lengths of its sections
+    sections: dict = {}  # record count -> (bytes, instructions) of each distinct cell so far
     pos = 7 + 4 * GRID_SIZE**2
     for idx, count in enumerate(counts):
-        for length in lengths.get(count, ()):
-            # cut short where the data ends, a slice may equal a shorter section
-            section = data[pos:pos + length]
-            known = sections.get((count, section))
-            if known is not None:
+        for section, known in sections.get(count, ()):
+            if data.startswith(section, pos):
                 code = known.copy()
                 pos += len(section)
                 break
         else:
             start = pos
             code, pos = _walk(data, pos, count, width, memo)
-            sections[count, data[start:pos]] = code
-            if pos - start not in lengths.setdefault(count, []):
-                lengths[count].append(pos - start)
+            sections.setdefault(count, []).append((data[start:pos], code))
         program.cells[idx // GRID_SIZE][idx % GRID_SIZE] = code
     if pos != len(data):
         raise MalformedBinary(f"{len(data) - pos} trailing bytes")

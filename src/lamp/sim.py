@@ -23,14 +23,15 @@ arrived (``_free_run``). Each stretch between exchanges is one call of
 the cell's translation, its whole code as one Python function of
 straight-line int blocks; ``_run`` executes one instruction a cycle, for
 the cycles no whole block fits, ``Sequencer.step`` and faults, and is the
-oracle of the translations. Registers and matrix rows are ints inside a
-cell, and ``Sequencer.regs`` and ``a_matrix`` show them as ``BitVector``s.
+oracle of the translations. Matrix rows are ints inside a cell, and
+``Sequencer.a_matrix`` shows them as ``BitVector``s; a run reads the
+``BitVector`` registers into ints and writes back the ones that changed.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, zip_longest
 from operator import and_, or_, xor
@@ -337,13 +338,6 @@ def _check_vector(value) -> None:
         raise NotAVector(f"expected a BitVector, got {type(value).__name__}")
 
 
-def _slot(reg) -> int:  # the index of the m-register reg in a cell's int registers
-    if reg not in M_REGS:
-        shown = reg.name if isinstance(reg, Reg) else repr(reg)
-        raise LampError(f"cannot set {shown}: only MA, MB, MC and MD hold values")
-    return reg._value_
-
-
 def _row_values(rows, width: int) -> list:
     """The ints of ``rows``, each checked to be a BitVector of ``width``; never changed
     in place, so cells may share it."""
@@ -419,13 +413,15 @@ def _decode(program: list, width: int) -> tuple:
 _PC, _SIZE, _WAIT = 5, 8, 9
 
 
-def _load(seqs: list, where: list, traced=None) -> tuple:
+def _load(seqs: list, width: int, where: list, traced=None) -> tuple:
     """Read the non-halted cells of ``seqs`` for a run: ``(loaded, states, cells)``.
 
     ``loaded`` are their indexes, and per index ``states`` holds a new state
     and ``cells`` (code, state, matrix rows, translation traced as ``traced``
-    says or None, partner by direction). Refuses a control state that is
-    not ints, a negative row counter and a flag that is not 0 or 1.
+    says or None, partner by direction). Raises NotAVector for a register
+    that is not a BitVector, WidthMismatch for one of another width, and
+    InvalidArgument for a pc or row counter that is not an int (the row
+    counter nonnegative) or a flag that is not 0 or 1.
     """
     states, cells = [None] * len(seqs), [None] * len(seqs)
     loaded = [i for i, seq in enumerate(seqs) if not seq.halted]
@@ -439,24 +435,42 @@ def _load(seqs: list, where: list, traced=None) -> tuple:
                                   f"got {_shown(counter)}")
         if type(flag) is not int or flag not in (0, 1):
             raise InvalidArgument(f"{where[i]}flag must be 0 or 1, got {_shown(flag)}")
+        state = states[i] = []
+        for reg in M_REGS:
+            value = seq.regs[reg]
+            if not isinstance(value, BitVector):
+                raise NotAVector(f"{where[i]}register {reg.name} holds "
+                                 f"{type(value).__name__}, not a BitVector")
+            if value.n != width:
+                raise WidthMismatch(
+                    f"{where[i]}register {reg.name} width {value.n} != machine width {width}")
+            state.append(value.value)
         matrix, made = seq._rows, seq._segments
-        state = states[i] = [*seq._regs, matrix[counter] if counter < len(matrix) else None,
-                             pc, flag, counter, len(matrix), None]
+        state += [matrix[counter] if counter < len(matrix) else None, pc, flag, counter,
+                  len(matrix), None]
         segment = None if traced is None else made.get(traced) or made.setdefault(
             traced, _translation(seq._code, seq.width, traced))
         cells[i] = seq._code, state, matrix, segment, _PARTNER[i]
     return loaded, states, cells
 
 
-def _store(seqs, first, loaded, ended, ends, states) -> None:
-    """Write a run's state back to the cells it loaded. A cell spent the cycles from
-    ``first`` to its HALT cycle in ``ended``, or if None to its cycle in ``ends``."""
+def _store(seqs, width, first, loaded, ended, ends, states) -> None:
+    """Write a run's state back to the cells it loaded.
+
+    ``ended`` holds each cell's HALT cycle, None if it did not halt, and
+    ``ends`` the cycle at which a cell that did not halt stopped; a cell
+    spent the cycles from ``first`` to either. A register gets a new
+    BitVector only when its value changed.
+    """
     for j in loaded:
         seq, state, end = seqs[j], states[j], ended[j]
         seq.halted = end is not None
         seq.cycles += (ends[j] if end is None else end) - first
         seq.pc, seq.flag, seq.row_idx = state[_PC:_SIZE]
-        seq._regs = state[:_ROW]
+        regs = seq.regs
+        for reg, value in zip(M_REGS, state):
+            if value != regs[reg].value:
+                regs[reg] = BitVector(width, value)
 
 
 def _run(code, state, matrix, t, last, width, path=None):
@@ -647,7 +661,7 @@ def _free_run(grid, budget: int) -> None:
     seqs, width, first = grid._targets(None), grid.width, grid.global_cycle
     last = first + max(budget, 0)
     traced = grid.tracing
-    loaded, states, cells = _load(seqs, _WHERE, traced)
+    loaded, states, cells = _load(seqs, width, _WHERE, traced)
     fault = None  # the first cycle in which a cell faults
     if last > first and any(not 0 <= cells[i][1][_PC] < len(cells[i][0]) for i in loaded):
         fault = first + 1  # a pc outside its program faults in the first cycle
@@ -721,7 +735,7 @@ def _free_run(grid, budget: int) -> None:
             marks[i].append((states[i][_WAIT] + 1, ~states[i][_PC]))
         _render(grid.trace, seqs, marks, [latest if end is None else end for end in ended], first)
     grid.global_cycle = latest
-    _store(seqs, first, loaded, ended, [latest] * len(seqs), states)
+    _store(seqs, width, first, loaded, ended, [latest] * len(seqs), states)
     if waiting and latest < last:  # every cell left waits, and no exchange can complete
         cells = [_CELLS[i] for i in waiting]
         raise DeadlockDetected("all active cells stalled on unmatched exchanges: "
@@ -761,7 +775,7 @@ def _step(seqs: list, width: int, grid=None) -> None:
     first = grid.global_cycle if grid is not None else 0
     where = _WHERE if grid is not None else [""]
     trace = grid.trace if grid is not None and grid.tracing else None
-    loaded, states, cells = _load(seqs, where)
+    loaded, states, cells = _load(seqs, width, where)
     waiting = {}
     for i in loaded:
         cell_code, state = cells[i][:2]
@@ -801,44 +815,13 @@ def _step(seqs: list, width: int, grid=None) -> None:
         ends = [cycle if j <= i else first for j in range(len(seqs))]
         raise
     finally:
-        _store(seqs, first, loaded, ended, ends, states)
+        _store(seqs, width, first, loaded, ended, ends, states)
     if grid is not None:
         grid.global_cycle = cycle
 
 
 # --------------------------------------------------------------------------
 # Machine state
-
-
-class _Registers(Mapping):
-    """``seq.regs``: a cell's m-registers, held as ints and read as BitVectors; a value
-    is checked when it is assigned, and a refused one leaves the register as it was."""
-
-    __slots__ = ("_seq",)
-
-    def __init__(self, seq: "Sequencer"):
-        self._seq = seq
-
-    def __getitem__(self, reg) -> BitVector:
-        if reg not in M_REGS:
-            raise KeyError(reg)
-        return BitVector(self._seq.width, self._seq._regs[reg._value_])
-
-    def __setitem__(self, reg, value) -> None:
-        slot, width = _slot(reg), self._seq.width
-        _check_vector(value)
-        if value.n != width:
-            raise WidthMismatch(f"register {reg.name} width {value.n} != machine width {width}")
-        self._seq._regs[slot] = value.value
-
-    def __iter__(self):
-        return iter(M_REGS)
-
-    def __len__(self) -> int:
-        return len(M_REGS)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
 
 
 class _Rows(Sequence):
@@ -869,9 +852,11 @@ class _Rows(Sequence):
 class Sequencer:
     """State of one grid cell: registers, matrix, command memory.
 
-    Set ``regs`` and ``a_matrix``, checked views of int state, before a step
-    or a run and read them after. Assigning ``program`` decodes it once.
-    The width is 1..MAX_WIDTH, the widths a LAMP1 binary can state.
+    Registers are BitVectors here, at the API edge: set them before a
+    step or a run and read them after. ``a_matrix`` is a checked view of
+    int rows. Assigning ``program`` decodes it once into the int code that
+    runs execute. The width is 1..MAX_WIDTH, the widths a LAMP1 binary can
+    state.
     """
 
     def __init__(self, width: int, program=None, a_matrix=None):
@@ -879,7 +864,7 @@ class Sequencer:
             raise InvalidArgument(
                 f"machine width must be an int in 1..{MAX_WIDTH}, got {_shown(width)}")
         self.width = width
-        self._regs = [0] * len(M_REGS)
+        self.regs = dict.fromkeys(M_REGS, BitVector.zeros(width))  # BitVectors are immutable
         self._rows = _row_values(a_matrix, width) if a_matrix else []
         if program:
             self.program = program
@@ -912,7 +897,6 @@ class Sequencer:
     def set_matrix(self, rows) -> None:
         self._rows = _row_values(rows, self.width)
 
-    regs = property(_Registers)
     a_matrix = property(_Rows, set_matrix)
 
     @property
@@ -1009,19 +993,27 @@ class Grid:
             seq._rows = values
 
     def set_register(self, reg: Reg, value: BitVector, at=None) -> None:
-        slot = _slot(reg)
+        if reg not in M_REGS:
+            shown = reg.name if isinstance(reg, Reg) else repr(reg)
+            raise LampError(f"cannot set {shown}: only MA, MB, MC and MD hold values")
         _check_vector(value)
         if value.n != self.width:
             raise WidthMismatch(f"value width {value.n} != grid width {self.width}")
         for seq in self._targets(at):
-            seq._regs[slot] = value.value
+            seq.regs[reg] = value
 
     @property
     def all_halted(self) -> bool:
         return all(seq.halted for row in self.cells for seq in row)
 
     def step(self) -> "Grid":
-        """Advance every non-halted cell by one cycle: a run of one cycle."""
+        """Advance every non-halted cell by one cycle, row-major order.
+
+        Exchanges rendezvous first: a SEND at some cell matched by the
+        facing RECV at its target completes atomically this cycle, with
+        the receiver taking the sender's start-of-cycle register value.
+        Unmatched exchange partners stall for the cycle.
+        """
         _free_run(self, 1)
         return self
 

@@ -141,16 +141,11 @@ class GridAgainstReference(RuleBasedStateMachine):
             self.refused(lambda grid: grid.set_table(rows, at=None if everywhere else at),
                          reference=False)
 
-    @rule(data=st.data(), reg=st.sampled_from(M_REGS), everywhere=st.booleans(), at=CELLS,
-          direct=st.booleans())
-    def refused_register(self, data, reg, everywhere, at, direct):
+    @rule(data=st.data(), reg=st.sampled_from(M_REGS), everywhere=st.booleans(), at=CELLS)
+    def refused_register(self, data, reg, everywhere, at):
         value = self.bad_vector(data)
-        if direct:
-            self.refused(lambda grid: grid.cell(*at).regs.__setitem__(reg, value),
-                         reference=False)
-        else:
-            self.refused(lambda grid: grid.set_register(reg, value, at=None if everywhere else at),
-                         reference=False)
+        self.refused(lambda grid: grid.set_register(reg, value, at=None if everywhere else at),
+                     reference=False)
 
     @rule()
     def step(self):
