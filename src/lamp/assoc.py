@@ -1,12 +1,15 @@
 """Associative tables and the search / recognition / decision procedures.
 
 A table is an ordered list of associator rows, optionally labeled, held
-by columns (:class:`AssocTable`). :func:`load_table` checks a whole table
-text with one byte translation (:func:`lamp.ternary.parse_columns`) and
-keeps it as lanes, one byte per symbol; it strips the lines one by one
-only when some line is not a row as it stands, and reads them one by one
-only to name the first bad line. Its bit planes, one int per coordinate,
-are built by a second search or a read of its rows.
+by columns (:class:`AssocTable`): each column is two bit planes, ints of
+one bit per row, one marking the rows whose symbol there is 0 and one
+those whose symbol is 1. :func:`load_table` checks a whole table text
+with one byte translation (:func:`lamp.ternary.parse_columns`) and keeps
+it as lanes, one byte per symbol; it strips the lines one by one only
+when some line is not a row as it stands, and reads them one by one only
+to name the first bad line. Its planes are built by a second search or a
+read of its rows. Rows and planes, planes and codes, and counter planes
+and counts convert by one bit-matrix transpose (:func:`_transpose`).
 
 A query is answered word-parallel, as an associative memory answers it:
 each operation acts on one coordinate of every row at once (Foster,
@@ -17,9 +20,10 @@ search. The first search of a table read from text, at most 255 wide,
 adds its columns as ints with a byte lane per row (Lamport, "Multiple
 Byte Processing with Full-Word Instructions", CACM, 1975), whose bytes
 are then every row's e.
-Any other adds the conflicting bit planes with a carry-save adder tree,
-the Harley-Seal population count, and a min search from the top counter
-plane down gives the rows with the least e. Ternary rows with e = 0 rank
+Any other adds the conflicting bit planes, a row's 0s where m is 1 and
+its 1s where m is 0, with a carry-save adder tree, the Harley-Seal
+population count, and a min search from the top counter plane down
+gives the rows with the least e. Ternary rows with e = 0 rank
 by (min(p, q), max(p, q)), the order of :func:`lamp.quality.arith_keys`:
 p counts the x of the row where m has none, q the x of m where the row
 has none. ``rank`` and ``per_row`` read every count as one per row.
@@ -42,12 +46,11 @@ Table file format (UTF-8 text):
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import not_, or_
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .bitvec import BitVector
 from .errors import (
@@ -56,6 +59,7 @@ from .errors import (
     LengthMismatch,
     ModeMismatch,
     NotAVector,
+    NotBinary,
     ParseError,
     WidthMismatch,
     ZeroLength,
@@ -73,7 +77,6 @@ from .ternary import (
     TernaryVector,
     any_x,
     check_codes,
-    low_bits,
     parse_code,
     parse_columns,
 )
@@ -89,73 +92,81 @@ class Mode(enum.Enum):
 class AssocTable:
     """Matrix of associators with optional per-row labels, held by columns.
 
-    Column j is an int of one 2-bit pair per row, the first row most
-    significant. Pair r holds the bits of row r's symbol j that a probe
-    symbol can conflict with: 01 for a 0, which conflicts with a probe 1,
-    10 for a 1, which conflicts with a probe 0, and 00 for an x; it is
-    the complement of the symbol's 2-bit code (:mod:`lamp.ternary`), and
-    the hex digits of its lane byte. Each column is kept in two lists,
-    built on first read when the table holds lanes: ``_zeros[j]``, its
-    pairs' low bits, and ``_ones[j]``, their high bits. ``codes`` and
-    ``rows`` are built from them on each read. The mode is decided once,
-    at construction; the rows must not change afterwards.
+    Column j is two bit planes, R-bit ints with one bit per row, the first
+    row most significant: ``_zeros[j]`` has row r's bit set when its
+    symbol j is 0, which conflicts with a probe 1, and ``_ones[j]`` when it
+    is 1, which conflicts with a probe 0; an x sets neither. In a binary
+    table each plane is the other's complement under the row mask. A table
+    read from text holds lanes and builds its planes on first read.
+    ``codes`` and ``rows`` are built from the planes on each read. The mode
+    is decided once, at construction; the rows must not change afterwards.
     """
 
     def __init__(self, name: str, cols: int, codes: list[int], labels=None):
         if not codes:
             raise EmptyTable(f"table {name!r} has no rows")
         labels = _checked_labels(labels, len(codes), lambda: check_codes(codes, cols))
-        self._set(name, _flip(codes, cols), labels, any_x(codes, cols))
+        # a code's pair is 10 for a 0 and 01 for a 1: complemented, a 1's bit then a 0's
+        planes = _transpose([((1 << 2 * cols) - 1) ^ code for code in codes], 2 * cols)
+        self._set(name, (planes[1::2], planes[0::2]), labels, any_x(codes, cols))
 
-    def _set(self, name, columns, labels, ternary) -> None:
+    def _set(self, name, planes, labels, ternary) -> None:
+        """Hold lane text, whose planes are built on first read, or the
+        planes (zeros, ones); a binary table's zeros may be None, as they
+        are its ones' complements."""
         self.name, self.labels = name, labels
         self.mode = Mode.TERNARY if ternary else Mode.BINARY
         self._search = None  # the last search, which rank reuses for the same probe
-        if not isinstance(columns, list):  # lane text, whose planes are built on first read
-            self._lanes, self.cols = columns, (len(columns) + 1) // len(labels) - 1
+        if not isinstance(planes, tuple):  # lane text
+            self._lanes, self.cols = planes, (len(planes) + 1) // len(labels) - 1
             return
-        self.cols, low = len(columns), low_bits(len(labels))
-        self._zeros = [column & low for column in columns]
-        self._ones = columns  # their high bits, cut in place so that no third list is held
-        for j, zeros in enumerate(self._zeros):
-            columns[j] ^= zeros
+        zeros, self._ones = planes
+        mask = (1 << len(labels)) - 1
+        self._zeros = [mask ^ ones for ones in self._ones] if zeros is None else zeros
+        self.cols = len(self._ones)
 
     def __getattr__(self, name):
         """``_zeros`` and ``_ones`` of a table read from text, built on first read."""
         if name not in ("_zeros", "_ones") or "_lanes" not in self.__dict__:
             raise AttributeError(name)
-        lanes, n = self.__dict__.pop("_lanes"), self.cols
-        self._set(self.name, [int(lanes[j::n + 1].translate(_PAIR), 4) for j in range(n)],
-                  self.labels, self.mode is Mode.TERNARY)
+        lanes, n, ternary = self.__dict__.pop("_lanes"), self.cols, self.mode is Mode.TERNARY
+        # a lane byte is 1 for a 0 and 16 for a 1: its bit 7 or its bit 3
+        ones = [int(lanes[j::n + 1].translate(_BIT[3]), 2) for j in range(n)]
+        zeros = [int(lanes[j::n + 1].translate(_BIT[7]), 2) for j in range(n)] if ternary else None
+        self._set(self.name, (zeros, ones), self.labels, ternary)
         return self.__dict__[name]
 
     @classmethod
     def from_rows(cls, rows, labels=None, name="table") -> "AssocTable":
         """Build from TernaryVector/BitVector rows or vector strings.
 
-        BitVectors of one width are transposed to columns from their bytes,
-        with no TernaryVector or code built for a row; other rows go through
-        their codes, whose checks name the first bad row.
+        BitVectors of one width are transposed to ones planes, with no
+        TernaryVector or code built for a row; other rows go through their
+        codes, whose checks name the first bad row.
         """
         rows = list(rows)
         if not rows:
             raise EmptyTable(f"table {name!r} has no rows")
         labels = list(labels) if labels else []
         if all(isinstance(row, BitVector) and row.n == rows[0].n for row in rows):
-            n, size = rows[0].n, (rows[0].n + 7) // 8
-            columns = _columns(b"".join([row.value.to_bytes(size, "big") for row in rows]),
-                               size, _BIT, n)
             table = cls.__new__(cls)
-            table._set(name, columns, _checked_labels(labels, len(rows)), False)
+            ones = _transpose([row.value for row in rows], rows[0].n)
+            table._set(name, (None, ones), _checked_labels(labels, len(rows)), False)
             return table
         vectors = [TernaryVector.parse(row) if isinstance(row, str) else _as_ternary(row)
                    for row in rows]
         return cls(name, vectors[0].n, [row.enc.value for row in vectors], labels)
 
+    def _pairs(self) -> list[int]:
+        """Each column's ones plane, then its zeros plane: read down a row,
+        its code complemented."""
+        return [plane for column in zip(self._ones, self._zeros) for plane in column]
+
     @property
     def codes(self) -> list[int]:
         """Each row's 2n-bit code, built on each read."""
-        return _flip(map(or_, self._zeros, self._ones), len(self))
+        mask = (1 << 2 * self.cols) - 1
+        return [mask ^ code for code in _transpose(self._pairs(), len(self))]
 
     @property
     def rows(self) -> list[TernaryVector]:
@@ -163,25 +174,33 @@ class AssocTable:
         return [TernaryVector._of_code(c, self.cols) for c in self.codes]
 
     @cached_property
-    def _column_bytes(self) -> bytes:
-        """The columns' bytes, (R + 3) // 4 for each, from which rows are read."""
-        return _bytes(map(or_, self._zeros, self._ones), len(self))
+    def _plane_bytes(self) -> bytearray:
+        """The planes that rows are read from, as :func:`_matrix` holds them:
+        a binary table's ones planes, else :meth:`_pairs`."""
+        return _matrix(self._ones if self.is_binary else self._pairs(), len(self))
 
-    def _row(self, i: int) -> TernaryVector:
-        """Row i, 0-based, as a TernaryVector."""
-        n, lanes, at = self.cols, self.__dict__.get("_lanes"), i * (self.cols + 1)
+    def _row(self, i: int) -> Union[BitVector, TernaryVector]:
+        """Row i, 0-based: a BitVector in a binary table, else a TernaryVector."""
+        n, lanes = self.cols, self.__dict__.get("_lanes")
         if lanes is None:
-            return TernaryVector._of_code(_flipped(self._column_bytes, len(self), i), n)
-        # the hex digits of the row's lane bytes spell its code's pairs, complemented
-        return TernaryVector._of_code(low_bits(n) * 3 ^ int(lanes[at:at + n].hex(), 2), n)
+            bits = _column(self._plane_bytes, len(self), i)
+        else:  # bit 3 of a 1's lane byte is set; the bytes' hex digits spell the code's
+            lane = lanes[i * (n + 1):i * (n + 1) + n]  # pairs complemented
+            bits = int(lane.translate(_BIT[3]) if self.is_binary else lane.hex(), 2)
+        if self.is_binary:
+            return BitVector(n, bits)
+        return TernaryVector._of_code(((1 << 2 * n) - 1) ^ bits, n)
 
     @property
     def is_binary(self) -> bool:
         return self.mode is Mode.BINARY
 
     def row_bits(self) -> list[BitVector]:
-        """The rows of a binary table as BitVectors, converted on each call."""
-        return [row.to_bitvector() for row in self.rows]
+        """The rows of a binary table as BitVectors, read from its ones
+        planes on each call."""
+        if not self.is_binary:
+            raise NotBinary("vector contains x, not a binary vector")
+        return [BitVector(self.cols, bits) for bits in _transpose(self._ones, len(self))]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -216,47 +235,41 @@ def _checked_labels(labels, count: int, check_rows=lambda: None) -> list:
     return labels
 
 
-def _bytes(values: Iterable[int], width: int) -> bytes:
-    """Ints of ``width`` 2-bit pairs each, in (width + 3) // 4 bytes each."""
-    return b"".join(map(int.to_bytes, values, repeat((width + 3) // 4), repeat("big")))
+# _BIT[k] maps a byte to its bit k, from the most significant, as a binary digit
+_BIT = [bytes(ord("0") + (b >> 7 - k & 1) for b in range(256)) for k in range(8)]
 
 
-# _FLIPPED[k] maps a byte to its pair k, from the most significant,
-# complemented, as a base-4 digit
-_FLIPPED = [bytes(ord("3") - (b >> 6 - 2 * k & 3) for b in range(256)) for k in range(4)]
-# _BIT[k] maps a byte to its bit k, from the most significant, as the
-# base-4 digit of that binary symbol's pair in a column: 0 -> 01, 1 -> 10
-_BIT = [bytes(ord("1") + (b >> 7 - k & 1) for b in range(256)) for k in range(8)]
-_PAIR = bytes.maketrans(b"\0\1\x10", b"012")  # a lane byte to its pair, as a base-4 digit
+def _matrix(values: list[int], width: int) -> bytearray:
+    """``values`` of ``width`` bits each, in (width + 7) // 8 bytes each,
+    the most significant first. They are joined about a megabyte at a
+    time into the matrix, so that no second copy of it is held."""
+    size = (width + 7) // 8
+    matrix, step = bytearray(size * len(values)), 1 + (1 << 20) // size
+    for at in range(0, len(values), step):
+        matrix[at * size:(at + step) * size] = b"".join(
+            map(int.to_bytes, values[at:at + step], repeat(size), repeat("big")))
+    return matrix
 
 
-def _flipped(matrix: bytes, width: int, i: int) -> int:
-    """Pair i of every value in ``matrix``, complemented, as the pairs of one
-    int, the first value's most significant. ``matrix`` holds values of
-    ``width`` pairs each, as :func:`_bytes` writes them."""
-    size = (width + 3) // 4
-    at = 4 * size - width + i  # the pair's place in a value's bytes
-    return int(matrix[at // 4::size].translate(_FLIPPED[at % 4]), 4)
+def _column(matrix: bytearray, width: int, i: int) -> int:
+    """Bit i, from the most significant, of every value of ``width`` bits
+    in ``matrix``, as one int, the first value's bit most significant."""
+    size = (width + 7) // 8
+    at = 8 * size - width + i  # the bit's place in a value's bytes
+    return int(matrix[at // 8::size].translate(_BIT[at % 8]), 2)
 
 
-def _flip(values: Iterable[int], width: int) -> list[int]:
-    """The transpose of a matrix of 2-bit pairs, each pair complemented:
-    ``values`` hold ``width`` pairs each, and result i holds pair i of
-    every value, as :func:`_flipped` reads it. The rows' codes flip to
-    the table's columns, and back."""
-    return _columns(_bytes(values, width), (width + 3) // 4, _FLIPPED, width)
-
-
-def _columns(matrix: bytes, size: int, tables: list[bytes], width: int) -> list[int]:
-    """The columns of ``matrix``, whose values take ``size`` bytes each and
-    end in ``width`` symbols of len(tables) to a byte: column i is a base-4
-    int whose digit r is value r's symbol i, as ``tables`` map it. Table k
-    reads the k-th symbol of a byte, from the most significant."""
+def _transpose(values: list[int], width: int) -> list[int]:
+    """The transpose of a bit matrix: ``values`` hold ``width`` bits each,
+    and result i holds bit i of every value, as :func:`_column` reads it.
+    Rows and planes, planes and codes, and counter planes and counts are
+    each other's transposes."""
+    matrix, size = _matrix(values, width), (width + 7) // 8
     columns = []
-    for k in range(size):
+    for k in range(size):  # each byte of a value, sliced once for its eight bits
         column = matrix[k::size]
-        columns += [int(column.translate(table), 4) for table in tables]
-    return columns[len(tables) * size - width:]
+        columns += [int(column.translate(bit), 2) for bit in _BIT]
+    return columns[8 * size - width:]
 
 
 class _PerRow:
@@ -464,17 +477,7 @@ def _count(planes: list[int]) -> list[int]:
             total ^= a
         counts.append(total)
         planes = carries
-    return counts
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    """The bit-sliced sum of two bit-sliced counts of the same length."""
-    total, carry = [], 0
-    for x, y in zip(a, b):
-        t = x ^ y
-        total.append(t ^ carry)
-        carry = x & y | t & carry
-    return total + [carry] if carry else total
+    return counts or [0]  # no planes: every count is 0
 
 
 def _least(rows: int, counts: list[int]) -> tuple[int, int]:
@@ -500,8 +503,7 @@ class _Search:
     """The counts e, p and q, as the module describes them, of one probe m
     against every row of one table, which rank rows by (e, min(p, q),
     max(p, q)). They are counted in byte lanes (:meth:`_tally`) while a
-    count fits in a byte, or in bit planes, a row's bit at the low bit of
-    its pair, and read one per row."""
+    count fits in a byte, or else in counter planes, and read one per row."""
 
     def __init__(self, table: AssocTable, m):
         mt = _as_ternary(m)
@@ -512,19 +514,15 @@ class _Search:
         if table.is_binary and not mt.is_binary:
             raise ModeMismatch("ternary query against a binary table")
         self.table, self.m, self.mt = table, m, mt
-        # a probe 1 (code 01) conflicts with a row's 0, at the low bits, a
-        # probe 0 (code 10) with a 1, at the high bits; an x (11) with neither
+        # a probe 1 (code 01) conflicts with a row's 0, a probe 0 (code 10)
+        # with a 1, and an x (11) with neither
         pairs = format(mt.enc.value, f"0{2 * mt.n}b").encode()
         ones, zeros = pairs[0::2].translate(_CLEAR), pairs[1::2].translate(_CLEAR)
         self._selectors = ones, zeros  # the coordinates where m is 1, where m is 0
-        self._wide = table.cols > 255  # 4-byte lanes, as a count can pass 255
-        self._text = None if table._search or self._wide else table.__dict__.get("_lanes")
+        # past 255 columns a count can pass its byte lane
+        self._text = None if table._search or table.cols > 255 else table.__dict__.get("_lanes")
         if self._text is None:
-            lows, highs = list(compress(table._zeros, ones)), list(compress(table._ones, zeros))
-            # a low and a high plane share one int, so each adder adds two columns
-            counts = _count([*map(or_, lows, highs), *lows[len(highs):], *highs[len(lows):]])
-            low = low_bits(len(table))
-            self.e = _add([c & low for c in counts], [c >> 1 & low for c in counts])
+            self.e = _count([*compress(table._zeros, ones), *compress(table._ones, zeros)])
         else:  # a row's e sums its 0s where m is 1 and its 1s where m is 0
             self._unit = int.from_bytes(b"\1" * len(table), "big")  # 1 in each lane
             (e, matched), (same, conflicts) = self._tally(ones), self._tally(zeros)
@@ -543,15 +541,12 @@ class _Search:
             ones += total >> 4 & nibble
         return zeros, ones
 
-    def _rows(self, lanes):
-        """One count per row, of lanes or of bit planes (a list) read as lanes."""
-        height, spread = len(self.table), lambda plane: int(format(plane, "b"), 16)
-        if isinstance(lanes, list):  # a pair read as hex digits fills a byte; spread twice, four
-            lanes = sum((spread(spread(c)) if self._wide else spread(c)) << i
-                        for i, c in enumerate(lanes))
-        if self._wide:
-            return struct.unpack(f">{height}I", lanes.to_bytes(4 * height, "big"))
-        return lanes.to_bytes(height, "big")
+    def _rows(self, counts):
+        """One count per row, of byte lanes or of counter planes (a list,
+        the lowest first)."""
+        if isinstance(counts, list):
+            return _transpose(counts[::-1], len(self.table))
+        return counts.to_bytes(len(self.table), "big")
 
     @cached_property
     def counts(self):
@@ -565,9 +560,9 @@ class _Search:
         if self._text is not None:
             p = known.count(1) * self._unit - self._e - self._matched
             return self._rows(p), self._rows(sum(self._tally(map(not_, known))))
-        low = low_bits(len(self.table))
-        filled = [z | o >> 1 for z, o in zip(self.table._zeros, self.table._ones)]  # not x
-        p = _count([low ^ f for f in compress(filled, known)])
+        mask = (1 << len(self.table)) - 1
+        filled = list(map(or_, self.table._zeros, self.table._ones))  # not x
+        p = _count([mask ^ f for f in compress(filled, known)])
         q = _count(list(compress(filled, map(not_, known))))
         return self._rows(p), self._rows(q)
 
@@ -579,8 +574,9 @@ class _Search:
         """``best``: (the 0-based rows that score best, ascending; their e;
         the first one's score, from the criterion itself)."""
         if self._text is None:  # a min search from the top counter plane down
-            rows, e = _least(low_bits(len(self.table)), self.e)
-            found = _where(int(format(rows, "b"), 16).to_bytes(len(self.table), "big"), 1)
+            height = len(self.table)
+            rows, e = _least((1 << height) - 1, self.e)
+            found = _where(format(rows, f"0{height}b"), "1")
         else:
             e = min(self.counts)
             found = _where(self.counts, e)
@@ -628,8 +624,7 @@ class _Search:
         """Row i's score (0-based) from the criterion itself, on the row."""
         row, m = self.table._row(i), self.m
         if self.table.is_binary:
-            mb = m if isinstance(m, BitVector) else self.mt.to_bitvector()
-            return quality_index(mb, row.to_bitvector())
+            return quality_index(m if isinstance(m, BitVector) else self.mt.to_bitvector(), row)
         return quality_arith(self.mt, row)
 
 

@@ -418,10 +418,11 @@ def _load(seqs: list, width: int, where: list, traced=None) -> tuple:
 
     ``loaded`` are their indexes, and per index ``states`` holds a new state
     and ``cells`` (code, state, matrix rows, translation traced as ``traced``
-    says or None, partner by direction). Raises NotAVector for a register
-    that is not a BitVector, WidthMismatch for one of another width, and
-    InvalidArgument for a pc or row counter that is not an int (the row
-    counter nonnegative) or a flag that is not 0 or 1.
+    says or, with ``traced`` None, one that runs no block, partner by
+    direction). Raises NotAVector for a register that is not a BitVector,
+    WidthMismatch for one of another width, and InvalidArgument for a pc or
+    row counter that is not an int (the row counter nonnegative) or a flag
+    that is not 0 or 1.
     """
     states, cells = [None] * len(seqs), [None] * len(seqs)
     loaded = [i for i, seq in enumerate(seqs) if not seq.halted]
@@ -448,10 +449,15 @@ def _load(seqs: list, width: int, where: list, traced=None) -> tuple:
         matrix, made = seq._rows, seq._segments
         state += [matrix[counter] if counter < len(matrix) else None, pc, flag, counter,
                   len(matrix), None]
-        segment = None if traced is None else made.get(traced) or made.setdefault(
+        segment = _no_block if traced is None else made.get(traced) or made.setdefault(
             traced, _translation(seq._code, seq.width, traced))
         cells[i] = seq._code, state, matrix, segment, _PARTNER[i]
     return loaded, states, cells
+
+
+def _no_block(state, matrix, t, last, path):
+    """A translation in which no whole block fits: it leaves every cycle to ``_run``."""
+    return t
 
 
 def _store(seqs, width, first, loaded, ended, ends, states) -> None:
@@ -661,7 +667,8 @@ def _free_run(grid, budget: int) -> None:
     seqs, width, first = grid._targets(None), grid.width, grid.global_cycle
     last = first + max(budget, 0)
     traced = grid.tracing
-    loaded, states, cells = _load(seqs, width, _WHERE, traced)
+    # a one-cycle run, as Grid.step makes, runs on _run and translates nothing
+    loaded, states, cells = _load(seqs, width, _WHERE, traced if budget > 1 else None)
     fault = None  # the first cycle in which a cell faults
     if last > first and any(not 0 <= cells[i][1][_PC] < len(cells[i][0]) for i in loaded):
         fault = first + 1  # a pc outside its program faults in the first cycle

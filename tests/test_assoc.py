@@ -717,11 +717,11 @@ def test_column_search_edge_shapes(rows, probe):
 
 def test_a_table_read_from_text_builds_its_planes_once(monkeypatch):
     built = []
-    real = AssocTable._set  # which a list of plane columns builds the planes
+    real = AssocTable._set  # whose (zeros, ones) tuple builds the planes
 
-    def counted(self, name, columns, *rest):
-        built.append(isinstance(columns, list))
-        real(self, name, columns, *rest)
+    def counted(self, name, planes, *rest):
+        built.append(isinstance(planes, tuple))
+        real(self, name, planes, *rest)
 
     monkeypatch.setattr(AssocTable, "_set", counted)
     text = "a\t0x1\nb\t1x0\nc\t011\n"
@@ -745,15 +745,41 @@ def test_codes_are_built_from_the_columns_on_each_read():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 70).flatmap(
-    lambda n: st.lists(st.integers(0, 2**n - 1).map(lambda v: BitVector(n, v)), min_size=1, max_size=9)
-))
-def test_bitvector_rows_build_the_table_their_codes_build(bits):
-    codes = [TernaryVector.from_bitvector(b).enc.value for b in bits]
-    labels = [f"r{i}" for i in range(len(bits))]
-    table = AssocTable.from_rows(bits, labels, name="t")
-    assert table == AssocTable("t", bits[0].n, codes, labels)
-    assert table.mode is Mode.BINARY and table.codes == codes
+@given(st.integers(1, 70) | st.sampled_from([255, 256, 300]), st.integers(1, 70),
+       st.booleans(), st.data())
+def test_bitvector_rows_build_the_table_their_codes_build(n, count, ternary, data):
+    # the planes of n-symbol rows, built from BitVectors (binary rows only),
+    # from codes, and from text after a forced plane read, with the rows
+    # read back from each; a row's x are the set bits of its mask
+    values = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=count, max_size=count))
+    masks = [data.draw(st.integers(0, 2**n - 1)) if ternary else 0 for _ in values]
+    rows = ["".join("x" if x >> n - 1 - j & 1 else str(v >> n - 1 - j & 1) for j in range(n))
+            for v, x in zip(values, masks)]
+    binary = not any(masks)
+    codes = [tv(row).enc.value for row in rows]
+    labels = [f"r{i}" for i in range(count)]
+    expect = [BitVector(n, v) for v in values] if binary else list(map(tv, rows))
+    text = load_table("".join(f"{label}\t{row}\n" for label, row in zip(labels, rows)), name="t")
+    assert [text._row(i) for i in range(count)] == expect  # from its lanes
+    assert "_lanes" in text.__dict__
+    text._zeros  # builds its planes
+    built = [AssocTable("t", n, codes, labels), text]
+    if binary:
+        built.append(AssocTable.from_rows([BitVector(n, v) for v in values], labels, name="t"))
+    mask = (1 << count) - 1
+    for table in built:
+        assert table == built[0] and table.mode is (Mode.BINARY if binary else Mode.TERNARY)
+        assert (table._zeros, table._ones) == (built[0]._zeros, built[0]._ones)
+        assert len(table._zeros) == len(table._ones) == table.cols == n
+        for zeros, ones in zip(table._zeros, table._ones):
+            assert 0 <= zeros < 1 << count and 0 <= ones < 1 << count
+            assert zeros & ones == 0
+            if binary:
+                assert zeros ^ ones == mask
+        assert table.codes == codes and table.rows == list(map(tv, rows))
+        assert [table._row(i) for i in range(count)] == expect
+        if binary:
+            assert table.row_bits() == expect
 
 
 @pytest.mark.parametrize(

@@ -178,11 +178,11 @@ def test_query_text_and_tsv_never_score_every_row(capsys, tmp_path, monkeypatch,
 def test_one_shot_table_commands_build_no_planes(capsys, tmp_path, monkeypatch):
     import lamp.assoc
 
-    real = lamp.assoc.AssocTable._set  # which a list of plane columns builds the planes
+    real = lamp.assoc.AssocTable._set  # whose (zeros, ones) tuple builds the planes
 
-    def lanes_only(self, name, columns, *rest):
-        assert not isinstance(columns, list), "planes built"
-        real(self, name, columns, *rest)
+    def lanes_only(self, name, planes, *rest):
+        assert not isinstance(planes, tuple), "planes built"
+        real(self, name, planes, *rest)
 
     monkeypatch.setattr(lamp.assoc.AssocTable, "_set", lanes_only)
     faults, patterns = tmp_path / "faults.tbl", tmp_path / "patterns.tbl"

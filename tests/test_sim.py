@@ -880,6 +880,26 @@ def test_a_second_run_of_the_same_program_translates_nothing(monkeypatch):
     assert second.cell(0, 0).regs == first.cell(0, 0).regs
 
 
+def test_a_step_translates_nothing(monkeypatch):
+    """``Grid.step`` runs its one cycle on ``_run``: no cell's code is
+    translated, and each step leaves the reference's state and trace."""
+    import lamp.sim
+    from sim_reference import RefGrid, grid_state
+
+    for tracing in (False, True):
+        monkeypatch.setattr(lamp.sim, "_TRANSLATIONS", {})
+        grid, ref = _sharded_grid(tracing), RefGrid(256, tracing=tracing)
+        ref.load_program(assemble(sharded.sharded_source(256)))
+        for cell, seq in zip((c for row in ref.cells for c in row), grid._targets(None)):
+            cell.a_matrix, cell.regs = list(seq.a_matrix), dict(seq.regs)
+        for _ in range(3):
+            grid.step()
+            ref.step()
+            assert lamp.sim._TRANSLATIONS == {}
+            assert all(seq._segments == {} for seq in grid._targets(None))
+            assert (grid_state(grid), grid.trace) == (grid_state(ref), ref.trace)
+
+
 def test_the_translation_cache_keeps_at_most_its_bound(monkeypatch):
     import lamp.sim
 

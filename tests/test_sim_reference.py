@@ -205,8 +205,11 @@ def test_grid_matches_reference_on_random_programs(monkeypatch, stepwise):
     finished = ("halted", "budget") if stepwise else ("all-halted", "cycle-budget-exhausted")
     for category in (*finished, "deadlock", "exchange", "pc", "row", "jump", "SETROW", "INCROW"):
         assert seen[category] >= 3, (category, seen)
-    for end in ("exchange", "HALT", "end", "fault"):
-        assert calls[end] >= 3, (end, calls)
+    if stepwise:  # a step runs its one cycle on _run, and makes no translation to call
+        assert not calls, calls
+    else:
+        for end in ("exchange", "HALT", "end", "fault"):
+            assert calls[end] >= 3, (end, calls)
 
 
 def test_sequencer_step_matches_reference():
