@@ -730,6 +730,7 @@ def test_a_table_read_from_text_builds_its_planes_once(monkeypatch):
         m = tv(probe)
         query(table, m)
         rank(table, m, 2)
+        assert built == ([False] if probe == "0x1" else [False, True])  # lanes first
     assert built == [False, True]  # read as lanes; planes by the second query
     built.clear()
     assert load_table(text) == AssocTable.from_rows(["0x1", "1x0", "011"], list("abc"))
